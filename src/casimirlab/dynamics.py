@@ -16,16 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ion_kdv
-from .field_core import FieldError
+from .field_core import BlowupError, NumericalFailure
 from .poisson import Functional, State
 
 
-class BlowupError(RuntimeError):
-    """A step produced non-finite values."""
-
-
 class IntegrationError(RuntimeError):
-    """Blow-up mid-run; carries the partial series and the failing step."""
+    """A numerical failure mid-run; carries the partial series and the failing step."""
 
     def __init__(self, message: str, series: "DiagnosticSeries", step_index: int, last_state: State):
         super().__init__(message)
@@ -47,16 +43,12 @@ class Integrator:
 
 
 def step(integ: Integrator, rhs: Callable[[State], State] | None, z: State) -> State:
-    """One explicit step; raises BlowupError on non-finite output."""
+    """One explicit step; raises a NumericalFailure on non-finite output."""
     dt = integ.dt
     if integ.scheme == "if_rk4":
         if z.kind != "kdv":
             raise ValueError("if_rk4 integrates the KdV system only")
-        try:
-            out = State("kdv", (ion_kdv.kdv_if_rk4_step(z.parts[0], dt),))
-        except FieldError as exc:
-            raise BlowupError(str(exc)) from exc
-        return out
+        return State("kdv", (ion_kdv.kdv_if_rk4_step(z.parts[0], dt),))
     if integ.scheme == "rk4":
         k1 = rhs(z)
         k2 = rhs(z + (0.5 * dt) * k1)
@@ -116,6 +108,54 @@ class DiagnosticSeries:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size dt that reach t_end; ValueError unless it is whole."""
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t_end = {t_end:g} is not a whole number of dt = {dt:g} steps")
+    return n_steps
+
+
+class Trajectory:
+    """The time loop: iterating it steps z0 to t_end and yields each new state.
+
+    The watched functionals are sampled into ``series`` at t = 0, every
+    ``output_every`` and at t_end; ``state`` is the latest state.  z0 may be
+    a tuple of states that one rhs steps in lockstep, in which case the
+    watched functionals receive the tuple.  A NumericalFailure in a step or
+    in a watched functional becomes an IntegrationError carrying the partial
+    series and the index of the failing step.
+    """
+
+    def __init__(self, integ: Integrator, rhs, z0, t_end: float,
+                 watch: Sequence[Functional] = (), output_every: float | None = None):
+        self.integ, self.rhs, self.watch = integ, rhs, tuple(watch)
+        self.n_steps = step_count(t_end, integ.dt)
+        self.stride = 1 if output_every is None else max(1, int(round(output_every / integ.dt)))
+        self.series = DiagnosticSeries(tuple(f.label for f in self.watch))
+        self.state = z0
+
+    def __iter__(self):
+        integ, rhs, z = self.integ, self.rhs, self.state
+        n = 0
+        try:
+            self.series.record(0.0, [f.value(z) for f in self.watch])
+            for n in range(1, self.n_steps + 1):
+                if isinstance(z, tuple):
+                    z = tuple(step(integ, rhs, member) for member in z)
+                else:
+                    z = step(integ, rhs, z)
+                self.state = z
+                if n % self.stride == 0 or n == self.n_steps:
+                    self.series.record(n * integ.dt, [f.value(z) for f in self.watch])
+                yield z
+        except NumericalFailure as exc:
+            raise IntegrationError(
+                f"{type(exc).__name__} at step {n} (t = {n * integ.dt:g}): {exc}",
+                self.series, n, self.state,
+            ) from exc
+
+
 def run_and_record(
     integ: Integrator,
     rhs: Callable[[State], State] | None,
@@ -126,29 +166,13 @@ def run_and_record(
 ) -> tuple[DiagnosticSeries, State]:
     """Integrate to t_end, sampling the watched functionals.
 
-    On blow-up raises IntegrationError carrying the partial series and the
-    index of the failing step.
+    On a numerical failure raises IntegrationError carrying the partial
+    series and the index of the failing step.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    n_steps = int(round(t_end / integ.dt))
-    if n_steps < 1 or abs(n_steps * integ.dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer number of steps")
-    stride = 1 if output_every is None else max(1, int(round(output_every / integ.dt)))
-
-    series = DiagnosticSeries(tuple(f.label for f in watch))
-    series.record(0.0, [f.value(z0) for f in watch])
-    z = z0
-    for n in range(1, n_steps + 1):
-        try:
-            z = step(integ, rhs, z)
-        except (BlowupError, FieldError, FloatingPointError) as exc:
-            raise IntegrationError(
-                f"blow-up at step {n} (t = {n * integ.dt:g}): {exc}", series, n, z
-            ) from exc
-        if n % stride == 0 or n == n_steps:
-            series.record(n * integ.dt, [f.value(z) for f in watch])
-    return series, z
+    run = Trajectory(integ, rhs, z0, t_end, watch, output_every)
+    for _ in run:
+        pass
+    return run.series, run.state
 
 
 def estimate_frequency(times: Sequence[float], values: Sequence[float]) -> float:

@@ -30,8 +30,24 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+class NumericalFailure(RuntimeError):
+    """A computation left the finite numbers or failed to converge.
+
+    The input was valid and the run went wrong: the CLI turns these into a
+    failure record and exit status 1, not a configuration error.
+    """
+
+
+class BlowupError(NumericalFailure):
+    """A time step produced non-finite values."""
+
+
 class FieldError(ValueError):
     """Invalid field data (non-finite values, bad shape, bad grid)."""
+
+
+class NonFiniteError(FieldError, NumericalFailure):
+    """A field was built from values that are not all finite."""
 
 
 class GridMismatchError(FieldError):
@@ -210,7 +226,7 @@ class Field2D(_FieldOps):
         if v.shape != self.grid.shape:
             raise FieldError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
-            raise FieldError("field contains non-finite values")
+            raise NonFiniteError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
     @staticmethod
@@ -239,7 +255,7 @@ class Field1D(_FieldOps):
         if v.shape != (self.grid.n,):
             raise FieldError(f"values shape {v.shape} != ({self.grid.n},)")
         if not np.all(np.isfinite(v)):
-            raise FieldError("field contains non-finite values")
+            raise NonFiniteError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
     @staticmethod

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .field_core import BlowupError
 from .poisson import Functional, PoissonOperator, State
 
 
@@ -175,7 +176,7 @@ def simulate_plane_orbits(
         hx, hy = _poly_grad(coeffs, xv, yv)
         return xv * hy, -xv * hx
 
-    for _ in range(n_steps):
+    for n in range(1, n_steps + 1):
         k1x, k1y = rhs(x, y)
         k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
         k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
@@ -183,7 +184,9 @@ def simulate_plane_orbits(
         x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise FloatingPointError("orbit batch blew up; shrink the coefficient scale")
+            raise BlowupError(
+                f"orbit batch blew up at step {n} (t = {n * dt:g}); shrink dt or the coefficients"
+            )
         xs = s0 * x
         xs_min = np.minimum(xs_min, xs)
         xs_max = np.maximum(xs_max, xs)

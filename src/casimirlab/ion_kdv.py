@@ -41,6 +41,7 @@ import numpy as np
 from .field_core import (
     Field1D,
     Grid1D,
+    NumericalFailure,
     dealias,
     ddx1,
     ddx2,
@@ -54,7 +55,7 @@ from .poisson import Functional, PoissonOperator, State
 RHO_FLOOR = 1e-6
 
 
-class NewtonError(RuntimeError):
+class NewtonError(NumericalFailure):
     """Newton iteration failed to reach the requested residual."""
 
     def __init__(self, message: str, residual: float, iterations: int):
@@ -63,7 +64,7 @@ class NewtonError(RuntimeError):
         self.iterations = iterations
 
 
-class DensityFloorError(RuntimeError):
+class DensityFloorError(NumericalFailure):
     """Density dropped below the positivity floor during evolution."""
 
 

@@ -1,0 +1,194 @@
+"""Failure paths: every preset turns a numerical failure into a failure record
+(exit 1, summary.json written, partial CSV kept), config mistakes exit 2 with
+the field named, and corrupt snapshots raise SnapshotError."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from casimirlab import Field1D, Field2D, Grid1D, Grid2D
+from casimirlab.cli import PRESETS, SnapshotError, load_snapshot, main, save_snapshot
+from casimirlab.poisson import State
+
+BLOWUP_2D = ("grid.n=8", "dt=0.5", "t_end=50.0")
+
+# preset -> (--set overrides that make it fail, where the failure happens):
+# 'step' inside the time loop, 'setup' outside it, 'check' a failed check
+FAILURES = {
+    "euler2d": ((*BLOWUP_2D, "initial.amplitude=50"), "step"),
+    "rmhd2d": ((*BLOWUP_2D, "initial.omega_modes=[[1,1,50,0]]"), "step"),
+    "phantom2": ((*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
+    "phantom3": ((*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
+    "singular_leaf": ((*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
+    # the density drops below its floor
+    "ionacoustic1d": (
+        ("grid.n=16", "initial.modes=[1]", "initial.amplitude=0.9", "t_end=5.0"), "step"
+    ),
+    # a watched functional meets a non-finite product
+    "kdv_soliton": (("grid.n=128", "dt=0.5", "t_end=50"), "step"),
+    # finitedim's orbit batch steps in its own loop and reports the step in the message
+    "finitedim": (("dt=2.0", "t_end=40"), "setup"),
+    "kernel_deficit": (("grid.n=8", "initial.zeta_modes=[[1,0,1e200,0.0]]"), "setup"),
+    "jacobi_check": (("initial.step=1e-300",), "check"),
+}
+
+# presets that step in time from dt to t_end
+STEPPING = ("euler2d", "rmhd2d", "phantom2", "phantom3", "singular_leaf",
+            "ionacoustic1d", "kdv_soliton", "finitedim")
+
+
+def run_cli(tmp_path, preset, *sets):
+    out = tmp_path / preset
+    argv = ["run", preset, "--out-dir", str(out)]
+    for s in sets:
+        argv += ["--set", s]
+    return main(argv), out
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_forced_failure_writes_failure_record(preset, tmp_path, capsys):
+    assert preset in FAILURES, f"no forced-failure case for preset {preset}"
+    sets, where = FAILURES[preset]
+    code, out = run_cli(tmp_path, preset, *sets)
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False
+    failure = summary["failure"]
+    if where == "check":
+        assert failure is None
+        assert not all(c["passed"] for c in summary["checks"])
+        return
+    assert failure["message"]
+    if where == "setup":
+        assert failure["step"] is None
+        return
+    assert isinstance(failure["step"], int) and failure["step"] >= 1
+    rows = (out / "diagnostics.csv").read_text().strip().split("\n")
+    assert rows[0].startswith("t,") and len(rows) >= 2
+    assert float(rows[-1].split(",")[0]) <= failure["step"] * summary["config"]["dt"]
+
+
+@pytest.mark.parametrize(
+    "preset, sets, field",
+    [
+        ("euler2d", ("initial=null",), "initial"),
+        ("euler2d", ("grid=5",), "grid"),
+        ("finitedim", ("grid=5",), "grid"),
+        *[(p, (f"grid.{k}={v}",), f"grid.{k}")
+          for p in ("kdv_soliton", "ionacoustic1d")
+          for k, v in (("nx", 32), ("ny", 32), ("lx", 1.0), ("ly", 1.0))],
+    ],
+)
+def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):
+    code, _ = run_cli(tmp_path, preset, *sets)
+    assert code == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", STEPPING)
+def test_t_end_must_be_whole_steps(preset, tmp_path, capsys):
+    dt = PRESETS[preset].defaults["dt"]
+    code, out = run_cli(tmp_path, preset, f"t_end={2.5 * dt!r}")
+    assert code == 2
+    assert "'t_end'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_too_short_for_frequency_fails_check(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "ionacoustic1d", "grid.n=16", "initial.modes=[1]", "t_end=2.0")
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"] is None and summary["pass"] is False
+    check = {c["name"]: c for c in summary["checks"]}["dispersion_rel_error_k1"]
+    assert not check["passed"]
+    assert "too short" in check["note"]
+
+
+# ---------------------------------------------------------------------------
+# snapshots
+# ---------------------------------------------------------------------------
+
+finite_values = st.floats(allow_nan=False, allow_infinity=False)
+lengths = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+sizes = st.integers(4, 8).map(lambda h: 2 * h)
+
+
+@st.composite
+def states(draw):
+    kind = draw(st.sampled_from(["finite", "ion", "kdv", "vortex1", "vortex2", "vortex3"]))
+    if kind == "finite":
+        return State(kind, (draw(arrays(np.float64, st.integers(1, 6), elements=finite_values)),))
+    if kind in ("ion", "kdv"):
+        grid, field_type = Grid1D(draw(sizes), draw(lengths)), Field1D
+        shape = (grid.n,)
+    else:
+        grid = Grid2D(draw(sizes), draw(sizes), draw(lengths), draw(lengths))
+        field_type, shape = Field2D, grid.shape
+    count = {"ion": 2, "kdv": 1, "vortex1": 1, "vortex2": 2, "vortex3": 3}[kind]
+    return State(kind, tuple(
+        field_type(grid, draw(arrays(np.float64, shape, elements=finite_values)))
+        for _ in range(count)
+    ))
+
+
+def values(part):
+    return part if isinstance(part, np.ndarray) else part.values
+
+
+SNAP_SETTINGS = settings(max_examples=40, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@SNAP_SETTINGS
+@given(state=states())
+def test_snapshot_round_trip(state, tmp_path):
+    path = tmp_path / "state.snap"
+    save_snapshot(path, state)
+    back = load_snapshot(path)
+    assert back.kind == state.kind
+    if state.kind != "finite":
+        assert back.parts[0].grid == state.parts[0].grid
+    for a, b in zip(state.parts, back.parts):
+        assert np.array_equal(values(a), values(b))
+
+
+def corrupt_payload(raw, data):
+    header_end = raw.index(b"\nend\n") + 5
+    if data.draw(st.booleans(), label="truncate"):
+        cut = data.draw(st.integers(1, len(raw) - header_end), label="bytes cut")
+        return raw[: len(raw) - cut]
+    return raw + data.draw(st.binary(min_size=1, max_size=64), label="bytes added")
+
+
+def corrupt_header(raw, data):
+    header_end = raw.index(b"\nend\n") + 5
+    lines = raw[:header_end].decode("ascii").split("\n")[:-1]
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    action = data.draw(st.sampled_from(["drop", "garble", "kind"]), label="action")
+    if action == "drop":
+        del lines[i]
+    elif action == "garble":
+        word = data.draw(st.text("xyz.-", min_size=1, max_size=8), label="word")
+        lines[i] = lines[i].split(" ")[0] + " " + word + " " + word
+    else:
+        kind = data.draw(st.text("abcxyz", min_size=1, max_size=8), label="kind")
+        lines = [f"kind {kind}" if ln.startswith("kind ") else ln for ln in lines]
+    return ("\n".join(lines) + "\n").encode("ascii") + raw[header_end:]
+
+
+@SNAP_SETTINGS
+@given(state=states(), data=st.data())
+def test_corrupt_snapshot_raises_snapshot_error(state, data, tmp_path):
+    path = tmp_path / "state.snap"
+    save_snapshot(path, state)
+    raw = path.read_bytes()
+    corrupt = data.draw(st.sampled_from([corrupt_payload, corrupt_header]), label="defect")
+    bad = corrupt(raw, data)
+    path.write_bytes(bad)
+    with pytest.raises(SnapshotError):
+        load_snapshot(path)
+
