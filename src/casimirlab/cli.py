@@ -39,7 +39,7 @@ from . import vortex as vx
 from .field_core import (
     Field1D, Field2D, Grid1D, Grid2D, NumericalFailure, l2norm, random_band_limited_2d,
 )
-from .poisson import State, casimir_residual, jacobi_residual
+from .poisson import STATE_KINDS, State, casimir_residual, jacobi_residual
 
 ENV_OUT_DIR = "CASIMIRLAB_OUT_DIR"
 
@@ -56,12 +56,6 @@ class SnapshotError(ConfigError):
 # snapshots: text header + little-endian float64 payload
 # ---------------------------------------------------------------------------
 
-_FIELD_NAMES = {
-    "vortex1": ("omega",), "vortex2": ("omega", "psi"), "vortex3": ("omega", "psi", "psi2"),
-    "ion": ("rho", "v"), "kdv": ("w",), "finite": ("z",),
-}
-
-
 def save_snapshot(path, state: State):
     """Write a state: ASCII header lines, 'end', then raw '<f8' payloads.
 
@@ -76,7 +70,7 @@ def save_snapshot(path, state: State):
     else:
         g = state.parts[0].grid
         lines.append(f"grid2d {g.nx} {g.ny} {g.lx!r} {g.ly!r}")
-    lines.append("fields " + " ".join(_FIELD_NAMES[state.kind]))
+    lines.append("fields " + " ".join(STATE_KINDS[state.kind]))
     lines.append("end")
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
@@ -98,9 +92,9 @@ def load_snapshot(path) -> State:
             raise ValueError("not a casimirlab snapshot")
         meta = {key: args for key, *args in map(str.split, lines)}
         (kind,) = meta["kind"]
-        if kind not in _FIELD_NAMES:
+        if kind not in STATE_KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        names = _FIELD_NAMES[kind]
+        names = STATE_KINDS[kind]
         if meta["fields"] != list(names):
             raise ValueError(f"'fields' header line does not list {' '.join(names)}")
         if kind == "finite":
@@ -173,6 +167,12 @@ _RULES = {
 }
 _TYPES = {int: ("an integer", _is_int), float: ("a number", _is_number)}
 
+# rules that hold for one preset's initial keys only, over those in _RULES
+_PRESET_RULES = {
+    "ionacoustic1d": {"amplitude": ("a number in (0, 1), so the density 1 + a cos(kx) stays "
+                                    "positive", lambda v: _is_number(v) and 0 < v < 1)},
+}
+
 # keys every config has before the preset defaults and the file are merged in
 _BASE = {"grid": {}, "initial": {}, "watch": None, "out_dir": None, "snapshot": False}
 
@@ -181,13 +181,13 @@ _BASE = {"grid": {}, "initial": {}, "watch": None, "out_dir": None, "snapshot": 
 _GRID_KEYS = {None: (), Grid1D: ("n", "l"), Grid2D: ("n", "l", "nx", "ny", "lx", "ly")}
 
 
-def _check_section(section: dict, schema: dict, where: str):
+def _check_section(section: dict, schema: dict, where: str, rules: dict = _RULES):
     """Reject keys outside schema and values that break their rule."""
     for key, value in section.items():
         if key not in schema:
             allowed = ", ".join(sorted(schema)) or "none"
             raise ConfigError(f"unknown config key '{where}{key}' (allowed: {allowed})")
-        what, ok = _RULES.get(key) or _TYPES[type(schema[key])]
+        what, ok = rules.get(key) or _TYPES[type(schema[key])]
         if not ok(value):
             raise ConfigError(f"config field '{where}{key}': expected {what}, got {value!r}")
 
@@ -277,7 +277,8 @@ def parse_config(
 
     _check_section(cfg, dict.fromkeys(f.name for f in fields(RunConfig)) | spec.defaults, "")
     _check_section(cfg["grid"], dict.fromkeys(_GRID_KEYS[spec.grid]), "grid.")
-    _check_section(cfg["initial"], spec.defaults["initial"], "initial.")
+    _check_section(cfg["initial"], spec.defaults["initial"], "initial.",
+                   _RULES | _PRESET_RULES.get(name, {}))
     try:
         dyn.step_count(cfg["t_end"], cfg["dt"])
     except (ValueError, OverflowError) as exc:  # OverflowError: t_end / dt is infinite
@@ -575,9 +576,6 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
     rows = []
     all_checks = []
 
-    def y_eps(xabs, eps):
-        return 0.5 * (1.0 + math.erf(xabs / eps))
-
     for family, coeffs, z0 in (("loops", loops, z0_loops), ("wells", wells, z0_wells)):
         res = fd.simulate_plane_orbits(coeffs, z0, cfg.t_end, cfg.dt)
         mn, mx = res["x_min_signed"], res["x_max_signed"]
@@ -585,8 +583,9 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
         drifts = []
         for x0, lo, hi in zip(np.abs(res["x0"]), mn, mx):
             eps = eps_fixed if family == "loops" else min(eps_fixed, lo / 4.0)
-            drifts.append(max(abs(y_eps(lo, eps) - y_eps(x0, eps)),
-                              abs(y_eps(hi, eps) - y_eps(x0, eps))))
+            y0 = fd.smoothed_step(x0, eps)
+            drifts.append(max(abs(fd.smoothed_step(lo, eps) - y0),
+                              abs(fd.smoothed_step(hi, eps) - y0)))
         for i in range(mn.size):
             rows.append({"case": f"{family}_{i}", "x0": res["x0"][i], "min_signed_x": mn[i],
                          "max_signed_x": mx[i], "y_drift": drifts[i]})
@@ -709,8 +708,9 @@ class Preset:
 
     ``defaults`` is the preset's whole config schema: it names every initial
     key the preset accepts and gives its default value, while ``_RULES``
-    holds what each value must be.  ``grid`` is the grid class the runner
-    builds (``_GRID_KEYS`` names the keys it takes), or None for no grid.
+    (and ``_PRESET_RULES`` for this preset) holds what each value must be.
+    ``grid`` is the grid class the runner builds (``_GRID_KEYS`` names the
+    keys it takes), or None for no grid.
     """
 
     name: str

@@ -5,6 +5,10 @@ lower-order cross-check, and 'if_rk4' dispatches to the integrating-factor
 KdV stepper.  The spatial discretization is what preserves Casimirs; the
 temporal drift of conserved functionals is controlled by the O(dt^4)
 convergence tests, not by exact conservation.
+
+A state is a ``State`` or a bare float ndarray: the RK4 and midpoint stages
+only add states and scale them by floats, so a batch of finite-dimensional
+orbits steps as one (d, m) array without a wrapper per operation.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class Integrator:
             raise ValueError("dt must be positive")
 
 
-def step(integ: Integrator, rhs: Callable[[State], State] | None, z: State) -> State:
+def step(integ: Integrator, rhs: Callable | None, z: State | np.ndarray) -> State | np.ndarray:
     """One explicit step; raises a NumericalFailure on non-finite output."""
     dt = integ.dt
     if integ.scheme == "if_rk4":
@@ -58,7 +62,7 @@ def step(integ: Integrator, rhs: Callable[[State], State] | None, z: State) -> S
     else:  # midpoint
         k1 = rhs(z)
         out = z + dt * rhs(z + (0.5 * dt) * k1)
-    if not out.all_finite():
+    if not (np.isfinite(out).all() if isinstance(out, np.ndarray) else out.all_finite()):
         raise BlowupError("non-finite state after step")
     return out
 

@@ -47,7 +47,7 @@ class FieldError(ValueError):
 
 
 class NonFiniteError(FieldError, NumericalFailure):
-    """A field was built from values that are not all finite."""
+    """Values that must be finite are not: the data of a field, or a computed residual."""
 
 
 class GridMismatchError(FieldError):

@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .field_core import BlowupError
+from .dynamics import Integrator, Trajectory
+from .field_core import NonFiniteError
 from .poisson import Functional, PoissonOperator, State
 
 
@@ -159,44 +160,37 @@ def simulate_plane_orbits(
     """RK4-integrate a batch of orbits of J = x * Jc with cubic Hamiltonians.
 
     coeffs: (10, m) per-orbit cubic coefficients; z0: (2, m) initial points.
-    Returns per-orbit summary arrays: sign conservation, the signed extremes
-    of x(t) (for step-function drift bounds), and final points.
+    The batch steps as one (2, m) array through dynamics.Trajectory, so a
+    blow-up is an IntegrationError naming its step.  Returns per-orbit
+    summary arrays: sign conservation, the signed extremes of x(t) (for
+    step-function drift bounds), and final points.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    x = np.array(z0[0], dtype=float)
-    y = np.array(z0[1], dtype=float)
-    if np.any(x == 0.0):
+    z = np.array(z0, dtype=float)
+    if np.any(z[0] == 0.0):
         raise ValueError("orbits must start off the singular plane x = 0")
-    s0 = np.sign(x)
-    xs_min = s0 * x
-    xs_max = s0 * x
-    n_steps = int(round(t_end / dt))
+    s0 = np.sign(z[0])
+    xs_min = xs_max = s0 * z[0]
 
-    def rhs(xv, yv):
-        hx, hy = _poly_grad(coeffs, xv, yv)
-        return xv * hy, -xv * hx
+    def rhs(zv):
+        x, y = zv
+        hx, hy = _poly_grad(coeffs, x, y)
+        return np.array([x * hy, -x * hx])
 
-    for n in range(1, n_steps + 1):
-        k1x, k1y = rhs(x, y)
-        k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-        k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-        k4x, k4y = rhs(x + dt * k3x, y + dt * k3y)
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise BlowupError(
-                f"orbit batch blew up at step {n} (t = {n * dt:g}); shrink dt or the coefficients"
-            )
-        xs = s0 * x
+    # sampled at t = 0 and t_end only; it heads a failed run's partial series
+    least = Functional("min_signed_x", lambda zv: float(np.min(s0 * zv[0])))
+    run = Trajectory(Integrator("rk4", dt), rhs, z, t_end, [least], output_every=t_end)
+    for zv in run:
+        xs = s0 * zv[0]
         xs_min = np.minimum(xs_min, xs)
         xs_max = np.maximum(xs_max, xs)
 
     return {
-        "x0": np.asarray(z0[0], dtype=float),
+        "x0": z[0],
         "sign_ok": xs_min > 0.0,
         "x_min_signed": xs_min,
         "x_max_signed": xs_max,
-        "final": np.vstack([x, y]),
+        "final": run.state,
     }
 
 
@@ -262,7 +256,7 @@ def closedness_residual(
     WX = np.asarray(w.wx(X, Y), dtype=float)
     WY = np.asarray(w.wy(X, Y), dtype=float)
     if not (np.all(np.isfinite(WX)) and np.all(np.isfinite(WY))):
-        raise FloatingPointError(f"one-form {w.label} is not finite on the window")
+        raise NonFiniteError(f"one-form {w.label} is not finite on the window")
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     curl = (WY[1:-1, 2:] - WY[1:-1, :-2]) / (2.0 * hx) - (

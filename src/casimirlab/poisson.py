@@ -21,16 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .field_core import integrate
+from .field_core import NonFiniteError, integrate
 
-# state tag -> number of components
+# state tag -> the names of its components
 STATE_KINDS = {
-    "finite": 1,
-    "vortex1": 1,
-    "vortex2": 2,
-    "vortex3": 3,
-    "ion": 2,
-    "kdv": 1,
+    "finite": ("z",),
+    "vortex1": ("omega",),
+    "vortex2": ("omega", "psi"),
+    "vortex3": ("omega", "psi", "psi2"),
+    "ion": ("rho", "v"),
+    "kdv": ("w",),
 }
 
 
@@ -52,9 +52,9 @@ class State:
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
             raise StateError(f"unknown state kind {self.kind!r}")
-        if len(self.parts) != STATE_KINDS[self.kind]:
+        if len(self.parts) != len(STATE_KINDS[self.kind]):
             raise StateError(
-                f"kind {self.kind!r} needs {STATE_KINDS[self.kind]} parts, "
+                f"kind {self.kind!r} needs {len(STATE_KINDS[self.kind])} parts, "
                 f"got {len(self.parts)}"
             )
         if self.kind == "finite":
@@ -260,7 +260,7 @@ def jacobi_residual(
 
     total = term(F, G, H) + term(G, H, F) + term(H, F, G)
     if not math.isfinite(total):
-        raise FloatingPointError("non-finite intermediate in Jacobi cyclic sum")
+        raise NonFiniteError("non-finite intermediate in Jacobi cyclic sum")
     return abs(total)
 
 

@@ -16,25 +16,26 @@ from casimirlab.poisson import State
 
 BLOWUP_2D = ("grid.n=8", "dt=0.5", "t_end=50.0")
 
-# preset -> (--set overrides that make it fail, where the failure happens):
+# (preset, --set overrides that make it fail, where the failure happens):
 # 'step' inside the time loop, 'setup' outside it, 'check' a failed check
-FAILURES = {
-    "euler2d": ((*BLOWUP_2D, "initial.amplitude=50"), "step"),
-    "rmhd2d": ((*BLOWUP_2D, "initial.omega_modes=[[1,1,50,0]]"), "step"),
-    "phantom2": ((*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
-    "phantom3": ((*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
-    "singular_leaf": ((*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
+FAILURES = [
+    ("euler2d", (*BLOWUP_2D, "initial.amplitude=50"), "step"),
+    ("rmhd2d", (*BLOWUP_2D, "initial.omega_modes=[[1,1,50,0]]"), "step"),
+    ("phantom2", (*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
+    ("phantom3", (*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
+    ("singular_leaf", (*BLOWUP_2D, "initial.omega_amplitude=50"), "step"),
     # the density drops below its floor
-    "ionacoustic1d": (
-        ("grid.n=16", "initial.modes=[1]", "initial.amplitude=0.9", "t_end=5.0"), "step"
-    ),
+    ("ionacoustic1d",
+     ("grid.n=16", "initial.modes=[1]", "initial.amplitude=0.9", "t_end=5.0"), "step"),
     # a watched functional meets a non-finite product
-    "kdv_soliton": (("grid.n=128", "dt=0.5", "t_end=50"), "step"),
-    # finitedim's orbit batch steps in its own loop and reports the step in the message
-    "finitedim": (("dt=2.0", "t_end=40"), "setup"),
-    "kernel_deficit": (("grid.n=8", "initial.zeta_modes=[[1,0,1e200,0.0]]"), "setup"),
-    "jacobi_check": (("initial.step=1e-300",), "check"),
-}
+    ("kdv_soliton", ("grid.n=128", "dt=0.5", "t_end=50"), "step"),
+    # the orbit batch steps through the one time loop, so its blow-up names the step
+    ("finitedim", ("dt=2.0", "t_end=40"), "step"),
+    ("kernel_deficit", ("grid.n=8", "initial.zeta_modes=[[1,0,1e200,0.0]]"), "setup"),
+    ("jacobi_check", ("initial.step=1e-300",), "check"),
+    # the Jacobi cyclic sum overflows
+    ("jacobi_check", ("initial.step=1e200",), "setup"),
+]
 
 # presets that step in time from dt to t_end
 STEPPING = ("euler2d", "rmhd2d", "phantom2", "phantom3", "singular_leaf",
@@ -51,9 +52,14 @@ def run_cli(tmp_path, preset, *sets):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_forced_failure_writes_failure_record(preset, tmp_path, capsys):
-    assert preset in FAILURES, f"no forced-failure case for preset {preset}"
-    sets, where = FAILURES[preset]
-    code, out = run_cli(tmp_path, preset, *sets)
+    cases = [(sets, where) for name, sets, where in FAILURES if name == preset]
+    assert cases, f"no forced-failure case for preset {preset}"
+    for i, (sets, where) in enumerate(cases):
+        check_failure_record(tmp_path / str(i), preset, sets, where)
+
+
+def check_failure_record(root, preset, sets, where):
+    code, out = run_cli(root, preset, *sets)
     assert code == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is False
@@ -81,6 +87,8 @@ def test_forced_failure_writes_failure_record(preset, tmp_path, capsys):
         *[(p, (f"grid.{k}={v}",), f"grid.{k}")
           for p in ("kdv_soliton", "ionacoustic1d")
           for k, v in (("nx", 32), ("ny", 32), ("lx", 1.0), ("ly", 1.0))],
+        # the initial density 1 + a cos(kx) must stay positive
+        ("ionacoustic1d", ("initial.amplitude=1.5",), "initial.amplitude"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):
