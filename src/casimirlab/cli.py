@@ -541,6 +541,11 @@ def _run_singular_leaf(cfg: RunConfig) -> RunResult:
     return RunResult(checks=checks, series=series, snapshots={"state_final": zf})
 
 
+_LOOPS_Y_NOTE = ("exactly 0 at the defaults: every loop orbit keeps |x| >= ~0.33 while "
+                 "eps = 0.05, so smoothed_step rounds to 1; it moves only for an orbit "
+                 "within a few eps of x = 0 (a sign change fails loops_sign_conserved)")
+
+
 def _run_finitedim(cfg: RunConfig) -> RunResult:
     init = cfg.initial
     rng = np.random.default_rng(cfg.seed)
@@ -590,7 +595,8 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
             rows.append({"case": f"{family}_{i}", "x0": res["x0"][i], "min_signed_x": mn[i],
                          "max_signed_x": mx[i], "y_drift": drifts[i]})
         all_checks.append(Check(f"{family}_sign_conserved", float(sign_ok), 1.0, "=="))
-        all_checks.append(Check(f"{family}_y_eps_drift_max", max(drifts), 1e-6, "<="))
+        all_checks.append(Check(f"{family}_y_eps_drift_max", max(drifts), 1e-6, "<=",
+                                note=_LOOPS_Y_NOTE if family == "loops" else ""))
 
     for eps in (0.05, 0.1, 0.5):
         nu_x, nu_y = fd.kernel_basis_regularized(eps)
@@ -797,13 +803,16 @@ def run_preset(cfg: RunConfig) -> int:
     This is the one place where a numerical failure becomes a failure record.
     One inside the time loop keeps the partial series and names its step; one
     outside it (at setup, or in a preset without a series) has step null.
+    The runner runs with numpy's floating-point warnings off: the finiteness
+    checks report a blow-up, so the warnings would only repeat it on stderr.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     failure = None
     try:
-        result = PRESETS[cfg.preset].runner(cfg)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = PRESETS[cfg.preset].runner(cfg)
     except dyn.IntegrationError as exc:
         result = RunResult(series=exc.series)
         failure = {"step": exc.step_index, "message": str(exc)}

@@ -372,10 +372,18 @@ def ddx3(f: Field1D) -> Field1D:
 
 
 def integrate(f: Field2D | Field1D) -> float:
-    """Integral over the periodic domain: correctly rounded sample sum * cell."""
+    """Integral over the periodic domain: correctly rounded sample sum * cell.
+
+    Raises NonFiniteError if the sum of the (finite) samples overflows.
+    """
     if isinstance(f, Field1D):
-        return math.fsum(f.values) * f.grid.dx
-    return math.fsum(f.values.ravel()) * (f.grid.dx * f.grid.dy)
+        values, cell = f.values, f.grid.dx
+    else:
+        values, cell = f.values.ravel(), f.grid.dx * f.grid.dy
+    try:
+        return math.fsum(values) * cell
+    except OverflowError as exc:
+        raise NonFiniteError(f"integral overflows: {exc}") from None
 
 
 def l2norm(f: Field2D | Field1D) -> float:

@@ -3,6 +3,7 @@
 the field named, and corrupt snapshots raise SnapshotError."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ def test_t_end_must_be_whole_steps(preset, tmp_path, capsys):
     assert code == 2
     assert "'t_end'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_integral_at_t0_fails_at_step_0(tmp_path, capsys):
+    # finite vorticity whose energy sum overflows, in the t = 0 sample
+    code, out = run_cli(tmp_path, "euler2d", "initial.amplitude=1e153", "t_end=0.1")
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False
+    assert summary["failure"]["step"] == 0
+    assert "NonFiniteError" in summary["failure"]["message"]
+
+
+def test_blowup_prints_no_runtime_warning(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, "finitedim", "dt=2.0", "t_end=40")
+    assert code == 1
+    assert json.loads((out / "summary.json").read_text())["failure"]["step"] >= 1
 
 
 def test_run_too_short_for_frequency_fails_check(tmp_path, capsys):

@@ -29,7 +29,12 @@ from casimirlab import (
     l2norm,
     laplacian,
 )
-from casimirlab.field_core import random_band_limited_2d, workspace1d, workspace2d
+from casimirlab.field_core import (
+    NonFiniteError,
+    random_band_limited_2d,
+    workspace1d,
+    workspace2d,
+)
 
 GRID = Grid2D(64, 64)
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -233,6 +238,12 @@ class TestIntegrate:
         f = Field2D(GRID, rng.standard_normal(GRID.shape))
         vals = {integrate(f) for _ in range(5)}
         assert len(vals) == 1
+
+    def test_overflowing_sum_raises_non_finite_error(self):
+        # finite samples whose sum leaves the float64 range
+        for f in (Field1D.full(Grid1D(8), 1e308), Field2D.full(GRID, 1e308)):
+            with pytest.raises(NonFiniteError):
+                integrate(f)
 
 
 class TestInvertLaplacian:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from casimirlab import Field1D, Grid1D, ddx1, integrate
+from casimirlab import Field1D, Grid1D, ddx1, ddx2, integrate
 from casimirlab.dynamics import Integrator, estimate_frequency, run_and_record, step
 from casimirlab.field_core import random_band_limited_1d
 from casimirlab import ion_kdv as ik
@@ -61,6 +61,30 @@ class TestSolvePhi:
             ]
             for r0, r1 in pairs:
                 assert r1 <= 10.0 * r0**2
+
+    def test_matches_dense_newton_reference(self):
+        # reference: exact Newton steps, each a dense solve with the spectral d2x matrix
+        grid = Grid1D(64)
+        eye = np.eye(grid.n)
+        d2 = np.array([ddx2(Field1D(grid, eye[:, j])).values for j in range(grid.n)]).T
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            rho = Field1D.full(grid, 1.0) + random_band_limited_1d(
+                grid, 6, rng, rng.uniform(0.1, 0.5)
+            )
+            phi = np.log(rho.values)
+            for _ in range(10):
+                residual = -(d2 @ phi) - rho.values + np.exp(phi)
+                phi = phi - np.linalg.solve(-d2 + np.diag(np.exp(phi)), residual)
+            sol = ik.solve_phi(rho)
+            assert np.max(np.abs(sol.phi.values - phi)) <= 1e-11
+
+    def test_converges_at_n1024(self):
+        grid = Grid1D(1024)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            rho = Field1D.full(grid, 1.0) + random_band_limited_1d(grid, 8, rng, 0.3)
+            assert ik.solve_phi(rho).residual <= 1e-12
 
 
 class TestIonSystem:
