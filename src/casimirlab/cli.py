@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 
 class SnapshotError(ConfigError):
-    """A snapshot file with a bad header, an unknown kind or a payload of the wrong length."""
+    """A snapshot with a bad header, an unknown kind, or a payload of wrong length or not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,8 @@ def load_snapshot(path) -> State:
     """Read a state written by save_snapshot.
 
     Raises SnapshotError for a missing or malformed header line, an unknown
-    kind, or a payload whose length differs from what the header declares.
+    kind, a payload whose length differs from what the header declares, or
+    a payload holding NaN or inf.
     """
     head, sep, payload = Path(path).read_bytes().partition(b"\nend\n")
     try:
@@ -112,6 +113,8 @@ def load_snapshot(path) -> State:
         if len(payload) != expected:
             raise ValueError(f"payload has {len(payload)} bytes, the header declares {expected}")
         vals = np.frombuffer(payload, dtype="<f8").astype(float).reshape(len(names), *shape)
+        if not np.isfinite(vals).all():
+            raise ValueError("payload holds non-finite values")
         if grid is None:
             return State(kind, (vals[0],))
         return State(kind, tuple(field_type(grid, v) for v in vals))

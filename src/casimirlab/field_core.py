@@ -17,6 +17,10 @@ Conventions
 * integrate() uses compensated fixed-order summation (math.fsum), so the
   value is the correctly rounded sum of the samples: repeated runs are
   bit-identical.
+* One field class, Field, serves both grids: its values have the shape
+  grid.shape, are finite, and are a read-only view.  Field1D and Field2D are
+  its bodiless subclasses, one per grid.  Every spectral operator goes through
+  one helper, _spectral, the only code that picks the 1-D or 2-D transforms.
 """
 
 from __future__ import annotations
@@ -87,6 +91,10 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.ny, self.nx)
 
+    @property
+    def cell(self) -> float:
+        return self.dx * self.dy
+
     def x(self) -> np.ndarray:
         return np.arange(self.nx) * self.dx
 
@@ -96,6 +104,8 @@ class Grid2D:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """X, Y arrays of shape (ny, nx) matching the field storage order."""
         return np.meshgrid(self.x(), self.y(), indexing="xy")
+
+    coords = meshgrid
 
 
 @dataclass(frozen=True)
@@ -115,8 +125,19 @@ class Grid1D:
     def dx(self) -> float:
         return self.l / self.n
 
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.n,)
+
+    @property
+    def cell(self) -> float:
+        return self.dx
+
     def x(self) -> np.ndarray:
         return np.arange(self.n) * self.dx
+
+    def coords(self) -> tuple[np.ndarray]:
+        return (self.x(),)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +154,7 @@ class SpectralWorkspace2D:
     k2: np.ndarray        # kx^2 + ky^2
     inv_neg_k2: np.ndarray  # -1/k2 with the k = 0 entry set to 0
     mask: np.ndarray      # 2/3-rule dealiasing mask (True = keep)
+    order: np.ndarray     # max(|ix|, |iy|), the largest mode index of each mode
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +173,8 @@ def workspace2d(grid: Grid2D) -> SpectralWorkspace2D:
     nz = k2 > 0
     inv[nz] = -1.0 / k2[nz]
     mask = (ix[None, :] <= nx // 3) & (np.abs(iy)[:, None] <= ny // 3)
-    return SpectralWorkspace2D(kx, ky, dkx, dky, k2, inv, mask)
+    order = np.maximum(ix[None, :], np.abs(iy)[:, None])
+    return SpectralWorkspace2D(kx, ky, dkx, dky, k2, inv, mask, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +182,7 @@ class SpectralWorkspace1D:
     k: np.ndarray         # physical wavenumbers, rfft layout
     dk: np.ndarray        # Nyquist zeroed
     mask: np.ndarray
+    order: np.ndarray     # mode indices
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +193,23 @@ def workspace1d(grid: Grid1D) -> SpectralWorkspace1D:
     dk = k.copy()
     dk[-1] = 0.0
     mask = ix <= n // 3
-    return SpectralWorkspace1D(k, dk, mask)
+    return SpectralWorkspace1D(k, dk, mask, ix)
+
+
+def _workspace(grid):
+    return workspace1d(grid) if isinstance(grid, Grid1D) else workspace2d(grid)
+
+
+def _spectral(grid, values: np.ndarray, *symbols: np.ndarray) -> list[np.ndarray]:
+    """irfft(symbol * rfft(values)) for each symbol, transforming values once.
+
+    The only code that picks the 1-D or the 2-D transforms, from np.fft at call time.
+    """
+    if isinstance(grid, Grid1D):
+        hat = np.fft.rfft(values)
+        return [np.fft.irfft(symbol * hat, n=grid.n) for symbol in symbols]
+    hat = np.fft.rfft2(values)
+    return [np.fft.irfft2(symbol * hat, s=grid.shape) for symbol in symbols]
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +217,41 @@ def workspace1d(grid: Grid1D) -> SpectralWorkspace1D:
 # ---------------------------------------------------------------------------
 
 
-class _FieldOps:
-    """Vector-space arithmetic shared by Field2D and Field1D."""
+@dataclass(frozen=True, eq=False)
+class Field:
+    """Real scalar field: finite values of shape grid.shape, a read-only view (not a copy)."""
 
-    __slots__ = ()
+    grid: Grid1D | Grid2D
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float).view()
+        if v.shape != self.grid.shape:
+            raise FieldError(f"values shape {v.shape} != grid shape {self.grid.shape}")
+        if not np.isfinite(v).all():
+            raise NonFiniteError("field contains non-finite values")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def zeros(cls, grid):
+        return cls(grid, np.zeros(grid.shape))
+
+    @classmethod
+    def full(cls, grid, value: float):
+        return cls(grid, np.full(grid.shape, float(value)))
+
+    @classmethod
+    def from_function(cls, grid, fn):
+        """fn(x) on a Grid1D, fn(X, Y) on a Grid2D (arrays of shape grid.shape)."""
+        return cls(grid, np.asarray(fn(*grid.coords()), dtype=float))
 
     def _like(self, values):
         return type(self)(self.grid, values)
 
     def _check(self, other):
         if self.grid != other.grid:
-            raise GridMismatchError(
-                f"fields on different grids: {self.grid} vs {other.grid}"
-            )
+            raise GridMismatchError(f"fields on different grids: {self.grid} vs {other.grid}")
 
     def __add__(self, other):
         self._check(other)
@@ -214,104 +276,55 @@ class _FieldOps:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True, eq=False)
-class Field2D(_FieldOps):
-    """Real scalar field on a Grid2D; all values finite."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise FieldError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def zeros(grid: Grid2D) -> "Field2D":
-        return Field2D(grid, np.zeros(grid.shape))
-
-    @staticmethod
-    def full(grid: Grid2D, value: float) -> "Field2D":
-        return Field2D(grid, np.full(grid.shape, float(value)))
-
-    @staticmethod
-    def from_function(grid: Grid2D, fn) -> "Field2D":
-        X, Y = grid.meshgrid()
-        return Field2D(grid, np.asarray(fn(X, Y), dtype=float))
+class Field2D(Field):
+    """A Field on a Grid2D."""
 
 
-@dataclass(frozen=True, eq=False)
-class Field1D(_FieldOps):
-    """Real scalar field on a Grid1D; all values finite."""
+class Field1D(Field):
+    """A Field on a Grid1D."""
 
-    grid: Grid1D
-    values: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise FieldError(f"values shape {v.shape} != ({self.grid.n},)")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def zeros(grid: Grid1D) -> "Field1D":
-        return Field1D(grid, np.zeros(grid.n))
-
-    @staticmethod
-    def full(grid: Grid1D, value: float) -> "Field1D":
-        return Field1D(grid, np.full(grid.n, float(value)))
-
-    @staticmethod
-    def from_function(grid: Grid1D, fn) -> "Field1D":
-        return Field1D(grid, np.asarray(fn(grid.x()), dtype=float))
+def _apply(f: Field, symbol) -> Field:
+    return type(f)(f.grid, *_spectral(f.grid, f.values, symbol))
 
 
 # ---------------------------------------------------------------------------
-# 2D spectral operators
+# spectral operators and integrals
 # ---------------------------------------------------------------------------
-
-
-def _rfft2(f: Field2D) -> np.ndarray:
-    return np.fft.rfft2(f.values)
-
-
-def _irfft2(grid: Grid2D, hat: np.ndarray) -> np.ndarray:
-    return np.fft.irfft2(hat, s=grid.shape)
 
 
 def ddx(f: Field2D) -> Field2D:
-    ws = workspace2d(f.grid)
-    return Field2D(f.grid, _irfft2(f.grid, 1j * ws.dkx * _rfft2(f)))
+    return _apply(f, 1j * workspace2d(f.grid).dkx)
 
 
 def ddy(f: Field2D) -> Field2D:
-    ws = workspace2d(f.grid)
-    return Field2D(f.grid, _irfft2(f.grid, 1j * ws.dky * _rfft2(f)))
+    return _apply(f, 1j * workspace2d(f.grid).dky)
 
 
 def laplacian(f: Field2D) -> Field2D:
-    ws = workspace2d(f.grid)
-    return Field2D(f.grid, _irfft2(f.grid, -ws.k2 * _rfft2(f)))
+    return _apply(f, -workspace2d(f.grid).k2)
 
 
 def invert_laplacian(f: Field2D) -> Field2D:
     """Solve lap(u) = f - mean(f) with mean(u) = 0 (zero-mean gauge)."""
-    ws = workspace2d(f.grid)
-    return Field2D(f.grid, _irfft2(f.grid, ws.inv_neg_k2 * _rfft2(f)))
+    return _apply(f, workspace2d(f.grid).inv_neg_k2)
 
 
-def dealias(f: Field2D | Field1D):
+def ddx1(f: Field1D) -> Field1D:
+    return _apply(f, 1j * workspace1d(f.grid).dk)
+
+
+def ddx2(f: Field1D) -> Field1D:
+    return _apply(f, -(workspace1d(f.grid).k ** 2))
+
+
+def ddx3(f: Field1D) -> Field1D:
+    return _apply(f, -1j * workspace1d(f.grid).dk ** 3)
+
+
+def dealias(f: Field) -> Field:
     """Project onto the 2/3-rule mode set (modes with |k| > n/3 zeroed)."""
-    if isinstance(f, Field1D):
-        ws1 = workspace1d(f.grid)
-        return Field1D(f.grid, np.fft.irfft(np.fft.rfft(f.values) * ws1.mask, n=f.grid.n))
-    ws = workspace2d(f.grid)
-    return Field2D(f.grid, _irfft2(f.grid, _rfft2(f) * ws.mask))
+    return _apply(f, _workspace(f.grid).mask)
 
 
 def bracket2d(a: Field2D, b: Field2D) -> Field2D:
@@ -320,7 +333,7 @@ def bracket2d(a: Field2D, b: Field2D) -> Field2D:
     Derivatives are spectral, the products pointwise, and the result is
     projected back onto the 2/3-rule mode set, so for inputs supported on
     that set this is the exact Galerkin truncation of the bracket.
-    Antisymmetric by construction.
+    Antisymmetric by construction.  Each input is transformed once.
     """
     if a.grid != b.grid:
         raise GridMismatchError("bracket2d requires one shared grid")
@@ -328,65 +341,23 @@ def bracket2d(a: Field2D, b: Field2D) -> Field2D:
     if not a.values.any() or not b.values.any():
         return Field2D.zeros(grid)  # [a, 0] = 0 exactly
     ws = workspace2d(grid)
-    ahat = _rfft2(a)
-    bhat = _rfft2(b)
-    a_x = _irfft2(grid, 1j * ws.dkx * ahat)
-    a_y = _irfft2(grid, 1j * ws.dky * ahat)
-    b_x = _irfft2(grid, 1j * ws.dkx * bhat)
-    b_y = _irfft2(grid, 1j * ws.dky * bhat)
-    prod = a_y * b_x - a_x * b_y
-    return Field2D(grid, _irfft2(grid, np.fft.rfft2(prod) * ws.mask))
+    a_x, a_y = _spectral(grid, a.values, 1j * ws.dkx, 1j * ws.dky)
+    b_x, b_y = _spectral(grid, b.values, 1j * ws.dkx, 1j * ws.dky)
+    return Field2D(grid, *_spectral(grid, a_y * b_x - a_x * b_y, ws.mask))
 
 
-# ---------------------------------------------------------------------------
-# 1D spectral operators
-# ---------------------------------------------------------------------------
-
-
-def _rfft1(f: Field1D) -> np.ndarray:
-    return np.fft.rfft(f.values)
-
-
-def _irfft1(grid: Grid1D, hat: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(hat, n=grid.n)
-
-
-def ddx1(f: Field1D) -> Field1D:
-    ws = workspace1d(f.grid)
-    return Field1D(f.grid, _irfft1(f.grid, 1j * ws.dk * _rfft1(f)))
-
-
-def ddx2(f: Field1D) -> Field1D:
-    ws = workspace1d(f.grid)
-    return Field1D(f.grid, _irfft1(f.grid, -(ws.k**2) * _rfft1(f)))
-
-
-def ddx3(f: Field1D) -> Field1D:
-    ws = workspace1d(f.grid)
-    return Field1D(f.grid, _irfft1(f.grid, -1j * ws.dk**3 * _rfft1(f)))
-
-
-# ---------------------------------------------------------------------------
-# integrals
-# ---------------------------------------------------------------------------
-
-
-def integrate(f: Field2D | Field1D) -> float:
+def integrate(f: Field) -> float:
     """Integral over the periodic domain: correctly rounded sample sum * cell.
 
     Raises NonFiniteError if the sum of the (finite) samples overflows.
     """
-    if isinstance(f, Field1D):
-        values, cell = f.values, f.grid.dx
-    else:
-        values, cell = f.values.ravel(), f.grid.dx * f.grid.dy
     try:
-        return math.fsum(values) * cell
+        return math.fsum(f.values.ravel()) * f.grid.cell
     except OverflowError as exc:
         raise NonFiniteError(f"integral overflows: {exc}") from None
 
 
-def l2norm(f: Field2D | Field1D) -> float:
+def l2norm(f: Field) -> float:
     return math.sqrt(integrate(f * f))
 
 
@@ -395,32 +366,25 @@ def l2norm(f: Field2D | Field1D) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _band_limited(cls, grid, kmax: int, rng: np.random.Generator, amplitude: float):
+    """Zero-mean random field on the modes with every |index| <= kmax, peak |amplitude|."""
+    order = _workspace(grid).order
+    (v,) = _spectral(grid, rng.standard_normal(grid.shape), (order <= kmax) & (order > 0))
+    peak = np.max(np.abs(v))
+    if peak > 0:
+        v = v * (amplitude / peak)
+    return cls(grid, v)
+
+
 def random_band_limited_2d(
     grid: Grid2D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> Field2D:
     """Zero-mean random field supported on modes with |kx|,|ky| <= kmax."""
-    white = rng.standard_normal(grid.shape)
-    hat = np.fft.rfft2(white)
-    ix = np.arange(grid.nx // 2 + 1)
-    iy = np.rint(np.fft.fftfreq(grid.ny) * grid.ny).astype(int)
-    keep = (ix[None, :] <= kmax) & (np.abs(iy)[:, None] <= kmax)
-    keep[0, 0] = False
-    v = np.fft.irfft2(hat * keep, s=grid.shape)
-    peak = np.max(np.abs(v))
-    if peak > 0:
-        v = v * (amplitude / peak)
-    return Field2D(grid, v)
+    return _band_limited(Field2D, grid, kmax, rng, amplitude)
 
 
 def random_band_limited_1d(
     grid: Grid1D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> Field1D:
-    white = rng.standard_normal(grid.n)
-    hat = np.fft.rfft(white)
-    ix = np.arange(grid.n // 2 + 1)
-    keep = (ix <= kmax) & (ix >= 1)
-    v = np.fft.irfft(hat * keep, n=grid.n)
-    peak = np.max(np.abs(v))
-    if peak > 0:
-        v = v * (amplitude / peak)
-    return Field1D(grid, v)
+    """Zero-mean random field supported on modes with |k| <= kmax."""
+    return _band_limited(Field1D, grid, kmax, rng, amplitude)

@@ -240,18 +240,17 @@ def apply_scaled_canonical_to_form(form: OneForm2, X, Y) -> tuple[np.ndarray, np
 def closedness_residual(
     w: OneForm2,
     window: tuple[tuple[float, float], tuple[float, float]] = ((-2.0, 2.0), (-2.0, 2.0)),
-    n: int = 401,
 ) -> float:
-    """max |d(wy)/dx - d(wx)/dy| on the window, central differences.
+    """max |d(wy)/dx - d(wx)/dy| on the window, central differences on 401 x 401 points.
 
     Zero (to FD accuracy) iff w is closed there, i.e. locally a gradient and
     hence integrable to a Casimir candidate.
     """
     (x0, x1), (y0, y1) = window
-    if not (x1 > x0 and y1 > y0 and n >= 5):
+    if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate evaluation window")
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    xs = np.linspace(x0, x1, 401)
+    ys = np.linspace(y0, y1, 401)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     WX = np.asarray(w.wx(X, Y), dtype=float)
     WY = np.asarray(w.wy(X, Y), dtype=float)

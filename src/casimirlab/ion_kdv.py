@@ -176,7 +176,7 @@ def ion_operator() -> PoissonOperator:
     return PoissonOperator("J_ion", "ion", apply)
 
 
-def ion_energy(tol: float = 1e-12) -> Functional:
+def ion_energy() -> Functional:
     """H = int [rho V^2/2 + (dx phi)^2/2 + (phi - 1) e^phi]; grad (V^2/2 + phi, rho V).
 
     The closure response contributes exactly phi to the density gradient,
@@ -185,14 +185,14 @@ def ion_energy(tol: float = 1e-12) -> Functional:
 
     def value(z: State) -> float:
         rho, v = z.parts
-        phi = solve_phi(rho, tol=tol).phi
+        phi = solve_phi(rho).phi
         dphi = ddx1(phi)
         internal = Field1D(rho.grid, (phi.values - 1.0) * np.exp(phi.values))
         return integrate(rho * v * v * 0.5 + dphi * dphi * 0.5 + internal)
 
     def gradient(z: State) -> State:
         rho, v = z.parts
-        phi = solve_phi(rho, tol=tol).phi
+        phi = solve_phi(rho).phi
         return State("ion", (v * v * 0.5 + phi, rho * v))
 
     return Functional("ion_energy", value, gradient)
@@ -220,7 +220,7 @@ def momentum() -> Functional:
     return Functional("momentum", value, gradient)
 
 
-def ion_rhs(z: State, tol: float = 1e-12) -> State:
+def ion_rhs(z: State) -> State:
     """(-dx(V rho), -dx(phi + V^2/2)), with the quadratic products dealiased.
 
     Aborts with DensityFloorError if min(rho) < 1e-6 rather than producing
@@ -231,7 +231,7 @@ def ion_rhs(z: State, tol: float = 1e-12) -> State:
         raise DensityFloorError(
             f"min(rho) = {float(np.min(rho.values)):.3e} below floor {RHO_FLOOR:g}"
         )
-    phi = solve_phi(rho, tol=tol).phi
+    phi = solve_phi(rho).phi
     flux = dealias(rho * v)
     bern = phi + dealias(v * v) * 0.5
     return State("ion", (-1.0 * ddx1(flux), -1.0 * ddx1(bern)))
@@ -330,21 +330,17 @@ def gardner_rhs(w: Field1D) -> Field1D:
     return -1.0 * ddx1(dealias(w * w) * 3.0) - ddx3(w)
 
 
-def kdv_rhs(z: State) -> State:
-    return State("kdv", (gardner_rhs(z.parts[0]),))
-
-
-def kdv_soliton(c: float, x0: float, grid: Grid1D, n_images: int = 2) -> Field1D:
+def kdv_soliton(c: float, x0: float, grid: Grid1D) -> Field1D:
     """Traveling profile (c/2) sech^2(sqrt(c)(x - x0)/2), periodically wrapped.
 
-    The wrap sums 2 n_images + 1 shifted copies so the sampled function is a
-    smooth periodic one, not a minimal-image kink.
+    The wrap sums five shifted copies (shifts m l, m = -2..2) so the sampled
+    function is a smooth periodic one, not a minimal-image kink.
     """
     if not c > 0:
         raise ValueError("soliton speed c must be positive")
     x = grid.x()
     v = np.zeros(grid.n)
-    for m in range(-n_images, n_images + 1):
+    for m in range(-2, 3):
         arg = math.sqrt(c) * (x - x0 + m * grid.l) / 2.0
         v += 0.5 * c / np.cosh(arg) ** 2
     return Field1D(grid, v)

@@ -58,6 +58,12 @@ from .poisson import Functional, PoissonOperator, State, StateError, hamiltonian
 _KINDS = {1: "vortex1", 2: "vortex2", 3: "vortex3"}
 
 
+def _kind(level: int) -> str:
+    if level not in _KINDS:
+        raise ValueError(f"unknown hierarchy level {level}")
+    return _KINDS[level]
+
+
 def state_i(omega: Field2D) -> State:
     return State("vortex1", (omega,))
 
@@ -102,15 +108,12 @@ def apply_j3(z: State, g: State) -> State:
 
 
 def vortex_operator(level: int) -> PoissonOperator:
+    kind = _kind(level)
     if level == 1:
         return PoissonOperator(
-            "J1", "vortex1", lambda z, g: State("vortex1", (apply_j1(z.parts[0], g.parts[0]),))
+            "J1", kind, lambda z, g: State(kind, (apply_j1(z.parts[0], g.parts[0]),))
         )
-    if level == 2:
-        return PoissonOperator("J2", "vortex2", apply_j2)
-    if level == 3:
-        return PoissonOperator("J3", "vortex3", apply_j3)
-    raise ValueError(f"unknown hierarchy level {level}")
+    return PoissonOperator(f"J{level}", kind, apply_j2 if level == 2 else apply_j3)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +127,7 @@ def euler_energy(level: int = 1) -> Functional:
     On levels 2 and 3 the extra gradient components are exact zero fields,
     which is what makes the extra fields phantoms under this Hamiltonian.
     """
-    kind = _KINDS[level]
+    kind = _kind(level)
 
     def value(z: State) -> float:
         omega = z.parts[0]
@@ -143,7 +146,7 @@ def rmhd_energy(level: int = 2) -> Functional:
     """H_RMHD = -1/2 int [omega lap^{-1}(omega) + psi lap(psi)]."""
     if level not in (2, 3):
         raise ValueError("rmhd_energy needs a flux function (level 2 or 3)")
-    kind = _KINDS[level]
+    kind = _kind(level)
 
     def value(z: State) -> float:
         omega, psi = z.parts[0], z.parts[1]
@@ -202,7 +205,7 @@ def poly_profile(coeffs, label: str | None = None) -> Profile:
     )
 
 
-# family -> (default level, minimum level at which it is a Casimir)
+# family -> the lowest hierarchy level at which it is a Casimir (also its default level)
 CASIMIR_FAMILIES = {
     "enstrophy": 1,
     "cross_helicity": 2,
@@ -240,7 +243,7 @@ def make_casimir(spec: CasimirSpec) -> Functional:
     level = spec.level if spec.level is not None else CASIMIR_FAMILIES[spec.family]
     if level < CASIMIR_FAMILIES[spec.family]:
         raise ValueError(f"{spec.family} needs at least level {CASIMIR_FAMILIES[spec.family]}")
-    kind = _KINDS[level]
+    kind = _kind(level)
     p = spec.profile
     label = f"{spec.family}[{p.label}]"
 
@@ -324,17 +327,15 @@ def make_kernel_state(zeta: Field2D, xi: Profile, eta: Profile) -> State:
     return state_ii(_apply(xi, zeta), _apply(eta, zeta))
 
 
-def singular_leaf_indicator(psi: Field2D, tol: float = 1e-20) -> tuple[float, bool]:
+def singular_leaf_indicator(psi: Field2D) -> tuple[float, bool]:
     """(||psi||^2, on-leaf flag): membership in the single leaf psi = 0.
 
     The exterior Casimir is the hard step Y(||psi||^2); its only leaf exists
-    at the singularity, so the indicator is a strict threshold, not a
-    smoothed step.
+    at the singularity, so the indicator is a strict threshold
+    (||psi||^2 < 1e-20), not a smoothed step.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     n2 = integrate(psi * psi)
-    return n2, n2 < tol
+    return n2, n2 < 1e-20
 
 
 def interior_casimir_residual(omega: Field2D, profile: Profile) -> float:
@@ -351,9 +352,9 @@ def interior_casimir_residual(omega: Field2D, profile: Profile) -> float:
 
 
 def function_dependence_witness(
-    omega: Field2D, psi: Field2D, psi_gap: float = 0.1, omega_tol: float = 1e-9
+    omega: Field2D, psi: Field2D, psi_gap: float = 0.1
 ) -> dict | None:
-    """Two grid points with (nearly) equal omega but psi apart by > psi_gap.
+    """Two grid points with omega within 1e-9 but psi apart by > psi_gap.
 
     Existence shows psi is not a function of omega, so no profile f(omega)
     has gradient g(psi).  Returns None when no such pair exists.
@@ -364,7 +365,7 @@ def function_dependence_witness(
     p = psi.values.ravel()
     order = np.argsort(w, kind="stable")
     ws, ps = w[order], p[order]
-    close = np.abs(np.diff(ws)) <= omega_tol
+    close = np.abs(np.diff(ws)) <= 1e-9
     apart = np.abs(np.diff(ps)) > psi_gap
     hits = np.nonzero(close & apart)[0]
     if hits.size == 0:
@@ -385,10 +386,11 @@ def function_dependence_witness(
 def random_vortex_state(
     level: int, grid: Grid2D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> State:
+    kind = _kind(level)
     parts = tuple(
         random_band_limited_2d(grid, kmax, rng, amplitude) for _ in range(level)
     )
-    return State(_KINDS[level], parts)
+    return State(kind, parts)
 
 
 def field_from_modes(grid: Grid2D, modes) -> Field2D:

@@ -219,3 +219,10 @@ def test_corrupt_snapshot_raises_snapshot_error(state, data, tmp_path):
     with pytest.raises(SnapshotError):
         load_snapshot(path)
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_payload_raises_snapshot_error(bad, tmp_path):
+    path = tmp_path / "state.snap"
+    save_snapshot(path, State("finite", (np.array([bad, 1.0]),)))
+    with pytest.raises(SnapshotError, match="non-finite"):
+        load_snapshot(path)

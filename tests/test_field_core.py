@@ -81,6 +81,12 @@ class TestGridsAndFields:
         assert np.allclose((2.0 * a - b).values, 2 * a.values - b.values)
         assert np.allclose((a * b).values, a.values * b.values)
 
+    def test_values_are_read_only(self):
+        a = Field2D.from_function(GRID, lambda X, Y: np.sin(X))
+        for f in (Field1D.zeros(Grid1D(16)), a, a * 2.0 - a):
+            with pytest.raises(ValueError, match="read-only"):
+                f.values[0] = 1.0
+
 
 class TestDerivatives:
     def test_ddx_sin_analytic(self):

@@ -176,6 +176,26 @@ class TestCasimirCatalog:
         assert np.allclose(p.df(s), 4 * s)
 
 
+# each entry point that takes a hierarchy level, called at that level
+LEVEL_ENTRY_POINTS = {
+    "vortex_operator": vx.vortex_operator,
+    "euler_energy": vx.euler_energy,
+    "random_vortex_state": lambda level: vx.random_vortex_state(
+        level, GRID, 4, np.random.default_rng(0)
+    ),
+    "make_casimir": lambda level: vx.make_casimir(
+        vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=level)
+    ),
+}
+
+
+@pytest.mark.parametrize("level", [0, 4])
+@pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
+def test_out_of_range_level_raises_value_error(entry, level):
+    with pytest.raises(ValueError, match="level"):
+        LEVEL_ENTRY_POINTS[entry](level)
+
+
 class TestKernelState:
     def test_commutator_vanishes_nonmonotonic(self):
         grid = Grid2D(128, 128)
