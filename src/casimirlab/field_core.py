@@ -19,7 +19,7 @@ Conventions
   bit-identical.
 * One field class, Field, serves both grids: its values have the shape
   grid.shape, are finite, and are a read-only view.  Field1D and Field2D are
-  its bodiless subclasses, one per grid.  Every spectral operator goes through
+  its subclasses, one per grid class, and each rejects the other's grid.  Every spectral operator goes through
   one helper, _spectral, the only code that picks the 1-D or 2-D transforms.
 """
 
@@ -224,7 +224,11 @@ class Field:
     grid: Grid1D | Grid2D
     values: np.ndarray
 
+    _grid_type = (Grid1D, Grid2D)  # the grid class(es) this class of field lives on
+
     def __post_init__(self):
+        if not isinstance(self.grid, self._grid_type):
+            raise FieldError(f"{type(self).__name__} cannot live on a {type(self.grid).__name__}")
         v = np.asarray(self.values, dtype=float).view()
         if v.shape != self.grid.shape:
             raise FieldError(f"values shape {v.shape} != grid shape {self.grid.shape}")
@@ -279,9 +283,13 @@ class Field:
 class Field2D(Field):
     """A Field on a Grid2D."""
 
+    _grid_type = Grid2D
+
 
 class Field1D(Field):
     """A Field on a Grid1D."""
+
+    _grid_type = Grid1D
 
 
 def _apply(f: Field, symbol) -> Field:

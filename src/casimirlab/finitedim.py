@@ -102,10 +102,40 @@ def _poly_value(c: np.ndarray, x, y):
     )
 
 
-def _poly_grad(c: np.ndarray, x, y):
-    hx = c[1] + 2 * c[3] * x + c[4] * y + 3 * c[6] * x * x + 2 * c[7] * x * y + c[8] * y * y
-    hy = c[2] + c[4] * x + 2 * c[5] * y + c[7] * x * x + 2 * c[8] * x * y + 3 * c[9] * y * y
-    return hx, hy
+# The gradient of a cubic has the monomials 1, x, y, x^2, xy, y^2.  Indices
+# into the point (x, y): the first factor of each non-constant monomial, and
+# the second factor of the three quadratic ones.
+_FIRST = np.array([0, 1, 0, 0, 1])
+_SECOND = np.array([0, 1, 1])
+
+
+def _cubic_gradient(coeffs):
+    """grad(p) -> (dH/dx, dH/dy) at p = (x, y) for the cubic with these coefficients.
+
+    coeffs has shape (10,) or (10, m); p and the result have shape (2,) or
+    (2, m).  The coefficient rows of the six monomials (entries such as 2 c3
+    and 3 c6) are built once here.  A call forms the five non-constant terms
+    of both partials in two stacked products and sums the six terms in the
+    order of the expanded derivative, so each partial rounds exactly as the
+    expanded formula does.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    rows = np.array([
+        [c[1], c[2]],
+        [2 * c[3], c[4]],
+        [c[4], 2 * c[5]],
+        [3 * c[6], c[7]],
+        [2 * c[7], 2 * c[8]],
+        [c[8], 3 * c[9]],
+    ])
+    const, coeff = rows[0], rows[1:]
+
+    def grad(p):
+        t = coeff * p[_FIRST, None]
+        t[2:] *= p[_SECOND, None]
+        return const + t[0] + t[1] + t[2] + t[3] + t[4]
+
+    return grad
 
 
 def cubic_functional(coeffs, label: str = "cubic") -> Functional:
@@ -117,14 +147,14 @@ def cubic_functional(coeffs, label: str = "cubic") -> Functional:
     if c.shape != (10,):
         raise ValueError("cubic_functional needs 10 coefficients")
 
+    grad = _cubic_gradient(c)
+
     def value(z: State) -> float:
         x, y = z.parts[0]
         return float(_poly_value(c, x, y))
 
     def gradient(z: State) -> State:
-        x, y = z.parts[0]
-        hx, hy = _poly_grad(c, x, y)
-        return State("finite", (np.array([hx, hy]),))
+        return State("finite", (grad(z.parts[0]),))
 
     return Functional(label, value, gradient)
 
@@ -154,6 +184,9 @@ def fd_rhs(z: State, H: Functional) -> State:
     return State("finite", (np.array([x * g[1], -x * g[0]]),))
 
 
+_FLIP = np.array([[1.0], [-1.0]])
+
+
 def simulate_plane_orbits(
     coeffs: np.ndarray, z0: np.ndarray, t_end: float, dt: float
 ) -> dict:
@@ -165,17 +198,15 @@ def simulate_plane_orbits(
     summary arrays: sign conservation, the signed extremes of x(t) (for
     step-function drift bounds), and final points.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    grad = _cubic_gradient(coeffs)
     z = np.array(z0, dtype=float)
     if np.any(z[0] == 0.0):
         raise ValueError("orbits must start off the singular plane x = 0")
     s0 = np.sign(z[0])
     xs_min = xs_max = s0 * z[0]
 
-    def rhs(zv):
-        x, y = zv
-        hx, hy = _poly_grad(coeffs, x, y)
-        return np.array([x * hy, -x * hx])
+    def rhs(zv):  # (x dH/dy, -x dH/dx)
+        return zv[0] * (grad(zv)[::-1] * _FLIP)
 
     # sampled at t = 0 and t_end only; it heads a failed run's partial series
     least = Functional("min_signed_x", lambda zv: float(np.min(s0 * zv[0])))

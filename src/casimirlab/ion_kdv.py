@@ -5,8 +5,9 @@ response through the nonlinear Poisson equation
 
     -d2x(phi) = rho - exp(phi),
 
-solved for phi = Phi(rho) by Newton iteration with FFT-preconditioned
-conjugate-gradient linear steps.  The flow is
+solved for phi = Phi(rho) by Newton iteration from the solution of the
+linearized equation, with FFT-preconditioned conjugate-gradient linear steps
+(two FFT calls per CG iteration).  The flow is
 
     d(rho)/dt = -dx(V rho),      dV/dt = -dx(phi + V^2/2),
 
@@ -43,6 +44,7 @@ from .field_core import (
     Field1D,
     Grid1D,
     NumericalFailure,
+    _spectral,
     dealias,
     ddx1,
     ddx2,
@@ -94,35 +96,56 @@ class PhiSolve:
     history: tuple[float, ...]
 
 
-def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
+def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float) -> tuple[np.ndarray, int]:
     """Solve (-d2x + diag(e)) x = b by conjugate gradients, stopping at max|r| <= atol.
 
-    The preconditioner 1 / (k^2 + mean(e)) is applied in Fourier space; it is
-    the exact inverse when e is constant.  At most n iterations.
+    Returns x and the number of CG iterations.  The preconditioner
+    1 / (k^2 + mean(e)) is applied in Fourier space; it is the exact inverse
+    when e is constant.  Beside the direction p the loop carries its image
+    -d2x(p), updated by the same recurrence, so an iteration makes two FFT
+    calls: one rfft of r and one irfft of the stack (z-hat, k^2 z-hat).
+    At most n iterations.
     """
     n = b.size
     inv_m = 1.0 / (k2 + np.mean(e))
+    symbols = np.array((inv_m, k2 * inv_m))
     x = np.zeros(n)
     r = b.copy()
-    z = np.fft.irfft(inv_m * np.fft.rfft(r), n=n)
-    p = z
-    rz = r @ z
-    for _ in range(n):
+    p, k2p = np.fft.irfft(symbols * np.fft.rfft(r), n=n)
+    rz = r @ p
+    for it in range(n):
         if np.max(np.abs(r)) <= atol:
-            break
-        ap = np.fft.irfft(k2 * np.fft.rfft(p), n=n) + e * p
+            return x, it
+        ap = k2p + e * p
         alpha = rz / (p @ ap)
         x += alpha * p
         r -= alpha * ap
-        z = np.fft.irfft(inv_m * np.fft.rfft(r), n=n)
+        z, k2z = np.fft.irfft(symbols * np.fft.rfft(r), n=n)
         rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return x
+        beta = rz / rz_old
+        p = z + beta * p
+        k2p = k2z + beta * k2p
+    return x, n
+
+
+def _rounding_floor(k2: np.ndarray, phi: np.ndarray, rho: Field1D) -> float:
+    """eps * (k_max^2 max|phi| + max rho): the size of the residual's rounding error.
+
+    Rounding phi to float64 perturbs it by up to eps |phi| per point, which
+    d2x amplifies by up to k_max^2; rho and exp(phi) round at eps rho.  The
+    residual floors measured at n = 128 to 2048 lie at 0.1 to 0.36 of it.
+    """
+    eps = np.finfo(np.float64).eps
+    return float(eps * (k2[-1] * np.max(np.abs(phi)) + np.max(rho.values)))
 
 
 def solve_phi(rho: Field1D, tol: float = 1e-12, max_iter: int = 25) -> PhiSolve:
     """Solve -d2x(phi) + exp(phi) = rho by Newton iteration.
 
+    The initial guess is the solution of the equation linearized about the
+    mean density m, phi0 = ln(m) + irfft(rfft(rho - m) / (k^2 + m)): exact
+    for constant density, and within O((rho - m)^2) of phi otherwise, so a
+    small-amplitude density converges in one Newton step.
     Each Newton step solves with the symmetric positive definite Jacobian
     -d2x + diag(exp(phi)) by FFT-preconditioned conjugate gradients
     (`_pcg`), stopped by the forcing term max|r| <= min(0.1, res) * res,
@@ -132,9 +155,12 @@ def solve_phi(rho: Field1D, tol: float = 1e-12, max_iter: int = 25) -> PhiSolve:
     raise the residual's rounding floor about twofold (to ~1e-13 at
     n = 256), too high for the contraction r1 <= 10 r0^2 to hold from
     r0 ~ 1e-7.
-    Initial guess phi = ln(rho), exact for constant density.
-    Raises NewtonError (carrying the last residual) if the tolerance is not
-    met within max_iter.
+    A residual above tol is accepted only at the float64 rounding floor: when
+    a Newton step no longer halves it and it is at most `_rounding_floor`.
+    On large grids (n = 1024 and up at amplitude 0.3) that floor exceeds the
+    default 1e-12; wherever a step still contracts, tol alone decides.
+    Raises NewtonError (carrying the last residual) if neither is met within
+    max_iter.
     """
     if np.min(rho.values) <= 0.0:
         raise ValueError("solve_phi requires rho > 0 everywhere")
@@ -142,7 +168,8 @@ def solve_phi(rho: Field1D, tol: float = 1e-12, max_iter: int = 25) -> PhiSolve:
         raise ValueError("tol must be positive")
     grid = rho.grid
     k2 = workspace1d(grid).k ** 2
-    phi = np.log(rho.values)
+    mean = np.mean(rho.values)
+    phi = np.log(mean) + np.fft.irfft(np.fft.rfft(rho.values - mean) / (k2 + mean), n=grid.n)
     history = []
     for it in range(max_iter + 1):
         neg_d2 = np.fft.irfft(k2 * np.fft.rfft(phi.astype(np.longdouble)), n=grid.n)
@@ -151,11 +178,13 @@ def solve_phi(rho: Field1D, tol: float = 1e-12, max_iter: int = 25) -> PhiSolve:
         if not math.isfinite(res):
             raise NewtonError("non-finite Newton residual", res, it)
         history.append(res)
-        if res <= tol:
+        stalled = it > 0 and 2.0 * res > history[-2] and res <= _rounding_floor(k2, phi, rho)
+        if res <= tol or stalled:
             return PhiSolve(Field1D(grid, phi), it, res, tuple(history))
         if it == max_iter:
             break
-        phi = phi + _pcg(k2, np.exp(phi), -residual_vec, min(0.1, res) * res)
+        dphi, _ = _pcg(k2, np.exp(phi), -residual_vec, min(0.1, res) * res)
+        phi = phi + dphi
     raise NewtonError(
         f"no convergence to {tol:g} within {max_iter} iterations", history[-1], max_iter
     )
@@ -223,8 +252,12 @@ def momentum() -> Functional:
 def ion_rhs(z: State) -> State:
     """(-dx(V rho), -dx(phi + V^2/2)), with the quadratic products dealiased.
 
-    Aborts with DensityFloorError if min(rho) < 1e-6 rather than producing
-    silent NaNs from the log in the Newton initial guess.
+    The rows (rho V, V^2, phi) go through one stacked rfft and one stacked
+    irfft, each row with its own symbol (-i k mask, -i k mask / 2, -i k);
+    the last two rows are summed afterwards.
+
+    Aborts with DensityFloorError if min(rho) < 1e-6, before the closure is
+    solved for a density at or near zero.
     """
     rho, v = z.parts
     if float(np.min(rho.values)) < RHO_FLOOR:
@@ -232,9 +265,12 @@ def ion_rhs(z: State) -> State:
             f"min(rho) = {float(np.min(rho.values)):.3e} below floor {RHO_FLOOR:g}"
         )
     phi = solve_phi(rho).phi
-    flux = dealias(rho * v)
-    bern = phi + dealias(v * v) * 0.5
-    return State("ion", (-1.0 * ddx1(flux), -1.0 * ddx1(bern)))
+    ws = workspace1d(rho.grid)
+    minus_dx = -1j * ws.dk
+    symbols = np.array((minus_dx * ws.mask, 0.5 * minus_dx * ws.mask, minus_dx))
+    rows = np.array((rho.values * v.values, v.values * v.values, phi.values))
+    (out,) = _spectral(rho.grid, rows, symbols)
+    return State("ion", (Field1D(rho.grid, out[0]), Field1D(rho.grid, out[1] + out[2])))
 
 
 def quiescent_state(grid: Grid1D) -> State:

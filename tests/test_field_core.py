@@ -81,6 +81,12 @@ class TestGridsAndFields:
         assert np.allclose((2.0 * a - b).values, 2 * a.values - b.values)
         assert np.allclose((a * b).values, a.values * b.values)
 
+    def test_field_class_must_match_grid(self):
+        with pytest.raises(FieldError, match="Field1D"):
+            Field1D(Grid2D(8, 8), np.ones((8, 8)))
+        with pytest.raises(FieldError, match="Field2D"):
+            Field2D(Grid1D(8), np.ones(8))
+
     def test_values_are_read_only(self):
         a = Field2D.from_function(GRID, lambda X, Y: np.sin(X))
         for f in (Field1D.zeros(Grid1D(16)), a, a * 2.0 - a):

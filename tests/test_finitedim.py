@@ -57,6 +57,52 @@ class TestFlowOnAmbientSpace:
             fd.simulate_plane_orbits(np.zeros((10, 1)), np.array([[0.0], [1.0]]), 1.0, 1e-2)
 
 
+def expanded_gradient(c, x, y):
+    """d/dx and d/dy of finitedim._poly_value, term by term."""
+    hx = c[1] + 2 * c[3] * x + c[4] * y + 3 * c[6] * x**2 + 2 * c[7] * x * y + c[8] * y**2
+    hy = c[2] + c[4] * x + 2 * c[5] * y + c[7] * x**2 + 2 * c[8] * x * y + 3 * c[9] * y**2
+    return np.array([hx, hy])
+
+
+class TestCubicGradient:
+    def test_gradient_matches_expanded_derivative(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            c = rng.uniform(-1, 1, 10)
+            x, y = rng.uniform(-2, 2, 2)
+            got = fd.cubic_functional(c).gradient(fd.finite_state(x, y)).parts[0]
+            expect = expanded_gradient(c, x, y)
+            assert np.max(np.abs(got - expect)) <= 1e-14 * max(1.0, np.max(np.abs(expect)))
+
+    def test_expansion_is_the_derivative_of_the_value(self):
+        rng = np.random.default_rng(12)
+        c = rng.uniform(-1, 1, 10)
+        x, y, h = 0.3, -0.7, 1e-6
+        fd_x = (fd._poly_value(c, x + h, y) - fd._poly_value(c, x - h, y)) / (2 * h)
+        fd_y = (fd._poly_value(c, x, y + h) - fd._poly_value(c, x, y - h)) / (2 * h)
+        assert np.allclose(expanded_gradient(c, x, y), [fd_x, fd_y], rtol=0, atol=1e-8)
+
+    def test_orbit_rhs_matches_expanded_derivative(self):
+        # one RK4 step of the batch against one built from the expanded gradient
+        rng = np.random.default_rng(13)
+        m, dt = 20, 1e-2
+        coeffs = rng.uniform(-1, 1, (10, m))
+        z0 = np.vstack([rng.uniform(0.2, 1.0, m) * rng.choice([-1, 1], m),
+                        rng.uniform(-1, 1, m)])
+
+        def rhs(z):
+            hx, hy = expanded_gradient(coeffs, z[0], z[1])
+            return np.array([z[0] * hy, -z[0] * hx])
+
+        k1 = rhs(z0)
+        k2 = rhs(z0 + 0.5 * dt * k1)
+        k3 = rhs(z0 + 0.5 * dt * k2)
+        k4 = rhs(z0 + dt * k3)
+        expect = z0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        got = fd.simulate_plane_orbits(coeffs, z0, dt, dt)["final"]
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
 class TestKernelBasis:
     def test_unit_mass(self):
         xs = np.linspace(-2, 2, 4001)

@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from casimirlab import Field1D, Grid1D, ddx1, ddx2, integrate
+from casimirlab import Field1D, Grid1D, ddx1, ddx2, dealias, integrate
 from casimirlab.dynamics import Integrator, estimate_frequency, run_and_record, step
 from casimirlab.field_core import random_band_limited_1d
 from casimirlab import ion_kdv as ik
 
 GRID = Grid1D(128)
 L = GRID.l
+
+
+def grid_k2(grid):
+    return ik.workspace1d(grid).k ** 2
 
 
 class TestSolvePhi:
@@ -86,6 +90,39 @@ class TestSolvePhi:
             rho = Field1D.full(grid, 1.0) + random_band_limited_1d(grid, 8, rng, 0.3)
             assert ik.solve_phi(rho).residual <= 1e-12
 
+    def test_small_amplitude_takes_one_newton_step(self):
+        # the linearized initial guess leaves a residual of O(amplitude^2)
+        sol = ik.solve_phi(ik.acoustic_mode_state(GRID, 1, 1e-4).parts[0])
+        assert sol.iterations == 1
+        assert sol.residual <= 1e-12
+
+    def test_pcg_makes_two_fft_calls_per_iteration(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        grid = Grid1D(64)
+        k2 = grid_k2(grid)
+        e = np.exp(random_band_limited_1d(grid, 6, rng, 0.5).values)
+        b = random_band_limited_1d(grid, 6, rng, 1.0).values
+        calls = []
+        for name in ("rfft", "irfft"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        x, iterations = ik._pcg(k2, e, b, 1e-13)
+        assert iterations >= 3
+        assert len(calls) <= 2 * iterations + 2
+        monkeypatch.undo()
+        residual = ddx2(Field1D(grid, -x)).values + e * x - b
+        assert np.max(np.abs(residual)) <= 1e-12
+
+    def test_accepts_the_rounding_floor_above_tol(self):
+        # at n = 1024 and amplitude 0.3 the float64 residual cannot reach 1e-12
+        grid = Grid1D(1024)
+        rho = ik.acoustic_mode_state(grid, 1, 0.3).parts[0]
+        sol = ik.solve_phi(rho)
+        hist = sol.history
+        assert 1e-12 < sol.residual <= ik._rounding_floor(grid_k2(grid), sol.phi.values, rho)
+        assert 2.0 * hist[-1] > hist[-2]  # the last step did not contract
+        assert all(10.0 * r0**2 >= r1 for r0, r1 in zip(hist, hist[1:]) if 1e-7 < r0 < 0.1)
+
 
 class TestIonSystem:
     def test_quiescent_equilibrium(self):
@@ -98,6 +135,16 @@ class TestIonSystem:
         out = ik.ion_rhs(z)
         assert out.parts[0].max_abs() <= 1e-12
         assert out.parts[1].max_abs() <= 1e-12
+
+    def test_fused_rhs_matches_unfused_operators(self):
+        z = ik.random_ion_state(GRID, 6, np.random.default_rng(7), 0.3)
+        rho, v = z.parts
+        phi = ik.solve_phi(rho).phi
+        expect_rho = -1.0 * ddx1(dealias(rho * v))
+        expect_v = -1.0 * ddx1(phi + dealias(v * v) * 0.5)
+        out = ik.ion_rhs(z)
+        for got, expect in zip(out.parts, (expect_rho, expect_v)):
+            assert np.max(np.abs(got.values - expect.values)) <= 1e-13 * expect.max_abs()
 
     def test_density_floor_aborts(self):
         rho = Field1D.from_function(GRID, lambda x: 1e-8 + 0.5 * (1 + np.cos(x)))
