@@ -19,8 +19,9 @@ Conventions
   bit-identical.
 * One field class, Field, serves both grids: its values have the shape
   grid.shape, are finite, and are a read-only view.  Field1D and Field2D are
-  its subclasses, one per grid class, and each rejects the other's grid.  Every spectral operator goes through
-  one helper, _spectral, the only code that picks the 1-D or 2-D transforms.
+  its subclasses, one per grid class, and each rejects the other's grid.
+  Every spectral operator goes through one helper, _spectral, the only code
+  that picks the 1-D or 2-D transforms.
 """
 
 from __future__ import annotations
