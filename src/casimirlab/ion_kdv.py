@@ -157,7 +157,7 @@ def solve_phi(rho: Field1D, tol: float = 1e-12, max_iter: int = 25) -> PhiSolve:
     r0 ~ 1e-7.
     A residual above tol is accepted only at the float64 rounding floor: when
     a Newton step no longer halves it and it is at most `_rounding_floor`.
-    On large grids (n = 1024 and up at amplitude 0.3) that floor exceeds the
+    On large grids (n = 1024 and up at amplitude 0.3) that floor can exceed the
     default 1e-12; wherever a step still contracts, tol alone decides.
     Raises NewtonError (carrying the last residual) if neither is met within
     max_iter.
