@@ -286,6 +286,8 @@ def parse_config(
         dyn.step_count(cfg["t_end"], cfg["dt"])
     except (ValueError, OverflowError) as exc:  # OverflowError: t_end / dt is infinite
         raise ConfigError(f"config field 't_end': {exc}") from exc
+    if spec.check is not None:
+        spec.check(cfg)
     unknown = sorted(set(cfg["watch"] or ()) - set(spec.watch_names))
     if unknown:
         raise ConfigError(f"unknown watch functional '{unknown[0]}' for preset {name} "
@@ -613,6 +615,20 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
     return RunResult(checks=all_checks, rows=rows)
 
 
+def _check_ionacoustic1d(cfg: dict):
+    """Reject a grid on which solve_phi's residual cannot reach its tolerance in float64."""
+    grid = Grid1D(**cfg["grid"])
+    amp = cfg["initial"]["amplitude"]
+    for k in cfg["initial"]["modes"]:
+        floor = ik.residual_floor(grid, k, amp)
+        if floor > ik.PHI_TOL:
+            raise ConfigError(
+                f"config fields 'grid.n' = {grid.n} and 'initial.amplitude' = {amp:g} (mode {k}): "
+                f"the potential's Newton residual has a float64 rounding floor of up to {floor:.2e}, "
+                f"above its tolerance {ik.PHI_TOL:g}; lower grid.n or initial.amplitude"
+            )
+
+
 def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     modes = cfg.initial["modes"]
@@ -719,7 +735,8 @@ class Preset:
     key the preset accepts and gives its default value, while ``_RULES``
     (and ``_PRESET_RULES`` for this preset) holds what each value must be.
     ``grid`` is the grid class the runner builds (``_GRID_KEYS`` names the
-    keys it takes), or None for no grid.
+    keys it takes), or None for no grid.  ``check``, if set, tests the merged
+    config across its fields and raises ConfigError.
     """
 
     name: str
@@ -728,6 +745,7 @@ class Preset:
     grid: type | None
     defaults: dict
     watch_names: tuple = ()
+    check: object = None
 
 
 PRESETS = {
@@ -774,7 +792,8 @@ PRESETS = {
                "acoustic mode dispersion against k/sqrt(1+k^2) plus invariant drifts",
                _run_ionacoustic1d, Grid1D,
                {"grid": {"n": 128}, "dt": 1e-2, "t_end": 50.0, "output_every": 0.05, "seed": 0,
-                "initial": {"modes": [1, 2], "amplitude": 1e-4}}),
+                "initial": {"modes": [1, 2], "amplitude": 1e-4}},
+               check=_check_ionacoustic1d),
         Preset("kdv_soliton", "soliton transport against the exact translated profile",
                _run_kdv_soliton, Grid1D,
                {"grid": {"n": 512, "l": 40.0}, "dt": 1e-3, "t_end": 10.0, "output_every": 0.1,

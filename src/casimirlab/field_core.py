@@ -225,8 +225,6 @@ class Field:
     grid: Grid1D | Grid2D
     values: np.ndarray
 
-    _grid_type = (Grid1D, Grid2D)  # the grid class(es) this class of field lives on
-
     def __post_init__(self):
         if not isinstance(self.grid, self._grid_type):
             raise FieldError(f"{type(self).__name__} cannot live on a {type(self.grid).__name__}")

@@ -131,8 +131,8 @@ def _cubic_gradient(coeffs):
     const, coeff = rows[0], rows[1:]
 
     def grad(p):
-        t = coeff * p[_FIRST, None]
-        t[2:] *= p[_SECOND, None]
+        t = coeff * p[_FIRST, None]  # the rows of x, y, x^2, xy, y^2 times x, y, x, x, y
+        t[2:] *= p[_SECOND, None]  # ... and the quadratic ones times x, y, y
         return const + t[0] + t[1] + t[2] + t[3] + t[4]
 
     return grad

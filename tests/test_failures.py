@@ -125,16 +125,15 @@ def test_blowup_prints_no_runtime_warning(tmp_path, capsys):
     assert json.loads((out / "summary.json").read_text())["failure"]["step"] >= 1
 
 
-def test_large_grid_ion_run_gets_past_step_0(tmp_path, capsys):
-    # the residual's rounding floor is above 1e-12 here; the parent raised NewtonError at step 0
+def test_ion_grid_beyond_the_float64_floor_exits_2(tmp_path, capsys):
+    # solve_phi's residual cannot reach its 1e-12 tolerance here, so the run
+    # would die at step 0; the config is rejected before it starts
     code, out = run_cli(tmp_path, "ionacoustic1d", "grid.n=1024", "initial.amplitude=0.3",
                         "initial.modes=[1]", "t_end=0.1")
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["failure"] is None
-    checks = {c["name"]: c for c in summary["checks"]}
-    # only the frequency check fails: 0.1 is too short to measure one
-    assert [name for name, c in checks.items() if not c["passed"]] == ["dispersion_rel_error_k1"]
-    assert code == 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'grid.n'" in err and "'initial.amplitude'" in err
+    assert not (out / "summary.json").exists()
 
 
 def test_run_too_short_for_frequency_fails_check(tmp_path, capsys):

@@ -100,28 +100,41 @@ class TestSolvePhi:
         rng = np.random.default_rng(4)
         grid = Grid1D(64)
         k2 = grid_k2(grid)
-        e = np.exp(random_band_limited_1d(grid, 6, rng, 0.5).values)
         b = random_band_limited_1d(grid, 6, rng, 1.0).values
-        calls = []
-        for name in ("rfft", "irfft"):
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
             fn = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
-        x, iterations = ik._pcg(k2, e, b, 1e-13)
-        assert iterations >= 3
-        assert len(calls) <= 2 * iterations + 2
-        monkeypatch.undo()
-        residual = ddx2(Field1D(grid, -x)).values + e * x - b
-        assert np.max(np.abs(residual)) <= 1e-12
 
-    def test_accepts_the_rounding_floor_above_tol(self):
+            def counted(*a, _fn=fn, _name=name, **k):
+                calls[_name] += 1
+                return _fn(*a, **k)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        # constant e: the preconditioner is the exact inverse, so one iteration
+        # follows the initial preconditioning
+        x1 = ik._pcg(k2, np.full(grid.n, 1.5), b, 1e-10)
+        assert calls == {"rfft": 2, "irfft": 2}
+        calls.update(rfft=0, irfft=0)
+        e = np.exp(random_band_limited_1d(grid, 6, rng, 0.5).values)
+        x = ik._pcg(k2, e, b, 1e-13)
+        assert calls["rfft"] == calls["irfft"] >= 4
+        monkeypatch.undo()
+        for sol, diag in ((x1, 1.5), (x, e)):
+            residual = ddx2(Field1D(grid, -sol)).values + diag * sol - b
+            assert np.max(np.abs(residual)) <= 1e-12
+
+    def test_residual_floor_bounds_the_reachable_residual(self):
         # at n = 1024 and amplitude 0.3 the float64 residual cannot reach 1e-12
         grid = Grid1D(1024)
-        rho = ik.acoustic_mode_state(grid, 1, 0.3).parts[0]
-        sol = ik.solve_phi(rho)
-        hist = sol.history
-        assert 1e-12 < sol.residual <= ik._rounding_floor(grid_k2(grid), sol.phi.values, rho)
-        assert 2.0 * hist[-1] > hist[-2]  # the last step did not contract
-        assert all(10.0 * r0**2 >= r1 for r0, r1 in zip(hist, hist[1:]) if 1e-7 < r0 < 0.1)
+        floor = ik.residual_floor(grid, 1, 0.3)
+        assert floor > ik.PHI_TOL
+        with pytest.raises(ik.NewtonError) as err:
+            ik.solve_phi(ik.acoustic_mode_state(grid, 1, 0.3).parts[0])
+        assert ik.PHI_TOL < err.value.residual <= floor
+        # the largest grid whose floor bound is within the tolerance converges
+        grid = Grid1D(490)
+        assert ik.residual_floor(grid, 1, 0.3) <= ik.PHI_TOL
+        assert ik.solve_phi(ik.acoustic_mode_state(grid, 1, 0.3).parts[0]).residual <= ik.PHI_TOL
 
 
 class TestIonSystem:
