@@ -8,10 +8,11 @@ Conventions
 * Derivatives, the Laplacian and its inverse are spectral: exact on resolved
   Fourier modes (rfft along x, full fft along y).
 * The canonical bracket [a, b] = dy(a) dx(b) - dx(a) dy(b) is evaluated
-  pseudo-spectrally and the product is projected back onto the 2/3-rule mode
-  set (Galerkin truncation).  For band-limited inputs this makes the
-  quadratic pairings integrate(a * [a, b]) and integrate(b * [a, b]) exact to
-  rounding, which every invariant-drift test downstream relies on.
+  pseudo-spectrally and projected back onto the 2/3-rule mode set (Galerkin
+  truncation), which makes integrate(a * [a, b]) and integrate(b * [a, b])
+  exact to rounding for band-limited inputs.  One kernel, bracket_sums,
+  forms every sum of brackets: each input is transformed once and each sum
+  is projected once (the projection is linear); bracket2d is its one pair.
 * invert_laplacian fixes the k = 0 mode to zero (zero-mean gauge on the
   torus); a constant shift of a stream function never changes a bracket.
 * integrate() uses compensated fixed-order summation (math.fsum), so the
@@ -27,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -334,23 +336,46 @@ def dealias(f: Field) -> Field:
     return _apply(f, _workspace(f.grid).mask)
 
 
-def bracket2d(a: Field2D, b: Field2D) -> Field2D:
-    """Canonical bracket [a, b] = dy(a) dx(b) - dx(a) dy(b), dealiased.
+def bracket_sums(outputs) -> list[Field2D]:
+    """dealias(sum of [a, b] over the (a, b) pairs of each output), one Field2D per output.
 
-    Derivatives are spectral, the products pointwise, and the result is
-    projected back onto the 2/3-rule mode set, so for inputs supported on
-    that set this is the exact Galerkin truncation of the bracket.
-    Antisymmetric by construction.  Each input is transformed once.
+    Each distinct input is transformed once, its derivatives dropped after
+    their last use; a pair with an exactly zero side is skipped untransformed
+    ([a, 0] = 0), and an output with no live pair is an exact zero field.
     """
-    if a.grid != b.grid:
+    grid = outputs[0][0][0].grid
+    if any(f.grid != grid for pairs in outputs for pair in pairs for f in pair):
         raise GridMismatchError("bracket2d requires one shared grid")
-    grid = a.grid
-    if not a.values.any() or not b.values.any():
-        return Field2D.zeros(grid)  # [a, 0] = 0 exactly
-    ws = workspace2d(grid)
-    a_x, a_y = _spectral(grid, a.values, 1j * ws.dkx, 1j * ws.dky)
-    b_x, b_y = _spectral(grid, b.values, 1j * ws.dkx, 1j * ws.dky)
-    return Field2D(grid, *_spectral(grid, a_y * b_x - a_x * b_y, ws.mask))
+    live = [[(a, b) for a, b in pairs if a.values.any() and b.values.any()] for pairs in outputs]
+    uses = Counter(id(f) for pairs in live for pair in pairs for f in pair)
+    ws, derivs, out = workspace2d(grid), {}, []
+    for pairs in live:
+        total = None
+        for a, b in pairs:
+            for f in (a, b):
+                if id(f) not in derivs:
+                    derivs[id(f)] = _spectral(grid, f.values, 1j * ws.dkx, 1j * ws.dky)
+            (a_x, a_y), (b_x, b_y) = derivs[id(a)], derivs[id(b)]
+            uses.subtract((id(a), id(b)))
+            derivs = {k: v for k, v in derivs.items() if uses[k]}
+            p = a_y * b_x
+            p -= a_x * b_y
+            total = p if total is None else np.add(total, p, out=total)
+        if total is None:
+            out.append(Field2D.zeros(grid))
+            continue
+        hat = np.fft.rfft2(total)
+        hat *= ws.mask  # one projection of the sum: still the Galerkin truncation
+        out.append(Field2D(grid, np.fft.irfft2(hat, s=grid.shape)))
+    return out
+
+
+def bracket2d(a: Field2D, b: Field2D) -> Field2D:
+    """Canonical bracket [a, b] = dy(a) dx(b) - dx(a) dy(b), dealiased: bracket_sums' one pair.
+
+    Each input is transformed once.  Antisymmetric by construction.
+    """
+    return bracket_sums([[(a, b)]])[0]
 
 
 def integrate(f: Field) -> float:

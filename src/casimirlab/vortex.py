@@ -20,6 +20,9 @@ flow but the omega dynamics is unchanged bit for bit, because its back
 reaction enters only through the bracket with an exactly zero gradient.
 
 Level 3 appends a second advected field psi2, with the analogous operator.
+So J1, J2 and J3 are one table, PAIRS: each output row is a sum of brackets
+[z_s, g_r] over its (state row s, gradient row r) pairs, and one kernel,
+field_core.bracket_sums, evaluates a level's rows together.
 
 Casimir families (profile functions are user-supplied smooth maps with
 analytic derivatives):
@@ -47,6 +50,7 @@ from .field_core import (
     Field2D,
     Grid2D,
     bracket2d,
+    bracket_sums,
     integrate,
     invert_laplacian,
     l2norm,
@@ -86,25 +90,29 @@ def stream_function(omega: Field2D) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
+# output row -> the (state row, gradient row) pairs whose brackets sum to it
+PAIRS = {
+    1: (((0, 0),),),
+    2: (((0, 0), (1, 1)), ((1, 0),)),
+    3: (((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 0),)),
+}
+
+
+def _apply_pairs(level: int, z: State, g: State) -> State:
+    rows = [[(z.parts[s], g.parts[r]) for s, r in pairs] for pairs in PAIRS[level]]
+    return State(_kind(level), tuple(bracket_sums(rows)))
+
+
 def apply_j1(omega: Field2D, g_omega: Field2D) -> Field2D:
-    return bracket2d(omega, g_omega)
+    return bracket2d(omega, g_omega)  # the one pair of PAIRS[1]
 
 
 def apply_j2(z: State, g: State) -> State:
-    omega, psi = z.parts
-    g_omega, g_psi = g.parts
-    out1 = bracket2d(omega, g_omega) + bracket2d(psi, g_psi)
-    out2 = bracket2d(psi, g_omega)
-    return State("vortex2", (out1, out2))
+    return _apply_pairs(2, z, g)
 
 
 def apply_j3(z: State, g: State) -> State:
-    omega, psi, psi2 = z.parts
-    g_omega, g_psi, g_psi2 = g.parts
-    out1 = bracket2d(omega, g_omega) + bracket2d(psi, g_psi) + bracket2d(psi2, g_psi2)
-    out2 = bracket2d(psi, g_omega)
-    out3 = bracket2d(psi2, g_omega)
-    return State("vortex3", (out1, out2, out3))
+    return _apply_pairs(3, z, g)
 
 
 def vortex_operator(level: int) -> PoissonOperator:

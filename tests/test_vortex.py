@@ -82,6 +82,91 @@ class TestOperators:
             assert p.max_abs() == 0.0
 
 
+class TestBracketKernel:
+    """bracket_sums: one transform per distinct live field, one projection per output."""
+
+    @staticmethod
+    def record_transforms(monkeypatch):
+        """Patch np.fft.rfft2 and irfft2 to record (name, copy of the input) per call."""
+        calls = []
+        for name in ("rfft2", "irfft2"):
+
+            def recorded(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append((_name, np.array(x)))
+                return _fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "level, hamiltonian, transforms",
+        [(2, vx.rmhd_energy, 20), (3, vx.rmhd_energy, 25), (2, vx.euler_energy, 15),
+         (1, vx.euler_energy, 10)],
+    )
+    def test_transforms_per_rhs(self, monkeypatch, level, hamiltonian, transforms):
+        z = vx.random_vortex_state(level, GRID, 5, np.random.default_rng(20))
+        rhs = vx.vortex_rhs(level, hamiltonian(level))
+        calls = self.record_transforms(monkeypatch)
+        rhs(z)
+        assert len(calls) == transforms
+
+    @pytest.mark.parametrize("level", sorted(vx.PAIRS))
+    def test_outputs_match_separate_brackets(self, level):
+        rng = np.random.default_rng(21)
+        z = vx.random_vortex_state(level, GRID, 6, rng)
+        g = vx.random_vortex_state(level, GRID, 6, rng)
+        out = vx.vortex_operator(level).apply(z, g)
+        for row, pairs in zip(out.parts, vx.PAIRS[level]):
+            expect = sum(
+                (bracket2d(z.parts[s], g.parts[r]).values for s, r in pairs), np.zeros(GRID.shape)
+            )
+            assert np.max(np.abs(row.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_zero_rows_are_never_transformed(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        z = vx.random_vortex_state(3, GRID, 5, rng)
+        g = State("vortex3", (random_band_limited_2d(GRID, 5, rng), Field2D.zeros(GRID),
+                              Field2D.zeros(GRID)))
+        calls = self.record_transforms(monkeypatch)
+        out = vx.apply_j3(z, g)
+        forward = [x for name, x in calls if name == "rfft2"]
+        # omega, psi, psi2 and g_omega, then one projection per output row;
+        # the zero rows g_psi and g_psi2 never reach rfft2
+        assert len(forward) == 4 + 3 and all(x.any() for x in forward)
+        assert np.array_equal(out.parts[0].values, bracket2d(z.parts[0], g.parts[0]).values)
+
+    def test_output_without_live_pair_is_exact_zero(self, monkeypatch):
+        z = vx.random_vortex_state(3, GRID, 5, np.random.default_rng(23))
+        calls = self.record_transforms(monkeypatch)
+        out = vx.apply_j3(z, z.zeros_like())
+        assert calls == []
+        for row in out.parts:
+            assert not row.values.any()
+
+
+class TestTracerContract:
+    """perfbench wraps these module-level names; the operators must call them."""
+
+    def test_traced_names_exist(self):
+        for name in ("apply_j1", "apply_j2", "apply_j3", "bracket2d", "euler_energy",
+                     "rmhd_energy"):
+            assert callable(getattr(vx, name))
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_operator_calls_the_module_level_apply(self, monkeypatch, level):
+        name = f"apply_j{level}"
+        original, calls = getattr(vx, name), []
+
+        def spy(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(vx, name, spy)
+        z = vx.random_vortex_state(level, GRID, 4, np.random.default_rng(24))
+        vx.vortex_operator(level).apply(z, vx.euler_energy(level).gradient(z))
+        assert calls == [name]
+
+
 class TestHamiltonians:
     def test_euler_energy_single_mode(self):
         assert abs(vx.euler_energy(1)(vx.state_i(mode(lambda X, Y: np.sin(X)))) - PI_SQ) <= 1e-12
