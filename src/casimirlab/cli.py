@@ -170,12 +170,6 @@ _RULES = {
 }
 _TYPES = {int: ("an integer", _is_int), float: ("a number", _is_number)}
 
-# rules that hold for one preset's initial keys only, over those in _RULES
-_PRESET_RULES = {
-    "ionacoustic1d": {"amplitude": ("a number in (0, 1), so the density 1 + a cos(kx) stays "
-                                    "positive", lambda v: _is_number(v) and 0 < v < 1)},
-}
-
 # keys every config has before the preset defaults and the file are merged in
 _BASE = {"grid": {}, "initial": {}, "watch": None, "out_dir": None, "snapshot": False}
 
@@ -184,13 +178,13 @@ _BASE = {"grid": {}, "initial": {}, "watch": None, "out_dir": None, "snapshot": 
 _GRID_KEYS = {None: (), Grid1D: ("n", "l"), Grid2D: ("n", "l", "nx", "ny", "lx", "ly")}
 
 
-def _check_section(section: dict, schema: dict, where: str, rules: dict = _RULES):
+def _check_section(section: dict, schema: dict, where: str):
     """Reject keys outside schema and values that break their rule."""
     for key, value in section.items():
         if key not in schema:
             allowed = ", ".join(sorted(schema)) or "none"
             raise ConfigError(f"unknown config key '{where}{key}' (allowed: {allowed})")
-        what, ok = rules.get(key) or _TYPES[type(schema[key])]
+        what, ok = _RULES.get(key) or _TYPES[type(schema[key])]
         if not ok(value):
             raise ConfigError(f"config field '{where}{key}': expected {what}, got {value!r}")
 
@@ -280,8 +274,7 @@ def parse_config(
 
     _check_section(cfg, dict.fromkeys(f.name for f in fields(RunConfig)) | spec.defaults, "")
     _check_section(cfg["grid"], dict.fromkeys(_GRID_KEYS[spec.grid]), "grid.")
-    _check_section(cfg["initial"], spec.defaults["initial"], "initial.",
-                   _RULES | _PRESET_RULES.get(name, {}))
+    _check_section(cfg["initial"], spec.defaults["initial"], "initial.")
     try:
         dyn.step_count(cfg["t_end"], cfg["dt"])
     except (ValueError, OverflowError) as exc:  # OverflowError: t_end / dt is infinite
@@ -529,8 +522,7 @@ def _run_singular_leaf(cfg: RunConfig) -> RunResult:
     series, zf = _integrate(cfg, vx.vortex_rhs(2, H), z0, [leaf, interior, H])
     res_on = vx.interior_casimir_residual(omega, vx.PROFILES["square"])
     z_off = vx.state_ii(omega, Field2D.from_function(grid, lambda X, Y: np.sin(X)))
-    g_in = State("vortex2", (Field2D(grid, 2.0 * omega.values), Field2D.zeros(grid)))
-    off_norm = l2norm(vx.apply_j2(z_off, g_in).parts[1])
+    off_norm = l2norm(vx.apply_j2(z_off, interior.gradient(z_off)).parts[1])
     checks = [
         Check("leaf_indicator_max", max(series.values["leaf_norm_sq"]), 1e-20, "<=",
               note="an orbit starting on the leaf psi = 0 stays on it"),
@@ -583,21 +575,22 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
     )
 
     eps_fixed = init["eps"]
-    rows = []
-    all_checks = []
+    rows, all_checks = [], []
 
-    for family, coeffs, z0 in (("loops", loops, z0_loops), ("wells", wells, z0_wells)):
-        res = fd.simulate_plane_orbits(coeffs, z0, cfg.t_end, cfg.dt)
-        mn, mx = res["x_min_signed"], res["x_max_signed"]
-        sign_ok = res["sign_ok"].all()
+    # both families step as one batch; their columns are split apart afterwards
+    res = fd.simulate_plane_orbits(np.hstack([loops, wells]), np.hstack([z0_loops, z0_wells]),
+                                   cfg.t_end, cfg.dt)
+    for family, cols in (("loops", slice(None, m)), ("wells", slice(m, None))):
+        x0s, mn, mx = res["x0"][cols], res["x_min_signed"][cols], res["x_max_signed"][cols]
+        sign_ok = res["sign_ok"][cols].all()
         drifts = []
-        for x0, lo, hi in zip(np.abs(res["x0"]), mn, mx):
+        for x0, lo, hi in zip(np.abs(x0s), mn, mx):
             eps = eps_fixed if family == "loops" else min(eps_fixed, lo / 4.0)
             y0 = fd.smoothed_step(x0, eps)
             drifts.append(max(abs(fd.smoothed_step(lo, eps) - y0),
                               abs(fd.smoothed_step(hi, eps) - y0)))
         for i in range(mn.size):
-            rows.append({"case": f"{family}_{i}", "x0": res["x0"][i], "min_signed_x": mn[i],
+            rows.append({"case": f"{family}_{i}", "x0": x0s[i], "min_signed_x": mn[i],
                          "max_signed_x": mx[i], "y_drift": drifts[i]})
         all_checks.append(Check(f"{family}_sign_conserved", float(sign_ok), 1.0, "=="))
         all_checks.append(Check(f"{family}_y_eps_drift_max", max(drifts), 1e-6, "<=",
@@ -616,9 +609,13 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
 
 
 def _check_ionacoustic1d(cfg: dict):
-    """Reject a grid on which solve_phi's residual cannot reach its tolerance in float64."""
-    grid = Grid1D(**cfg["grid"])
+    """Reject an amplitude outside (0, 1), and a grid on which solve_phi's residual
+    cannot reach its tolerance in float64."""
     amp = cfg["initial"]["amplitude"]
+    if not 0 < amp < 1:
+        raise ConfigError(f"config field 'initial.amplitude': expected a number in (0, 1), "
+                          f"so the density 1 + a cos(kx) stays positive, got {amp!r}")
+    grid = Grid1D(**cfg["grid"])
     for k in cfg["initial"]["modes"]:
         floor = ik.residual_floor(grid, k, amp)
         if floor > ik.PHI_TOL:
@@ -733,10 +730,10 @@ class Preset:
 
     ``defaults`` is the preset's whole config schema: it names every initial
     key the preset accepts and gives its default value, while ``_RULES``
-    (and ``_PRESET_RULES`` for this preset) holds what each value must be.
-    ``grid`` is the grid class the runner builds (``_GRID_KEYS`` names the
-    keys it takes), or None for no grid.  ``check``, if set, tests the merged
-    config across its fields and raises ConfigError.
+    holds what each value must be.  ``grid`` is the grid class the runner
+    builds (``_GRID_KEYS`` names the keys it takes), or None for no grid.
+    ``check``, if set, tests the merged config across its fields and raises
+    ConfigError.
     """
 
     name: str

@@ -68,7 +68,7 @@ class GridMismatchError(FieldError):
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform periodic grid on [0, lx) x [0, ly); nx, ny even and >= 8."""
+    """Uniform periodic grid on [0, lx) x [0, ly); nx, ny even and >= 8, lx, ly finite."""
 
     nx: int
     ny: int
@@ -79,8 +79,8 @@ class Grid2D:
         for n, name in ((self.nx, "nx"), (self.ny, "ny")):
             if n < 8 or n % 2 != 0:
                 raise FieldError(f"{name} must be even and >= 8, got {n}")
-        if not (self.lx > 0 and self.ly > 0):
-            raise FieldError("domain lengths must be positive")
+        if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
+            raise FieldError("domain lengths must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -113,7 +113,7 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [0, l); n even and >= 8."""
+    """Uniform periodic grid on [0, l); n even and >= 8, l finite."""
 
     n: int
     l: float = TWO_PI
@@ -121,8 +121,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise FieldError(f"n must be even and >= 8, got {self.n}")
-        if not self.l > 0:
-            raise FieldError("domain length must be positive")
+        if not 0 < self.l < math.inf:
+            raise FieldError("domain length must be positive and finite")
 
     @property
     def dx(self) -> float:

@@ -24,14 +24,18 @@ So J1, J2 and J3 are one table, PAIRS: each output row is a sum of brackets
 [z_s, g_r] over its (state row s, gradient row r) pairs, and one kernel,
 field_core.bracket_sums, evaluates a level's rows together.
 
-Casimir families (profile functions are user-supplied smooth maps with
-analytic derivatives):
+The Casimir catalog is one table too, CASIMIR_FAMILIES: a density and its
+nonzero gradient rows per family (profiles are smooth maps with analytic
+derivatives):
 
-    generalized enstrophy   int f(omega)          level 1
-    cross helicity          int omega g(psi)      level 2
-    flux integral           int f(psi)            levels 2, 3
-    flux-pair integral      int h(psi * psi2)     level 3
-    second-flux integral    int f(psi2)           level 3
+    generalized enstrophy   int f(omega)          rows omega          level 1
+    cross helicity          int omega g(psi)      rows omega, psi     level 2
+    flux integral           int f(psi)            row psi             levels 2, 3
+    flux-pair integral      int h(psi * psi2)     rows psi, psi2      level 3
+    second-flux integral    int f(psi2)           row psi2            level 3
+
+Hamiltonians declare only their nonzero rows too; every other row is an
+exact zero field, which is what makes its field a phantom.
 
 Sign convention: grad H_E = -lap^{-1}(omega) = phi, so the level-1 flow is
 [omega, phi] = -V . grad(omega).  This is pinned by the shear-equilibrium
@@ -129,13 +133,19 @@ def vortex_operator(level: int) -> PoissonOperator:
 # ---------------------------------------------------------------------------
 
 
+def _gradient(level: int, grid: Grid2D, rows: dict[int, Field2D]) -> State:
+    """A level's gradient State from its nonzero rows; the missing rows share one exact zero."""
+    zero = Field2D.zeros(grid) if len(rows) < level else None
+    return State(_kind(level), tuple(rows.get(r, zero) for r in range(level)))
+
+
 def euler_energy(level: int = 1) -> Functional:
     """H_E = -1/2 int omega lap^{-1}(omega); gradient (-lap^{-1} omega, 0, ...).
 
     On levels 2 and 3 the extra gradient components are exact zero fields,
     which is what makes the extra fields phantoms under this Hamiltonian.
     """
-    kind = _kind(level)
+    _kind(level)  # an unknown level fails here, not at the first call
 
     def value(z: State) -> float:
         omega = z.parts[0]
@@ -143,9 +153,7 @@ def euler_energy(level: int = 1) -> Functional:
 
     def gradient(z: State) -> State:
         omega = z.parts[0]
-        g1 = -1.0 * invert_laplacian(omega)
-        zero = Field2D.zeros(omega.grid)
-        return State(kind, (g1,) + (zero,) * (level - 1))
+        return _gradient(level, omega.grid, {0: -1.0 * invert_laplacian(omega)})
 
     return Functional("euler_energy", value, gradient)
 
@@ -154,7 +162,6 @@ def rmhd_energy(level: int = 2) -> Functional:
     """H_RMHD = -1/2 int [omega lap^{-1}(omega) + psi lap(psi)]."""
     if level not in (2, 3):
         raise ValueError("rmhd_energy needs a flux function (level 2 or 3)")
-    kind = _kind(level)
 
     def value(z: State) -> float:
         omega, psi = z.parts[0], z.parts[1]
@@ -164,10 +171,8 @@ def rmhd_energy(level: int = 2) -> Functional:
 
     def gradient(z: State) -> State:
         omega, psi = z.parts[0], z.parts[1]
-        g = (-1.0 * invert_laplacian(omega), -1.0 * laplacian(psi))
-        if level == 3:
-            g = g + (Field2D.zeros(omega.grid),)
-        return State(kind, g)
+        rows = {0: -1.0 * invert_laplacian(omega), 1: -1.0 * laplacian(psi)}
+        return _gradient(level, omega.grid, rows)
 
     return Functional("rmhd_energy", value, gradient)
 
@@ -213,13 +218,21 @@ def poly_profile(coeffs, label: str | None = None) -> Profile:
     )
 
 
-# family -> the lowest hierarchy level at which it is a Casimir (also its default level)
+def _flux_pair_rows(p: Profile, v) -> dict:
+    dh = p.df(v[1] * v[2])
+    return {1: v[2] * dh, 2: v[1] * dh}
+
+
+# family -> (lowest level, also its default; density; nonzero gradient rows):
+# functions of the profile p and the state's value arrays v.  The rows map a
+# row index to its array; every row they omit is exactly zero.
 CASIMIR_FAMILIES = {
-    "enstrophy": 1,
-    "cross_helicity": 2,
-    "flux": 2,
-    "flux_pair": 3,
-    "flux2": 3,
+    "enstrophy": (1, lambda p, v: p.f(v[0]), lambda p, v: {0: p.df(v[0])}),
+    "cross_helicity": (2, lambda p, v: v[0] * p.f(v[1]),
+                       lambda p, v: {0: p.f(v[1]), 1: v[0] * p.df(v[1])}),
+    "flux": (2, lambda p, v: p.f(v[1]), lambda p, v: {1: p.df(v[1])}),
+    "flux_pair": (3, lambda p, v: p.f(v[1] * v[2]), _flux_pair_rows),
+    "flux2": (3, lambda p, v: p.f(v[2]), lambda p, v: {2: p.df(v[2])}),
 }
 
 
@@ -237,87 +250,26 @@ class CasimirSpec:
     level: int | None = None
 
 
-def _apply(profile: Profile, f: Field2D) -> Field2D:
-    return Field2D(f.grid, profile.f(f.values))
-
-
-def _apply_d(profile: Profile, f: Field2D) -> Field2D:
-    return Field2D(f.grid, profile.df(f.values))
-
-
 def make_casimir(spec: CasimirSpec) -> Functional:
+    """The functional int density(z) of a CASIMIR_FAMILIES entry, with its row gradient."""
     if spec.family not in CASIMIR_FAMILIES:
         raise ValueError(f"unknown Casimir family {spec.family!r}")
-    level = spec.level if spec.level is not None else CASIMIR_FAMILIES[spec.family]
-    if level < CASIMIR_FAMILIES[spec.family]:
-        raise ValueError(f"{spec.family} needs at least level {CASIMIR_FAMILIES[spec.family]}")
-    kind = _kind(level)
+    lowest, density, rows = CASIMIR_FAMILIES[spec.family]
+    level = spec.level if spec.level is not None else lowest
+    if level < lowest:
+        raise ValueError(f"{spec.family} needs at least level {lowest}")
+    _kind(level)  # an unknown level fails here, not at the first call
     p = spec.profile
-    label = f"{spec.family}[{p.label}]"
 
-    def zero_like(z):
-        return Field2D.zeros(z.parts[0].grid)
+    def value(z: State) -> float:
+        return integrate(Field2D(z.parts[0].grid, density(p, [f.values for f in z.parts])))
 
-    if spec.family == "enstrophy":
+    def gradient(z: State) -> State:
+        grid = z.parts[0].grid
+        g = rows(p, [f.values for f in z.parts])
+        return _gradient(level, grid, {r: Field2D(grid, a) for r, a in g.items()})
 
-        def value(z: State) -> float:
-            return integrate(_apply(p, z.parts[0]))
-
-        def gradient(z: State) -> State:
-            g = (_apply_d(p, z.parts[0]),) + (zero_like(z),) * (level - 1)
-            return State(kind, g)
-
-    elif spec.family == "cross_helicity":
-
-        def value(z: State) -> float:
-            omega, psi = z.parts[0], z.parts[1]
-            return integrate(omega * _apply(p, psi))
-
-        def gradient(z: State) -> State:
-            omega, psi = z.parts[0], z.parts[1]
-            g = (_apply(p, psi), omega * _apply_d(p, psi))
-            if level == 3:
-                g = g + (zero_like(z),)
-            return State(kind, g)
-
-    elif spec.family == "flux":
-
-        def value(z: State) -> float:
-            return integrate(_apply(p, z.parts[1]))
-
-        def gradient(z: State) -> State:
-            g = (zero_like(z), _apply_d(p, z.parts[1]))
-            if level == 3:
-                g = g + (zero_like(z),)
-            return State(kind, g)
-
-    elif spec.family == "flux_pair":
-
-        def value(z: State) -> float:
-            psi, psi2 = z.parts[1], z.parts[2]
-            return integrate(Field2D(psi.grid, p.f(psi.values * psi2.values)))
-
-        def gradient(z: State) -> State:
-            psi, psi2 = z.parts[1], z.parts[2]
-            dh = p.df(psi.values * psi2.values)
-            return State(
-                kind,
-                (
-                    zero_like(z),
-                    Field2D(psi.grid, psi2.values * dh),
-                    Field2D(psi.grid, psi.values * dh),
-                ),
-            )
-
-    else:  # flux2
-
-        def value(z: State) -> float:
-            return integrate(_apply(p, z.parts[2]))
-
-        def gradient(z: State) -> State:
-            return State(kind, (zero_like(z), zero_like(z), _apply_d(p, z.parts[2])))
-
-    return Functional(label, value, gradient)
+    return Functional(f"{spec.family}[{p.label}]", value, gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +284,7 @@ def make_kernel_state(zeta: Field2D, xi: Profile, eta: Profile) -> State:
     chain rule; for nonmonotonic xi no enstrophy profile can reproduce the
     cross-helicity gradient g(psi), which is the Casimir-deficit situation.
     """
-    return state_ii(_apply(xi, zeta), _apply(eta, zeta))
+    return state_ii(Field2D(zeta.grid, xi.f(zeta.values)), Field2D(zeta.grid, eta.f(zeta.values)))
 
 
 def singular_leaf_indicator(psi: Field2D) -> tuple[float, bool]:
@@ -354,8 +306,7 @@ def interior_casimir_residual(omega: Field2D, profile: Profile) -> float:
     dynamics.
     """
     z = state_ii(omega, Field2D.zeros(omega.grid))
-    g = State("vortex2", (_apply_d(profile, omega), Field2D.zeros(omega.grid)))
-    out = apply_j2(z, g)
+    out = apply_j2(z, make_casimir(CasimirSpec("enstrophy", profile, level=2)).gradient(z))
     return math.hypot(l2norm(out.parts[0]), l2norm(out.parts[1]))
 
 

@@ -231,6 +231,22 @@ def test_corrupt_snapshot_raises_snapshot_error(state, data, tmp_path):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("state,grid_line", [
+    (State("kdv", (Field1D.zeros(Grid1D(16)),)), "grid1d 16 inf"),
+    (State("vortex1", (Field2D.zeros(Grid2D(8, 8)),)), "grid2d 8 8 inf 1.0"),
+], ids=["grid1d", "grid2d"])
+def test_infinite_domain_length_raises_snapshot_error(state, grid_line, tmp_path):
+    path = tmp_path / "state.snap"
+    save_snapshot(path, state)
+    head, sep, payload = path.read_bytes().partition(b"\nend\n")
+    tag = grid_line.split(" ")[0] + " "
+    lines = [grid_line if ln.startswith(tag) else ln for ln in head.decode("ascii").split("\n")]
+    assert grid_line in lines
+    path.write_bytes("\n".join(lines).encode("ascii") + sep + payload)
+    with pytest.raises(SnapshotError, match="finite"):
+        load_snapshot(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_point_payload_raises_snapshot_error(bad, tmp_path):
     path = tmp_path / "state.snap"

@@ -53,6 +53,10 @@ class TestGridsAndFields:
             Grid2D(64, 6)
         with pytest.raises(FieldError):
             Grid1D(64, -1.0)
+        with pytest.raises(FieldError):
+            Grid1D(16, math.inf)
+        with pytest.raises(FieldError):
+            Grid2D(8, 8, math.inf, 1.0)
 
     def test_spacing_exact(self):
         g = Grid2D(64, 32, 4.0, 2.0)

@@ -110,6 +110,12 @@ SHIPPED_FUNCTIONALS = [
     ("kdv", ik.kdv_mass),
     ("kdv", ik.kdv_momentum),
     ("kdv", ik.kdv_energy),
+    # every padded row combination: one and two zero rows, at levels 2 and 3
+    ("vortex3", lambda: vx.euler_energy(3)),
+    ("vortex2", lambda: vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["cube"], level=2))),
+    ("vortex3", lambda: vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["cube"], level=3))),
+    ("vortex3", lambda: vx.make_casimir(vx.CasimirSpec("cross_helicity", vx.PROFILES["square"],
+                                                       level=3))),
 ]
 
 

@@ -254,6 +254,24 @@ class TestCasimirCatalog:
         with pytest.raises(ValueError):
             vx.make_casimir(vx.CasimirSpec("flux_pair", vx.PROFILES["identity"], level=2))
 
+    @pytest.mark.parametrize("make,level,zeros", [
+        (lambda: vx.euler_energy(1), 1, 0),
+        (lambda: vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"])), 1, 0),
+        (lambda: vx.rmhd_energy(3), 3, 1),
+        (lambda: vx.make_casimir(vx.CasimirSpec("flux2", vx.PROFILES["sin"])), 3, 1),
+    ], ids=["euler_energy-1", "enstrophy-1", "rmhd_energy-3", "flux2-3"])
+    def test_missing_gradient_rows_share_one_zero_field(self, monkeypatch, make, level, zeros):
+        F = make()
+        z = vx.random_vortex_state(level, GRID, 4, np.random.default_rng(0))
+        calls = []
+        zeros_of = Field2D.zeros.__func__
+        monkeypatch.setattr(Field2D, "zeros",
+                            classmethod(lambda cls, grid: calls.append(grid) or zeros_of(cls, grid)))
+        g = F.gradient(z)
+        assert len(calls) == zeros
+        zero_rows = [f for f in g.parts if not f.values.any()]
+        assert all(f is zero_rows[0] for f in zero_rows)
+
     def test_poly_profile_derivative(self):
         p = vx.poly_profile([1.0, 0.0, 2.0])  # 1 + 2 s^2
         s = np.linspace(-2, 2, 9)
