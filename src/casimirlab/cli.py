@@ -577,7 +577,8 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
     eps_fixed = init["eps"]
     rows, all_checks = [], []
 
-    # both families step as one batch; their columns are split apart afterwards
+    # both families step as one batch: every RK4 operation is columnwise, so
+    # each orbit's column is bitwise what it would be alone
     res = fd.simulate_plane_orbits(np.hstack([loops, wells]), np.hstack([z0_loops, z0_wells]),
                                    cfg.t_end, cfg.dt)
     for family, cols in (("loops", slice(None, m)), ("wells", slice(m, None))):
