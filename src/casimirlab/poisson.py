@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field_core import NonFiniteError, integrate
+from .field_core import Field1D, Field2D, NonFiniteError, integrate
 
 # state tag -> the names of its components
 STATE_KINDS = {
@@ -32,6 +32,10 @@ STATE_KINDS = {
     "ion": ("rho", "v"),
     "kdv": ("w",),
 }
+
+# field state tag -> the Field class of every component
+_PART_TYPES = {"vortex1": Field2D, "vortex2": Field2D, "vortex3": Field2D,
+               "ion": Field1D, "kdv": Field1D}
 
 
 class StateError(ValueError):
@@ -63,6 +67,9 @@ class State:
                 raise StateError("finite-dimensional state must be a 1-d point")
             object.__setattr__(self, "parts", (z,))
         else:
+            part_type = _PART_TYPES[self.kind]
+            if not all(isinstance(p, part_type) for p in self.parts):
+                raise StateError(f"kind {self.kind!r} needs {part_type.__name__} parts")
             grids = {p.grid for p in self.parts}
             if len(grids) > 1:
                 raise StateError("all components must share one grid")

@@ -53,6 +53,7 @@ import numpy as np
 from .field_core import (
     Field2D,
     Grid2D,
+    _apply,
     bracket2d,
     bracket_sums,
     integrate,
@@ -60,6 +61,7 @@ from .field_core import (
     l2norm,
     laplacian,
     random_band_limited_2d,
+    workspace2d,
 )
 from .poisson import Functional, PoissonOperator, State, StateError, hamiltonian_rhs
 
@@ -85,8 +87,13 @@ def state_iii(omega: Field2D, psi: Field2D, psi2: Field2D) -> State:
 
 
 def stream_function(omega: Field2D) -> Field2D:
-    """phi with omega = -lap(phi), zero-mean gauge."""
-    return invert_laplacian(-omega)
+    """phi with omega = -lap(phi), zero-mean gauge: the symbol +1/k^2 on omega's spectrum."""
+    return _apply(omega, -workspace2d(omega.grid).inv_neg_k2)
+
+
+def _current(psi: Field2D) -> Field2D:
+    """-lap(psi): the symbol +k^2 on psi's spectrum."""
+    return _apply(psi, workspace2d(psi.grid).k2)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +160,7 @@ def euler_energy(level: int = 1) -> Functional:
 
     def gradient(z: State) -> State:
         omega = z.parts[0]
-        return _gradient(level, omega.grid, {0: -1.0 * invert_laplacian(omega)})
+        return _gradient(level, omega.grid, {0: stream_function(omega)})
 
     return Functional("euler_energy", value, gradient)
 
@@ -171,7 +178,7 @@ def rmhd_energy(level: int = 2) -> Functional:
 
     def gradient(z: State) -> State:
         omega, psi = z.parts[0], z.parts[1]
-        rows = {0: -1.0 * invert_laplacian(omega), 1: -1.0 * laplacian(psi)}
+        rows = {0: stream_function(omega), 1: _current(psi)}
         return _gradient(level, omega.grid, rows)
 
     return Functional("rmhd_energy", value, gradient)

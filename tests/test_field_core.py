@@ -97,6 +97,26 @@ class TestGridsAndFields:
             with pytest.raises(ValueError, match="read-only"):
                 f.values[0] = 1.0
 
+    def test_writeable_input_is_copied(self):
+        arr = np.ones((8, 8))
+        f = Field2D(Grid2D(8, 8), arr)
+        arr[0, 0] = 5.0
+        assert f.values[0, 0] == 1.0
+
+    def test_read_only_input_is_a_view(self):
+        arr = np.ones((8, 8))
+        arr.setflags(write=False)
+        f = Field2D(Grid2D(8, 8), arr)
+        assert np.shares_memory(f.values, arr)
+        g = Field2D(Grid2D(8, 8), f.values)
+        assert np.shares_memory(g.values, f.values)
+
+    def test_product_across_grid_classes_rejected(self):
+        with pytest.raises(GridMismatchError):
+            Field2D.zeros(GRID) * Field1D.zeros(Grid1D(16))
+        with pytest.raises(GridMismatchError):
+            Field1D.zeros(Grid1D(16)) * Field2D.zeros(GRID)
+
 
 class TestDerivatives:
     def test_ddx_sin_analytic(self):
@@ -279,3 +299,67 @@ class TestInvertLaplacian:
         resid = laplacian(u).values - (f.values - mean_f)
         assert np.max(np.abs(resid)) <= 1e-11 * max(1.0, f.max_abs())
         assert abs(integrate(u)) <= 1e-12
+
+
+class TestKeptSpectrum:
+    """A field's spectrum is rfft2(values), computed once, unless it was synthesized from one."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        for name in ("rfft2", "irfft2"):
+
+            def recorded(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        return calls
+
+    def test_one_forward_transform_per_field(self, monkeypatch):
+        f = random_band_limited_2d(GRID, 6, np.random.default_rng(30))
+        calls = self.record(monkeypatch)
+        ddx(f)
+        ddy(f)
+        laplacian(f)
+        assert calls.count("rfft2") == 1 and calls.count("irfft2") == 3
+
+    def test_synthesized_field_keeps_its_spectrum(self, monkeypatch):
+        f = random_band_limited_2d(GRID, 6, np.random.default_rng(31))
+        u = invert_laplacian(f)
+        calls = self.record(monkeypatch)
+        du = ddx(u)
+        assert calls == ["irfft2"]
+        fresh = ddx(Field2D(GRID, u.values.copy()))
+        assert np.max(np.abs(du.values - fresh.values)) <= 1e-13 * fresh.max_abs()
+
+    def test_bracket_output_keeps_its_masked_spectrum(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        br = bracket2d(random_band_limited_2d(GRID, 8, rng), random_band_limited_2d(GRID, 8, rng))
+        calls = self.record(monkeypatch)
+        again = dealias(br)
+        assert calls == ["irfft2"]
+        assert np.array_equal(again.values, br.values)
+
+    def test_bracket_is_history_independent(self):
+        rng = np.random.default_rng(33)
+        p = random_band_limited_2d(GRID, 8, rng)
+        q = random_band_limited_2d(GRID, 8, rng)
+        fresh = bracket2d(Field2D(GRID, p.values.copy()), Field2D(GRID, q.values.copy()))
+        ddx(p)
+        assert np.array_equal(bracket2d(p, q).values, fresh.values)
+
+    def test_1d_spectrum_kept(self, monkeypatch):
+        g = Grid1D(64)
+        w = Field1D.from_function(g, lambda x: np.sin(x) + 0.5 * np.cos(3 * x))
+        calls, rfft = [], np.fft.rfft
+
+        def recorded(x, *args, **kwargs):
+            calls.append("rfft")
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        d1, d3 = ddx1(w), ddx3(w)
+        ddx2(d1)
+        assert calls == ["rfft"]
+        assert np.array_equal(d3.values, ddx3(Field1D(g, w.values.copy())).values)

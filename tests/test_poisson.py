@@ -71,6 +71,16 @@ class TestStates:
         with pytest.raises(StateError):
             inner(z1, z2)
 
+    @pytest.mark.parametrize("kind, parts", [
+        ("ion", (Field2D.zeros(GRID), Field2D.zeros(GRID))),
+        ("kdv", (Field2D.zeros(GRID),)),
+        ("vortex2", (Field1D.zeros(GRID1), Field1D.zeros(GRID1))),
+        ("vortex1", (np.ones(GRID.shape),)),
+    ])
+    def test_part_types_checked(self, kind, parts):
+        with pytest.raises(StateError, match="parts"):
+            State(kind, parts)
+
     def test_vector_space_ops(self):
         z = vx.random_vortex_state(2, GRID, 4, rng_for(1))
         w = vx.random_vortex_state(2, GRID, 4, rng_for(2))
