@@ -44,6 +44,7 @@ from .field_core import (
     Field1D,
     Grid1D,
     NumericalFailure,
+    _read_only,
     _spectral,
     dealias,
     ddx1,
@@ -180,7 +181,7 @@ def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = 25) -> PhiSolv
             raise NewtonError("non-finite Newton residual", res, it)
         history.append(res)
         if res <= tol:
-            return PhiSolve(Field1D(grid, phi), it, res, tuple(history))
+            return PhiSolve(Field1D(grid, _read_only(phi)), it, res, tuple(history))
         if it == max_iter:
             break
         phi = phi + _pcg(k2, np.exp(phi), -residual_vec, min(0.1, res) * res)
@@ -269,7 +270,8 @@ def ion_rhs(z: State) -> State:
     symbols = np.array((minus_dx * ws.mask, 0.5 * minus_dx * ws.mask, minus_dx))
     rows = np.array((rho.values * v.values, v.values * v.values, phi.values))
     (out,) = _spectral(rho.grid, rows, symbols)
-    return State("ion", (Field1D(rho.grid, out[0]), Field1D(rho.grid, out[1] + out[2])))
+    rho_dot, v_dot = _read_only(out)[0], _read_only(out[1] + out[2])
+    return State("ion", (Field1D(rho.grid, rho_dot), Field1D(rho.grid, v_dot)))
 
 
 def quiescent_state(grid: Grid1D) -> State:
@@ -409,4 +411,4 @@ def kdv_if_rk4_step(w: Field1D, dt: float) -> Field1D:
     c = dt * nonlin(half * v + 0.5 * b)
     d = dt * nonlin(full * v + half * c)
     v_new = full * v + (full * a + 2.0 * half * (b + c) + d) / 6.0
-    return Field1D(w.grid, np.fft.irfft(v_new, n=w.grid.n))
+    return Field1D(w.grid, _read_only(np.fft.irfft(v_new, n=w.grid.n)))

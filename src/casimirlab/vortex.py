@@ -91,11 +91,6 @@ def stream_function(omega: Field2D) -> Field2D:
     return _apply(omega, -workspace2d(omega.grid).inv_neg_k2)
 
 
-def _current(psi: Field2D) -> Field2D:
-    """-lap(psi): the symbol +k^2 on psi's spectrum."""
-    return _apply(psi, workspace2d(psi.grid).k2)
-
-
 # ---------------------------------------------------------------------------
 # Poisson operators
 # ---------------------------------------------------------------------------
@@ -178,7 +173,8 @@ def rmhd_energy(level: int = 2) -> Functional:
 
     def gradient(z: State) -> State:
         omega, psi = z.parts[0], z.parts[1]
-        rows = {0: stream_function(omega), 1: _current(psi)}
+        current = _apply(psi, workspace2d(psi.grid).k2)  # -lap(psi): the symbol +k^2
+        rows = {0: stream_function(omega), 1: current}
         return _gradient(level, omega.grid, rows)
 
     return Functional("rmhd_energy", value, gradient)
