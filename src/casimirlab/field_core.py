@@ -261,12 +261,15 @@ class Field:
         if not isinstance(self.grid, self._grid_type):
             raise FieldError(f"{type(self).__name__} cannot live on a {type(self.grid).__name__}")
         v = np.asarray(self.values, dtype=float)
-        v = v.copy() if v.flags.writeable else v.view()
+        if v.flags.writeable:
+            v = v.copy()
+            v.setflags(write=False)
+        else:
+            v = v.view()  # read-only, as its base is
         if v.shape != self.grid.shape:
             raise FieldError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.isfinite(v).all():
             raise NonFiniteError("field contains non-finite values")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -299,7 +302,7 @@ class Field:
         return type(self)(self.grid, _read_only(values))
 
     def _check(self, other):
-        if self.grid != other.grid:
+        if self.grid is not other.grid and self.grid != other.grid:
             raise GridMismatchError(f"fields on different grids: {self.grid} vs {other.grid}")
 
     def __add__(self, other):

@@ -67,12 +67,12 @@ class State:
                 raise StateError("finite-dimensional state must be a 1-d point")
             object.__setattr__(self, "parts", (z,))
         else:
-            part_type = _PART_TYPES[self.kind]
-            if not all(isinstance(p, part_type) for p in self.parts):
-                raise StateError(f"kind {self.kind!r} needs {part_type.__name__} parts")
-            grids = {p.grid for p in self.parts}
-            if len(grids) > 1:
-                raise StateError("all components must share one grid")
+            part_type, grid = _PART_TYPES[self.kind], getattr(self.parts[0], "grid", None)
+            for p in self.parts:
+                if not isinstance(p, part_type):
+                    raise StateError(f"kind {self.kind!r} needs {part_type.__name__} parts")
+                if p.grid is not grid and p.grid != grid:
+                    raise StateError("all components must share one grid")
 
     # -- vector-space arithmetic (used by the integrators) ------------------
 
