@@ -7,8 +7,14 @@ temporal drift of conserved functionals is controlled by the O(dt^4)
 convergence tests, not by exact conservation.
 
 A state is a ``State`` or a bare float ndarray: the RK4 and midpoint stages
-only add states and scale them by floats, so a batch of finite-dimensional
-orbits steps as one (d, m) array without a wrapper per operation.
+only add states and scale them by floats, so a batch of independent
+trajectories steps as one array without a wrapper per operation.  Two
+presets do so: finitedim's orbits as one (2, m) array of points, and
+ionacoustic1d's modes as one (2, m, n) array of (rho, V) rows, whose
+watchers read each member back as an ion ``State``.  Every operation on
+such a batch is member by member, so each member's trajectory is bitwise
+the one it would have alone; the batch fails at the first step at which
+any member fails.
 """
 
 from __future__ import annotations

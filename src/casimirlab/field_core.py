@@ -306,10 +306,14 @@ class Field:
             raise GridMismatchError(f"fields on different grids: {self.grid} vs {other.grid}")
 
     def __add__(self, other):
+        if not isinstance(other, Field):
+            return NotImplemented
         self._check(other)
         return self._like(self.values + other.values)
 
     def __sub__(self, other):
+        if not isinstance(other, Field):
+            return NotImplemented
         self._check(other)
         return self._like(self.values - other.values)
 

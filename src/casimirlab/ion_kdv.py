@@ -30,6 +30,14 @@ the flow is KdV in standard form, dw/dt + 6 w dx(w) + d3x(w) = 0, whose
 exact traveling solution (c/2) sech^2(sqrt(c) (x - c t) / 2) is the oracle
 for the soliton tests.  Time stepping for KdV uses integrating-factor RK4
 on the d3x term to avoid stiffness.
+
+The closure and the flow work on rows: `ion_flow` takes rho and V of shape
+(..., n), one independent member per leading index, and solves every
+member's closure in one Newton loop whose transforms and reductions run
+along the last axis.  A member that has converged is dropped from the
+working set, so each member's flow is bitwise the flow of that member
+alone; `solve_phi` and `ion_rhs` are the one-member calls on fields.  The
+ionacoustic1d preset steps all of its modes as one such batch.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from .poisson import Functional, PoissonOperator, State
 
 RHO_FLOOR = 1e-6
 PHI_TOL = 1e-12  # solve_phi's default bound on max|residual|
+PHI_MAX_ITER = 25  # solve_phi's default limit on Newton steps
 
 
 class NewtonError(NumericalFailure):
@@ -98,35 +107,52 @@ class PhiSolve:
     history: tuple[float, ...]
 
 
-def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
+def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float | np.ndarray) -> np.ndarray:
     """Solve (-d2x + diag(e)) x = b by conjugate gradients, stopping at max|r| <= atol.
 
-    The preconditioner 1 / (k^2 + mean(e)) is applied in Fourier space; it is
-    the exact inverse when e is constant.  Beside the direction p the loop
-    carries its image -d2x(p), updated by the same recurrence, so an
-    iteration makes two FFT calls: one rfft of r and one irfft of the stack
-    (z-hat, k^2 z-hat).  At most n iterations.
+    e and b are rows of shape (..., n), one system per row, and atol is one
+    bound per row (or one for all).  The preconditioner 1 / (k^2 + mean(e))
+    is applied in Fourier space; it is the exact inverse when e is constant.
+    Beside the direction p the loop carries its image -d2x(p), updated by
+    the same recurrence, so an iteration makes two FFT calls for all rows:
+    one rfft of r and one irfft of the stack (z-hat, k^2 z-hat).  At most n
+    iterations.  Every reduction runs along the last axis (np.vecdot for the
+    dots, which matches r @ p bitwise per row), and a row that has met its
+    bound is dropped from the working set, so each row's x is bitwise the x
+    of solving that row alone.
     """
-    n = b.size
-    inv_m = 1.0 / (k2 + np.mean(e))
+    shape, n = b.shape, b.shape[-1]
+    e, b = e.reshape(-1, n), b.reshape(-1, n)
+    atol = np.full(b.shape[0], atol)
+    inv_m = 1.0 / (k2 + e.mean(axis=-1, keepdims=True))
     symbols = np.array((inv_m, k2 * inv_m))
-    x = np.zeros(n)
+    live = np.arange(b.shape[0])  # the rows still iterating, in the arrays below
+    out = x = np.zeros(b.shape)  # out takes each row's x once that row has met its bound
     r = b.copy()
     p, k2p = np.fft.irfft(symbols * np.fft.rfft(r), n=n)
-    rz = r @ p
+    rz = np.vecdot(r, p, keepdims=True)
     for _ in range(n):
-        if np.max(np.abs(r)) <= atol:
+        met = np.abs(r).max(axis=-1) <= atol
+        n_met = np.count_nonzero(met)
+        if n_met == live.size:
             break
+        if n_met:
+            out[live[met]] = x[met]
+            keep = ~met
+            live, atol, e, symbols = live[keep], atol[keep], e[keep], symbols[:, keep]
+            x, r, p, k2p, rz = x[keep], r[keep], p[keep], k2p[keep], rz[keep]
         ap = k2p + e * p
-        alpha = rz / (p @ ap)
+        alpha = rz / np.vecdot(p, ap, keepdims=True)
         x += alpha * p
         r -= alpha * ap
         z, k2z = np.fft.irfft(symbols * np.fft.rfft(r), n=n)
-        rz, rz_old = r @ z, rz
+        rz, rz_old = np.vecdot(r, z, keepdims=True), rz
         beta = rz / rz_old
         p = z + beta * p
         k2p = k2z + beta * k2p
-    return x
+    if x is not out:
+        out[live] = x
+    return out.reshape(shape)
 
 
 def residual_floor(grid: Grid1D, k: int, amplitude: float) -> float:
@@ -144,7 +170,51 @@ def residual_floor(grid: Grid1D, k: int, amplitude: float) -> float:
     return 0.5 * np.finfo(np.float64).eps * k_max**2 * amplitude / (1.0 + kappa**2)
 
 
-def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = 25) -> PhiSolve:
+def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
+    """Newton rows of solve_phi: phi for each row of rho (shape (m, n)) and each row's history.
+
+    A row whose residual is at most tol is dropped from the working set, so
+    its phi and history are bitwise those of solving that row alone.  Raises
+    NewtonError for the first row (in row order) that meets a non-finite
+    residual or is not converged after max_iter steps.
+    """
+    k2 = workspace1d(grid).k ** 2
+    mean = rho.mean(axis=-1, keepdims=True)
+    phi = np.log(mean) + np.fft.irfft(np.fft.rfft(rho - mean) / (k2 + mean), n=grid.n)
+    histories = [[] for _ in range(rho.shape[0])]
+    live = np.arange(rho.shape[0])  # the rows still iterating, in phi and rho
+    out = phi  # phi0's buffer takes each row's phi once that row has converged
+    for it in range(max_iter + 1):
+        neg_d2 = np.fft.irfft(k2 * np.fft.rfft(phi.astype(np.longdouble)), n=grid.n)
+        e = np.exp(phi)
+        residual = (neg_d2 - rho + e).astype(np.float64)
+        res = np.abs(residual).max(axis=-1)
+        for i, r in zip(live.tolist(), res.tolist()):
+            if not math.isfinite(r):
+                raise NewtonError("non-finite Newton residual", r, it)
+            histories[i].append(r)
+        met = res <= tol
+        n_met = np.count_nonzero(met)
+        if n_met == live.size:
+            if live.size == len(out):  # no row converged earlier: phi holds every row
+                return phi, histories
+            out[live] = phi
+            return out, histories
+        if n_met:
+            out[live[met]] = phi[met]
+            keep = ~met
+            live, phi, rho, e = live[keep], phi[keep], rho[keep], e[keep]
+            residual, res = residual[keep], res[keep]
+        if it == max_iter:
+            break
+        phi = phi + _pcg(k2, e, -residual, np.minimum(0.1, res) * res)
+    raise NewtonError(
+        f"no convergence to {tol:g} within {max_iter} iterations",
+        histories[live[0]][-1], max_iter,
+    )
+
+
+def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = PHI_MAX_ITER) -> PhiSolve:
     """Solve -d2x(phi) + exp(phi) = rho by Newton iteration.
 
     The initial guess is the solution of the equation linearized about the
@@ -160,6 +230,9 @@ def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = 25) -> PhiSolv
     raise the residual's rounding floor about twofold (to ~1e-13 at
     n = 256), too high for the contraction r1 <= 10 r0^2 to hold from
     r0 ~ 1e-7.
+    This is the one-row call of the Newton loop that `ion_flow` runs on a
+    stack of densities (`_newton`); each row of a stack gets bitwise the phi
+    this returns for it.
     Raises NewtonError (carrying the last residual) if the residual is not
     at most tol within max_iter steps.  On fine grids the float64 rounding
     floor of the residual lies above the default tol (see `residual_floor`).
@@ -168,26 +241,9 @@ def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = 25) -> PhiSolv
         raise ValueError("solve_phi requires rho > 0 everywhere")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    grid = rho.grid
-    k2 = workspace1d(grid).k ** 2
-    mean = np.mean(rho.values)
-    phi = np.log(mean) + np.fft.irfft(np.fft.rfft(rho.values - mean) / (k2 + mean), n=grid.n)
-    history = []
-    for it in range(max_iter + 1):
-        neg_d2 = np.fft.irfft(k2 * np.fft.rfft(phi.astype(np.longdouble)), n=grid.n)
-        residual_vec = (neg_d2 - rho.values + np.exp(phi)).astype(np.float64)
-        res = float(np.max(np.abs(residual_vec)))
-        if not math.isfinite(res):
-            raise NewtonError("non-finite Newton residual", res, it)
-        history.append(res)
-        if res <= tol:
-            return PhiSolve(Field1D(grid, _read_only(phi)), it, res, tuple(history))
-        if it == max_iter:
-            break
-        phi = phi + _pcg(k2, np.exp(phi), -residual_vec, min(0.1, res) * res)
-    raise NewtonError(
-        f"no convergence to {tol:g} within {max_iter} iterations", history[-1], max_iter
-    )
+    phi, (history,) = _newton(rho.grid, rho.values[None], tol, max_iter)
+    return PhiSolve(Field1D(rho.grid, _read_only(phi[0])), len(history) - 1, history[-1],
+                    tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +305,36 @@ def momentum() -> Functional:
     return Functional("momentum", value, gradient)
 
 
-def ion_rhs(z: State) -> State:
-    """(-dx(V rho), -dx(phi + V^2/2)), with the quadratic products dealiased.
+def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(-dx(V rho), -dx(phi + V^2/2)) for rows rho, V of shape (..., n), stacked as (2, ..., n).
 
-    The rows (rho V, V^2, phi) go through one stacked rfft and one stacked
-    irfft, each row with its own symbol (-i k mask, -i k mask / 2, -i k);
-    the last two rows are summed afterwards.
+    The quadratic products are dealiased.  The rows (rho V, V^2, phi) of
+    every member go through one stacked rfft and one stacked irfft, each
+    with its own symbol (-i k mask, -i k mask / 2, -i k); the last two are
+    summed afterwards.  phi comes from the Newton rows of solve_phi, so each
+    member's flow is bitwise the flow of that member alone.
 
-    Aborts with DensityFloorError if min(rho) < 1e-6, before the closure is
-    solved for a density at or near zero.
+    Aborts with DensityFloorError if min(rho) < 1e-6 in any member, before
+    the closure is solved for a density at or near zero.
     """
-    rho, v = z.parts
-    if float(np.min(rho.values)) < RHO_FLOOR:
-        raise DensityFloorError(
-            f"min(rho) = {float(np.min(rho.values)):.3e} below floor {RHO_FLOOR:g}"
-        )
-    phi = solve_phi(rho).phi
-    ws = workspace1d(rho.grid)
+    low = float(np.min(rho))
+    if low < RHO_FLOOR:
+        raise DensityFloorError(f"min(rho) = {low:.3e} below floor {RHO_FLOOR:g}")
+    shape = rho.shape
+    rho, v = rho.reshape(-1, grid.n), v.reshape(-1, grid.n)
+    phi, _ = _newton(grid, rho, PHI_TOL, PHI_MAX_ITER)
+    ws = workspace1d(grid)
     minus_dx = -1j * ws.dk
     symbols = np.array((minus_dx * ws.mask, 0.5 * minus_dx * ws.mask, minus_dx))
-    rows = np.array((rho.values * v.values, v.values * v.values, phi.values))
-    (out,) = _spectral(rho.grid, rows, symbols)
-    rho_dot, v_dot = _read_only(out)[0], _read_only(out[1] + out[2])
+    (out,) = _spectral(grid, np.array((rho * v, v * v, phi)), symbols[:, None])
+    out[1] += out[2]
+    return out[:2].reshape((2, *shape))
+
+
+def ion_rhs(z: State) -> State:
+    """The ion flow (`ion_flow`) of one state."""
+    rho, v = z.parts
+    rho_dot, v_dot = _read_only(ion_flow(rho.grid, rho.values, v.values))
     return State("ion", (Field1D(rho.grid, rho_dot), Field1D(rho.grid, v_dot)))
 
 

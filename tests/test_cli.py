@@ -158,6 +158,25 @@ class TestRunPreset:
         state = load_snapshot(snap)
         assert state.kind == "vortex1"
 
+    def test_ion_mode_in_a_batch_matches_its_solo_run(self, tmp_path):
+        # the modes step as members of one batch; each is bitwise its solo run
+        short = ("grid.n=32", "t_end=0.5")
+        self.run("ionacoustic1d", tmp_path / "pair", *short, "initial.modes=[1,2]")
+        self.run("ionacoustic1d", tmp_path / "solo", *short, "initial.modes=[2]")
+        batch = (tmp_path / "pair" / "ionacoustic1d" / "diagnostics_k2.csv").read_bytes()
+        solo = (tmp_path / "solo" / "ionacoustic1d" / "diagnostics.csv").read_bytes()
+        assert batch == solo
+
+    def test_ion_batch_failure_stops_at_the_first_failing_mode(self, tmp_path):
+        # mode 2 drops below the density floor at step 284 (mode 1 alone: 287);
+        # the partial CSV is the first listed mode's series
+        code, out, summary = self.run("ionacoustic1d", tmp_path, "grid.n=16",
+                                      "initial.modes=[1,2]", "initial.amplitude=0.9", "t_end=5.0")
+        assert code == 1 and summary["pass"] is False
+        assert summary["failure"]["step"] == 284
+        header = (out / "diagnostics.csv").read_text().split("\n")[0]
+        assert header == "t,mode_cos_1,ion_energy,mass,momentum"
+
 
 class TestSnapshots:
     def test_round_trip_2d(self, tmp_path):

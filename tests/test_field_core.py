@@ -117,6 +117,12 @@ class TestGridsAndFields:
         with pytest.raises(GridMismatchError):
             Field1D.zeros(Grid1D(16)) * Field2D.zeros(GRID)
 
+    @pytest.mark.parametrize("op", [lambda f: f + 1.0, lambda f: f - 1.0, lambda f: 1.0 + f],
+                             ids=["field+scalar", "field-scalar", "scalar+field"])
+    def test_sum_with_a_scalar_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(Field2D.zeros(Grid2D(8, 8)))
+
 
 class TestDerivatives:
     def test_ddx_sin_analytic(self):

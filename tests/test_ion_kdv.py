@@ -137,6 +137,110 @@ class TestSolvePhi:
         assert ik.solve_phi(ik.acoustic_mode_state(grid, 1, 0.3).parts[0]).residual <= ik.PHI_TOL
 
 
+def count_ffts(monkeypatch):
+    """Count np.fft.rfft and np.fft.irfft calls from here on."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        fn = getattr(np.fft, name)
+
+        def counted(*a, _fn=fn, _name=name, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestRowBatches:
+    """A stack of rows solves and flows bitwise as each row does alone."""
+
+    def test_pcg_rows_equal_single_row_solves(self):
+        rng = np.random.default_rng(11)
+        grid = Grid1D(64)
+        k2 = grid_k2(grid)
+        e = np.array([np.full(grid.n, 1.5)] + [
+            np.exp(random_band_limited_1d(grid, 6, rng, a).values) for a in (0.2, 0.6)
+        ])
+        b = np.array([random_band_limited_1d(grid, 6, rng, 1.0).values for _ in range(3)])
+        atol = np.array([1e-10, 1e-13, 1e-12])
+        x = ik._pcg(k2, e, b, atol)
+        for i in range(3):
+            assert np.array_equal(x[i], ik._pcg(k2, e[i], b[i], atol[i]))
+
+    def test_pcg_row_with_constant_e_stops_after_one_iteration(self, monkeypatch):
+        # the preconditioner is exact for that row: it freezes after one
+        # iteration while the other rows go on, and its x is untouched since
+        rng = np.random.default_rng(12)
+        grid = Grid1D(64)
+        k2 = grid_k2(grid)
+        e = np.array([np.full(grid.n, 1.5)] + [
+            np.exp(random_band_limited_1d(grid, 6, rng, 0.5).values) for _ in range(2)
+        ])
+        b = np.array([random_band_limited_1d(grid, 6, rng, 1.0).values for _ in range(3)])
+        calls = count_ffts(monkeypatch)
+        ik._pcg(k2, e[0], b[0], 1e-10)
+        assert calls == {"rfft": 2, "irfft": 2}
+        x = ik._pcg(k2, e, b, 1e-10)
+        assert calls["rfft"] > 4
+        monkeypatch.undo()
+        assert np.array_equal(x[0], ik._pcg(k2, e[0], b[0], 1e-10))
+
+    def test_newton_rows_equal_solve_phi(self):
+        rng = np.random.default_rng(13)
+        grid = Grid1D(128)
+        rho = np.array([
+            (Field1D.full(grid, 1.0) + random_band_limited_1d(grid, 6, rng, a)).values
+            for a in (1e-4, 0.1, 0.5)
+        ])
+        phi, histories = ik._newton(grid, rho, ik.PHI_TOL, 25)
+        iterations = []
+        for i in range(3):
+            sol = ik.solve_phi(Field1D(grid, rho[i]))
+            assert np.array_equal(phi[i], sol.phi.values)
+            assert tuple(histories[i]) == sol.history
+            iterations.append(sol.iterations)
+        assert len(set(iterations)) > 1  # the rows froze at different steps
+
+    def test_newton_rows_raise_for_a_row_that_does_not_converge(self):
+        grid = Grid1D(1024)
+        rho = np.array([ik.acoustic_mode_state(grid, 1, a).parts[0].values for a in (1e-4, 0.3)])
+        with pytest.raises(ik.NewtonError) as err:
+            ik._newton(grid, rho, ik.PHI_TOL, 25)
+        with pytest.raises(ik.NewtonError) as alone:
+            ik.solve_phi(Field1D(grid, rho[1]))
+        assert err.value.residual == alone.value.residual
+
+    @pytest.mark.parametrize("members", [(2,), (2, 2)])
+    def test_flow_of_a_batch_equals_ion_rhs_per_member(self, members):
+        rng = np.random.default_rng(14)
+        states = [ik.random_ion_state(GRID, 6, rng, 0.3) for _ in range(math.prod(members))]
+        z = np.array([[s.parts[i].values for s in states] for i in (0, 1)])
+        z = z.reshape((2, *members, GRID.n))
+        flow = ik.ion_flow(GRID, z[0], z[1]).reshape(2, -1, GRID.n)
+        for j, s in enumerate(states):
+            out = ik.ion_rhs(s)
+            assert np.array_equal(flow[0, j], out.parts[0].values)
+            assert np.array_equal(flow[1, j], out.parts[1].values)
+
+    def test_flow_of_two_members_makes_the_fft_calls_of_one(self, monkeypatch):
+        members = [ik.acoustic_mode_state(GRID, k, 1e-4) for k in (1, 2)]
+        z = np.array([[s.parts[i].values for s in members] for i in (0, 1)])
+        calls = count_ffts(monkeypatch)
+        alone = []
+        for s in members:
+            ik.ion_flow(GRID, s.parts[0].values, s.parts[1].values)
+            alone.append(dict(calls))
+            calls.update(rfft=0, irfft=0)
+        ik.ion_flow(GRID, z[0], z[1])
+        assert alone[0] == alone[1] == calls
+        assert calls["rfft"] > 0
+
+    def test_flow_checks_the_density_floor_in_every_member(self):
+        rho = np.array([np.ones(GRID.n), 1e-8 + 0.5 * (1 + np.cos(GRID.x()))])
+        with pytest.raises(ik.DensityFloorError):
+            ik.ion_flow(GRID, rho, np.zeros_like(rho))
+
+
 class TestIonSystem:
     def test_quiescent_equilibrium(self):
         out = ik.ion_rhs(ik.quiescent_state(GRID))
