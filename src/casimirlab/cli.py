@@ -61,22 +61,20 @@ def save_snapshot(path, state: State):
 
     2D payloads are row-major by y then x, matching the in-memory layout.
     """
+    names, part_type = STATE_KINDS[state.kind]
+    g = getattr(state.parts[0], "grid", None)
     lines = ["casimirlab-snapshot 1", f"kind {state.kind}"]
-    if state.kind == "finite":
+    if part_type is None:
         lines.append(f"point {state.parts[0].size}")
-    elif state.kind in ("ion", "kdv"):
-        g = state.parts[0].grid
+    elif part_type is Field1D:
         lines.append(f"grid1d {g.n} {g.l!r}")
     else:
-        g = state.parts[0].grid
         lines.append(f"grid2d {g.nx} {g.ny} {g.lx!r} {g.ly!r}")
-    lines.append("fields " + " ".join(STATE_KINDS[state.kind]))
-    lines.append("end")
+    lines += ["fields " + " ".join(names), "end"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
         for p in state.parts:
-            arr = p if isinstance(p, np.ndarray) else p.values
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(p.values if part_type else p, dtype="<f8").tobytes())
 
 
 def load_snapshot(path) -> State:
@@ -95,19 +93,19 @@ def load_snapshot(path) -> State:
         (kind,) = meta["kind"]
         if kind not in STATE_KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        names = STATE_KINDS[kind]
+        names, part_type = STATE_KINDS[kind]
         if meta["fields"] != list(names):
             raise ValueError(f"'fields' header line does not list {' '.join(names)}")
-        if kind == "finite":
+        if part_type is None:
             (n,) = meta["point"]
             grid, shape = None, (int(n),)
-        elif kind in ("ion", "kdv"):
-            n, l = meta["grid1d"]
-            grid, field_type = Grid1D(int(n), float(l)), Field1D
-            shape = (grid.n,)
         else:
-            nx, ny, lx, ly = meta["grid2d"]
-            grid, field_type = Grid2D(int(nx), int(ny), float(lx), float(ly)), Field2D
+            if part_type is Field1D:
+                n, l = meta["grid1d"]
+                grid = Grid1D(int(n), float(l))
+            else:
+                nx, ny, lx, ly = meta["grid2d"]
+                grid = Grid2D(int(nx), int(ny), float(lx), float(ly))
             shape = grid.shape
         expected = 8 * len(names) * math.prod(shape)
         if len(payload) != expected:
@@ -115,9 +113,8 @@ def load_snapshot(path) -> State:
         vals = np.frombuffer(payload, dtype="<f8").astype(float).reshape(len(names), *shape)
         if not np.isfinite(vals).all():
             raise ValueError("payload holds non-finite values")
-        if grid is None:
-            return State(kind, (vals[0],))
-        return State(kind, tuple(field_type(grid, v) for v in vals))
+        parts = vals if part_type is None else (part_type(grid, v) for v in vals)
+        return State(kind, tuple(parts))
     except KeyError as exc:
         raise SnapshotError(f"snapshot {path}: missing header line {exc}") from exc
     except ValueError as exc:  # includes UnicodeDecodeError, FieldError and StateError
@@ -130,16 +127,16 @@ def load_snapshot(path) -> State:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# What a config value must be, as (description, test), by key.  A key with no
-# rule here must have the type of its preset default.
-_POSITIVE = ("a positive finite number", lambda v: _is_number(v) and 0 < v < math.inf)
+# What a config value must be, as (description, test), by key.  Every key of
+# every preset's defaults has a rule here.
+_POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
 _MODE_LIST = (
     "a list of [kx, ky, amplitude, phase] entries",
     lambda v: isinstance(v, list)
@@ -157,18 +154,20 @@ _RULES = {
     **dict.fromkeys(("xi", "eta"), (f"a profile name ({', '.join(sorted(vx.PROFILES))})",
                                     lambda v: isinstance(v, str) and v in vx.PROFILES)),
     "preset": ("a preset name", lambda v: isinstance(v, str)),
-    "watch": ("a list of functional names",
-              lambda v: v is None or (isinstance(v, list) and all(isinstance(w, str) for w in v))),
+    "watch": ("a list of distinct functional names", lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(w, str) for w in v) and len(set(v)) == len(v))),
     "out_dir": ("a directory path", lambda v: v is None or isinstance(v, str)),
     "snapshot": ("true or false", lambda v: isinstance(v, bool)),
     "n_orbits": ("an even integer >= 2", lambda v: _is_int(v) and v >= 2 and v % 2 == 0),
     "modes": ("a non-empty list of positive mode numbers",
               lambda v: isinstance(v, list) and len(v) > 0 and all(_is_int(k) and k > 0 for k in v)),
-    "psi_seeds": ("a list of two integer seeds",
-                  lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))),
+    "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "psi_seeds": ("a list of two non-negative integer seeds",
+                  lambda v: isinstance(v, list) and len(v) == 2
+                  and all(_is_int(s) and s >= 0 for s in v)),
     "kind": ("'random' or 'taylor_green'", lambda v: v in ("random", "taylor_green")),
+    "x0": ("a finite number", _is_number),
 }
-_TYPES = {int: ("an integer", _is_int), float: ("a number", _is_number)}
 
 # keys every config has before the preset defaults and the file are merged in
 _BASE = {"grid": {}, "initial": {}, "watch": None, "out_dir": None, "snapshot": False}
@@ -178,13 +177,13 @@ _BASE = {"grid": {}, "initial": {}, "watch": None, "out_dir": None, "snapshot": 
 _GRID_KEYS = {None: (), Grid1D: ("n", "l"), Grid2D: ("n", "l", "nx", "ny", "lx", "ly")}
 
 
-def _check_section(section: dict, schema: dict, where: str):
-    """Reject keys outside schema and values that break their rule."""
+def _check_section(section: dict, known, where: str):
+    """Reject keys not in known and values that break their rule."""
     for key, value in section.items():
-        if key not in schema:
-            allowed = ", ".join(sorted(schema)) or "none"
+        if key not in known:
+            allowed = ", ".join(sorted(known)) or "none"
             raise ConfigError(f"unknown config key '{where}{key}' (allowed: {allowed})")
-        what, ok = _RULES.get(key) or _TYPES[type(schema[key])]
+        what, ok = _RULES[key]
         if not ok(value):
             raise ConfigError(f"config field '{where}{key}': expected {what}, got {value!r}")
 
@@ -239,8 +238,8 @@ def parse_config(
     """Merge preset defaults, config file and --set overrides; validate strictly.
 
     The preset's defaults are its schema: they name every initial key it
-    accepts, and its grid class names the grid keys.  t_end must be a whole
-    number of dt steps (every preset declares both).
+    accepts, and its grid class names the grid keys.  t_end, and an
+    output_every longer than dt, must be a whole number of dt steps.
     """
     file_cfg: dict = {}
     if path is not None:
@@ -248,9 +247,9 @@ def parse_config(
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            file_cfg = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
+            file_cfg = json.loads(p.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # a directory, not UTF-8, or not JSON
+            raise ConfigError(f"config file {path}: not readable as UTF-8 JSON ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path}: top level must be a JSON object")
 
@@ -272,13 +271,15 @@ def parse_config(
         _set_dotted(cfg, key.strip(), value.strip())
     cfg["preset"] = name
 
-    _check_section(cfg, dict.fromkeys(f.name for f in fields(RunConfig)) | spec.defaults, "")
-    _check_section(cfg["grid"], dict.fromkeys(_GRID_KEYS[spec.grid]), "grid.")
+    _check_section(cfg, {f.name for f in fields(RunConfig)} | set(spec.defaults), "")
+    _check_section(cfg["grid"], _GRID_KEYS[spec.grid], "grid.")
     _check_section(cfg["initial"], spec.defaults["initial"], "initial.")
-    try:
-        dyn.step_count(cfg["t_end"], cfg["dt"])
-    except (ValueError, OverflowError) as exc:  # OverflowError: t_end / dt is infinite
-        raise ConfigError(f"config field 't_end': {exc}") from exc
+    # an output_every shorter than dt samples every step
+    for key in ("t_end", "output_every") if cfg.get("output_every", 0) > cfg["dt"] else ("t_end",):
+        try:
+            dyn.step_count(cfg[key], cfg["dt"])
+        except (ValueError, OverflowError) as exc:  # OverflowError: the ratio is infinite
+            raise ConfigError(f"config field '{key}': {exc}") from exc
     if spec.check is not None:
         spec.check(cfg)
     unknown = sorted(set(cfg["watch"] or ()) - set(spec.watch_names))
@@ -366,10 +367,19 @@ class RunResult:
     snapshots: dict = field(default_factory=dict)
 
 
-def _integrate(cfg: RunConfig, rhs, z0: State, watch, scheme: str = "rk4"):
-    """Run z0 to cfg.t_end in steps of cfg.dt, sampling watch every cfg.output_every."""
-    integ = dyn.Integrator(scheme, cfg.dt)
-    return dyn.run_and_record(integ, rhs, z0, cfg.t_end, watch=watch, output_every=cfg.output_every)
+def _stepped(cfg: RunConfig, rhs, z0, watch, divergence=None, scheme: str = "rk4"):
+    """Step z0 to cfg.t_end by cfg.dt, sampling watch every cfg.output_every; return the run.
+
+    A divergence functional heads the series and is also taken after every
+    step; its maximum over the steps then comes back beside the run.
+    """
+    run = dyn.Trajectory(dyn.Integrator(scheme, cfg.dt), rhs, z0, cfg.t_end,
+                         [divergence, *watch] if divergence else watch, cfg.output_every)
+    if divergence:
+        return run, max(map(divergence.value, run))
+    for _ in run:
+        pass
+    return run
 
 
 def _watch_list(cfg: RunConfig, catalog: dict) -> list:
@@ -397,12 +407,12 @@ def _run_euler2d(cfg: RunConfig) -> RunResult:
         "energy": H,
         "enstrophy": vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"])),
     }
-    series, zf = _integrate(cfg, vx.vortex_rhs(1, H), vx.state_i(omega), _watch_list(cfg, catalog))
-    checks = _drift_checks(series, [
+    run = _stepped(cfg, vx.vortex_rhs(1, H), vx.state_i(omega), _watch_list(cfg, catalog))
+    checks = _drift_checks(run.series, [
         Drift("energy_rel_drift", "euler_energy", "rel", "<=", 1e-8),
         Drift("enstrophy_rel_drift", "enstrophy[square]", "rel", "<=", 1e-8),
     ])
-    return RunResult(checks=checks, series=series, snapshots={"state_final": zf})
+    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
 
 
 def _run_rmhd2d(cfg: RunConfig) -> RunResult:
@@ -416,10 +426,8 @@ def _run_rmhd2d(cfg: RunConfig) -> RunResult:
         "flux_sq": vx.make_casimir(vx.CasimirSpec("flux", vx.PROFILES["square"])),
         "enstrophy": vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2)),
     }
-    series, zf = _integrate(
-        cfg, vx.vortex_rhs(2, H), vx.state_ii(omega, psi), _watch_list(cfg, catalog)
-    )
-    checks = _drift_checks(series, [
+    run = _stepped(cfg, vx.vortex_rhs(2, H), vx.state_ii(omega, psi), _watch_list(cfg, catalog))
+    checks = _drift_checks(run.series, [
         Drift("energy_rel_drift", "rmhd_energy", "rel", "<=", 1e-6),
         Drift("cross_helicity_drift", "cross_helicity[identity]", "abs", "<=", 1e-6),
         Drift("flux_sq_rel_drift", "flux[square]", "rel", "<=", 1e-6),
@@ -427,7 +435,7 @@ def _run_rmhd2d(cfg: RunConfig) -> RunResult:
               note="non-conserved (expected): generalized enstrophy is not a Casimir "
               "once the flux function enters the Hamiltonian"),
     ])
-    return RunResult(checks=checks, series=series, snapshots={"state_final": zf})
+    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
 
 
 def _run_phantom2(cfg: RunConfig) -> RunResult:
@@ -442,12 +450,8 @@ def _run_phantom2(cfg: RunConfig) -> RunResult:
     divergence = vx.Functional("omega_max_divergence",
                                lambda pair: (pair[0].parts[0] - pair[1].parts[0]).max_abs())
     energy = vx.Functional("euler_energy", lambda pair: H.value(pair[0]))
-    # both trajectories step in lockstep; the divergence is taken after every step
-    run = dyn.Trajectory(
-        dyn.Integrator("rk4", cfg.dt), vx.vortex_rhs(2, H), (za, zb), cfg.t_end,
-        [divergence, energy], cfg.output_every,
-    )
-    max_div = max(map(divergence.value, run))
+    # both trajectories step in lockstep
+    run, max_div = _stepped(cfg, vx.vortex_rhs(2, H), (za, zb), [energy], divergence)
     za, zb = run.state
     identical = np.array_equal(za.parts[0].values, zb.parts[0].values)
     checks = [
@@ -469,12 +473,7 @@ def _run_phantom3(cfg: RunConfig) -> RunResult:
     H = vx.rmhd_energy(3)
     pair = vx.make_casimir(vx.CasimirSpec("flux_pair", vx.PROFILES["identity"]))
     divergence = vx.Functional("psi_pair_divergence", lambda z: (z.parts[1] - z.parts[2]).max_abs())
-    # the divergence is taken after every step, not only at recorded samples
-    run = dyn.Trajectory(
-        dyn.Integrator("rk4", cfg.dt), vx.vortex_rhs(3, H), z0, cfg.t_end,
-        [divergence, pair, H], cfg.output_every,
-    )
-    max_div = max(map(divergence.value, run))
+    run, max_div = _stepped(cfg, vx.vortex_rhs(3, H), z0, [pair, H], divergence)
     checks = [
         Check("psi_pair_max_divergence", max_div, 0.0, "==",
               note="equal initial data evolves under one identical generator"),
@@ -519,15 +518,15 @@ def _run_singular_leaf(cfg: RunConfig) -> RunResult:
     H = vx.rmhd_energy(2)
     leaf = vx.Functional("leaf_norm_sq", lambda z: vx.singular_leaf_indicator(z.parts[1])[0])
     interior = vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2))
-    series, zf = _integrate(cfg, vx.vortex_rhs(2, H), z0, [leaf, interior, H])
+    run = _stepped(cfg, vx.vortex_rhs(2, H), z0, [leaf, interior, H])
     res_on = vx.interior_casimir_residual(omega, vx.PROFILES["square"])
     z_off = vx.state_ii(omega, Field2D.from_function(grid, lambda X, Y: np.sin(X)))
     off_norm = l2norm(vx.apply_j2(z_off, interior.gradient(z_off)).parts[1])
     checks = [
-        Check("leaf_indicator_max", max(series.values["leaf_norm_sq"]), 1e-20, "<=",
+        Check("leaf_indicator_max", max(run.series.values["leaf_norm_sq"]), 1e-20, "<=",
               note="an orbit starting on the leaf psi = 0 stays on it"),
-        Check("on_leaf_at_end", float(vx.singular_leaf_indicator(zf.parts[1])[1]), 1.0, "=="),
-        *_drift_checks(series, [
+        Check("on_leaf_at_end", float(vx.singular_leaf_indicator(run.state.parts[1])[1]), 1.0, "=="),
+        *_drift_checks(run.series, [
             Drift("interior_enstrophy_rel_drift", "enstrophy[square]", "rel", "<=", 1e-8,
                   note="on the leaf, the subsystem conserves its own Casimir"),
         ]),
@@ -535,7 +534,7 @@ def _run_singular_leaf(cfg: RunConfig) -> RunResult:
         Check("interior_residual_off_leaf", off_norm, 1e-3, ">=",
               note="off psi = 0 the same gradient is no longer annihilated"),
     ]
-    return RunResult(checks=checks, series=series, snapshots={"state_final": zf})
+    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
 
 
 _LOOPS_Y_NOTE = ("exactly 0 at the defaults: every loop orbit keeps |x| >= ~0.33 while "
@@ -585,14 +584,13 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
         x0s, mn, mx = res["x0"][cols], res["x_min_signed"][cols], res["x_max_signed"][cols]
         sign_ok = res["sign_ok"][cols].all()
         drifts = []
-        for x0, lo, hi in zip(np.abs(x0s), mn, mx):
+        for i, (x0, lo, hi) in enumerate(zip(x0s, mn, mx)):
             eps = eps_fixed if family == "loops" else min(eps_fixed, lo / 4.0)
-            y0 = fd.smoothed_step(x0, eps)
+            y0 = fd.smoothed_step(abs(x0), eps)
             drifts.append(max(abs(fd.smoothed_step(lo, eps) - y0),
                               abs(fd.smoothed_step(hi, eps) - y0)))
-        for i in range(mn.size):
-            rows.append({"case": f"{family}_{i}", "x0": x0s[i], "min_signed_x": mn[i],
-                         "max_signed_x": mx[i], "y_drift": drifts[i]})
+            rows.append({"case": f"{family}_{i}", "x0": x0, "min_signed_x": lo,
+                         "max_signed_x": hi, "y_drift": drifts[-1]})
         all_checks.append(Check(f"{family}_sign_conserved", float(sign_ok), 1.0, "=="))
         all_checks.append(Check(f"{family}_y_eps_drift_max", max(drifts), 1e-6, "<=",
                                 note=_LOOPS_Y_NOTE if family == "loops" else ""))
@@ -657,7 +655,7 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
 
     batch_watch = [member_watch(f, j, k) for j, k in enumerate(members) for f in watch[k]]
     try:
-        series, _ = _integrate(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0, batch_watch)
+        series = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0, batch_watch).series
     except dyn.IntegrationError as exc:
         raise dyn.IntegrationError(str(exc), _mode_series(exc.series, modes[0], watch[modes[0]]),
                                    exc.step_index, exc.last_state) from exc
@@ -685,18 +683,18 @@ def _run_kdv_soliton(cfg: RunConfig) -> RunResult:
     c, x0 = cfg.initial["c"], cfg.initial["x0"]
     z0 = ik.kdv_state(ik.kdv_soliton(c, x0, grid))
     watch = [ik.kdv_mass(), ik.kdv_momentum(), ik.kdv_energy()]
-    series, zf = _integrate(cfg, None, z0, watch, scheme="if_rk4")
+    run = _stepped(cfg, None, z0, watch, scheme="if_rk4")
     exact = ik.kdv_soliton(c, x0 + c * cfg.t_end, grid)
-    err = float(np.max(np.abs(zf.parts[0].values - exact.values)))
+    err = float(np.max(np.abs(run.state.parts[0].values - exact.values)))
     checks = [
         Check("soliton_linf_error", err, 1e-3, "<="),
-        *_drift_checks(series, [
+        *_drift_checks(run.series, [
             Drift("mass_drift", "kdv_mass", "abs", "<=", 1e-12),
             Drift("momentum_rel_drift", "kdv_momentum", "rel", "<=", 1e-8),
             Drift("energy_rel_drift", "kdv_energy", "rel", "<=", 1e-7),
         ]),
     ]
-    return RunResult(checks=checks, series=series, snapshots={"state_final": zf})
+    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
 
 
 def _run_jacobi_check(cfg: RunConfig) -> RunResult:

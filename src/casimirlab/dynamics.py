@@ -82,6 +82,8 @@ class DiagnosticSeries:
     values: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"repeated label in {self.labels}: each records into its own column")
         for lab in self.labels:
             self.values.setdefault(lab, [])
 
@@ -122,7 +124,7 @@ def step_count(t_end: float, dt: float) -> int:
     """Number of steps of size dt that reach t_end; ValueError unless it is whole."""
     n_steps = int(round(t_end / dt))
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end = {t_end:g} is not a whole number of dt = {dt:g} steps")
+        raise ValueError(f"{t_end:g} is not a whole number of dt = {dt:g} steps")
     return n_steps
 
 

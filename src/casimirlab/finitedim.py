@@ -179,9 +179,7 @@ def fd_rhs(z: State, H: Functional) -> State:
     The first component vanishes identically at x = 0, so the singular plane
     is exactly invariant and sign(x) is conserved for every Hamiltonian.
     """
-    x = z.parts[0][0]
-    g = H.gradient(z).parts[0]
-    return State("finite", (np.array([x * g[1], -x * g[0]]),))
+    return x_scaled_canonical_operator().apply(z, H.gradient(z))
 
 
 _FLIP = np.array([[1.0], [-1.0]])

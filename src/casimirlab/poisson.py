@@ -23,19 +23,16 @@ import numpy as np
 
 from .field_core import Field1D, Field2D, NonFiniteError, integrate
 
-# state tag -> the names of its components
+# state tag -> (the names of its components, the Field class of every
+# component, or None for one point array)
 STATE_KINDS = {
-    "finite": ("z",),
-    "vortex1": ("omega",),
-    "vortex2": ("omega", "psi"),
-    "vortex3": ("omega", "psi", "psi2"),
-    "ion": ("rho", "v"),
-    "kdv": ("w",),
+    "finite": (("z",), None),
+    "vortex1": (("omega",), Field2D),
+    "vortex2": (("omega", "psi"), Field2D),
+    "vortex3": (("omega", "psi", "psi2"), Field2D),
+    "ion": (("rho", "v"), Field1D),
+    "kdv": (("w",), Field1D),
 }
-
-# field state tag -> the Field class of every component
-_PART_TYPES = {"vortex1": Field2D, "vortex2": Field2D, "vortex3": Field2D,
-               "ion": Field1D, "kdv": Field1D}
 
 
 class StateError(ValueError):
@@ -56,18 +53,16 @@ class State:
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
             raise StateError(f"unknown state kind {self.kind!r}")
-        if len(self.parts) != len(STATE_KINDS[self.kind]):
-            raise StateError(
-                f"kind {self.kind!r} needs {len(STATE_KINDS[self.kind])} parts, "
-                f"got {len(self.parts)}"
-            )
-        if self.kind == "finite":
+        names, part_type = STATE_KINDS[self.kind]
+        if len(self.parts) != len(names):
+            raise StateError(f"kind {self.kind!r} needs {len(names)} parts, got {len(self.parts)}")
+        if part_type is None:
             z = np.asarray(self.parts[0], dtype=float)
             if z.ndim != 1:
                 raise StateError("finite-dimensional state must be a 1-d point")
             object.__setattr__(self, "parts", (z,))
         else:
-            part_type, grid = _PART_TYPES[self.kind], getattr(self.parts[0], "grid", None)
+            grid = getattr(self.parts[0], "grid", None)
             for p in self.parts:
                 if not isinstance(p, part_type):
                     raise StateError(f"kind {self.kind!r} needs {part_type.__name__} parts")

@@ -20,9 +20,9 @@ flow but the omega dynamics is unchanged bit for bit, because its back
 reaction enters only through the bracket with an exactly zero gradient.
 
 Level 3 appends a second advected field psi2, with the analogous operator.
-So J1, J2 and J3 are one table, PAIRS: each output row is a sum of brackets
-[z_s, g_r] over its (state row s, gradient row r) pairs, and one kernel,
-field_core.bracket_sums, evaluates a level's rows together.
+So J1, J2 and J3 are one table, PAIRS, generated from the extension rule:
+output row 0 is the sum over s of [z_s, g_s], output row s >= 1 is
+[z_s, g_0].  One kernel, field_core.bracket_sums, evaluates a level's rows.
 
 The Casimir catalog is one table too, CASIMIR_FAMILIES: a density and its
 nonzero gradient rows per family (profiles are smooth maps with analytic
@@ -65,7 +65,7 @@ from .field_core import (
 )
 from .poisson import Functional, PoissonOperator, State, StateError, hamiltonian_rhs
 
-_KINDS = {1: "vortex1", 2: "vortex2", 3: "vortex3"}
+_KINDS = {level: f"vortex{level}" for level in (1, 2, 3)}
 
 
 def _kind(level: int) -> str:
@@ -96,11 +96,11 @@ def stream_function(omega: Field2D) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
-# output row -> the (state row, gradient row) pairs whose brackets sum to it
+# level -> for each output row, the (state row, gradient row) pairs whose
+# brackets sum to it, by the extension rule in the module docstring
 PAIRS = {
-    1: (((0, 0),),),
-    2: (((0, 0), (1, 1)), ((1, 0),)),
-    3: (((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 0),)),
+    level: (tuple((s, s) for s in range(level)), *(((s, 0),) for s in range(1, level)))
+    for level in _KINDS
 }
 
 

@@ -170,6 +170,11 @@ class TestRunAndRecord:
 
 
 class TestDiagnosticSeries:
+    def test_repeated_label_rejected(self):
+        # both columns would append to one list, so later rows would read earlier samples
+        with pytest.raises(ValueError, match="repeated label"):
+            DiagnosticSeries(("energy", "energy"))
+
     def test_drift_metrics(self):
         s = DiagnosticSeries(("a", "b"))
         s.record(0.0, [2.0, 0.0])

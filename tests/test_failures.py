@@ -4,6 +4,7 @@ the field named, and corrupt snapshots raise SnapshotError."""
 
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from casimirlab import Field1D, Field2D, Grid1D, Grid2D
-from casimirlab.cli import PRESETS, SnapshotError, load_snapshot, main, save_snapshot
+from casimirlab.cli import (
+    _GRID_KEYS, _RULES, PRESETS, RunConfig, SnapshotError, load_snapshot, main, save_snapshot,
+)
 from casimirlab.poisson import State
 
 BLOWUP_2D = ("grid.n=8", "dt=0.5", "t_end=50.0")
@@ -90,12 +93,43 @@ def check_failure_record(root, preset, sets, where):
           for k, v in (("nx", 32), ("ny", 32), ("lx", 1.0), ("ly", 1.0))],
         # the initial density 1 + a cos(kx) must stay positive
         ("ionacoustic1d", ("initial.amplitude=1.5",), "initial.amplitude"),
+        # a repeated name would record twice into one column
+        ("euler2d", ('watch=["energy","energy"]', "t_end=0.3"), "watch"),
+        ("phantom2", ("seed=-1",), "seed"),
+        ("phantom2", ("initial.psi_seeds=[101,-2]",), "initial.psi_seeds"),
+        ("kdv_soliton", ("initial.x0=Infinity",), "initial.x0"),
+        ("kdv_soliton", ("initial.x0=NaN",), "initial.x0"),
+        ("rmhd2d", ("initial.psi_modes=[[1,0,NaN,0.0]]",), "initial.psi_modes"),
+        ("euler2d", ("initial.amplitude=Infinity",), "initial.amplitude"),
+        # 0.015 is one and a half steps of dt = 0.01
+        ("euler2d", ("output_every=0.015",), "output_every"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):
     code, _ = run_cli(tmp_path, preset, *sets)
     assert code == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_config_key_has_a_rule(preset):
+    spec = PRESETS[preset]
+    keys = {f.name for f in fields(RunConfig)} | set(spec.defaults)
+    keys |= set(spec.defaults["initial"]) | set(_GRID_KEYS[spec.grid])
+    assert keys <= set(_RULES), sorted(keys - set(_RULES))
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not_utf8"])
+def test_unreadable_config_file_exits_2_naming_it(content, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = main(["run", "euler2d", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("preset", STEPPING)

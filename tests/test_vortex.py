@@ -1,11 +1,16 @@
 """Vortex hierarchy tests: operators, Hamiltonians, the Casimir catalog,
 kernel states, singular-leaf diagnostics and phantom-field invariance."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from casimirlab import cli
+from casimirlab import dynamics as dyn
+from casimirlab import finitedim as fd
+from casimirlab import ion_kdv as ik
 from casimirlab import Field2D, Grid2D, bracket2d, integrate, l2norm
 from casimirlab import casimir_residual
 from casimirlab.dynamics import Integrator, run_and_record, step
@@ -110,6 +115,15 @@ class TestBracketKernel:
         rhs(z)
         assert len(calls) == transforms
 
+    def test_tables_follow_the_extension_rule(self):
+        # row 0 sums [z_s, g_s]; row s >= 1 is [z_s, g_0]
+        assert vx._KINDS == {1: "vortex1", 2: "vortex2", 3: "vortex3"}
+        assert vx.PAIRS == {
+            1: (((0, 0),),),
+            2: (((0, 0), (1, 1)), ((1, 0),)),
+            3: (((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 0),)),
+        }
+
     @pytest.mark.parametrize("level", sorted(vx.PAIRS))
     def test_outputs_match_separate_brackets(self, level):
         rng = np.random.default_rng(21)
@@ -165,6 +179,40 @@ class TestTracerContract:
         z = vx.random_vortex_state(level, GRID, 4, np.random.default_rng(24))
         vx.vortex_operator(level).apply(z, vx.euler_energy(level).gradient(z))
         assert calls == [name]
+
+    @pytest.mark.parametrize("module, names", [
+        (dyn, ("step", "run_and_record")),
+        (ik, ("solve_phi", "kdv_if_rk4_step")),
+        (fd, ("simulate_plane_orbits", "closedness_residual")),
+        (cli, ("parse_config", "run_preset")),
+    ])
+    def test_rebound_names_exist(self, module, names):
+        for name in names:
+            assert callable(getattr(module, name))
+
+    def test_presets_are_dataclasses_with_a_runner(self):
+        for spec in cli.PRESETS.values():
+            assert dataclasses.is_dataclass(spec) and callable(spec.runner)
+            assert dataclasses.replace(spec, runner=spec.runner) == spec
+
+    @pytest.mark.parametrize("preset, sets, factory", [
+        ("euler2d", ("grid.n=16", "t_end=0.02"), "euler_energy"),
+        ("rmhd2d", ("grid.n=16", "dt=0.01", "t_end=0.02"), "rmhd_energy"),
+        ("phantom3", ("grid.n=16", "t_end=0.02"), "rmhd_energy"),
+    ])
+    def test_presets_build_the_hamiltonian_at_run_time(self, monkeypatch, tmp_path, capsys,
+                                                       preset, sets, factory):
+        # a Hamiltonian built at import time would escape a rebound factory,
+        # and its gradient calls would go uncounted
+        original, calls = getattr(vx, factory), []
+
+        def spy(*args):
+            H = original(*args)
+            return dataclasses.replace(H, gradient=lambda z: calls.append(z) or H.gradient(z))
+
+        monkeypatch.setattr(vx, factory, spy)
+        cli.run_preset(cli.parse_config(preset=preset, sets=sets, out_dir_flag=str(tmp_path)))
+        assert len(calls) >= 8  # four RHS calls in each of two RK4 steps
 
 
 class TestHamiltonians:
