@@ -67,9 +67,9 @@ def save_snapshot(path, state: State):
     if part_type is None:
         lines.append(f"point {state.parts[0].size}")
     elif part_type is Field1D:
-        lines.append(f"grid1d {g.n} {g.l!r}")
+        lines.append(f"grid1d {g.n} {float(g.l)!r}")
     else:
-        lines.append(f"grid2d {g.nx} {g.ny} {g.lx!r} {g.ly!r}")
+        lines.append(f"grid2d {g.nx} {g.ny} {float(g.lx)!r} {float(g.ly)!r}")
     lines += ["fields " + " ".join(names), "end"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))

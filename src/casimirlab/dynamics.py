@@ -132,7 +132,9 @@ class Trajectory:
     """The time loop: iterating it steps z0 to t_end and yields each new state.
 
     The watched functionals are sampled into ``series`` at t = 0, every
-    ``output_every`` and at t_end; ``state`` is the latest state.  z0 may be
+    ``output_every`` and at t_end; ``state`` is the latest state.  An
+    ``output_every`` longer than dt must be a whole number of dt steps
+    (ValueError otherwise); one of at most dt samples every step.  z0 may be
     a tuple of states that one rhs steps in lockstep, in which case the
     watched functionals receive the tuple.  A NumericalFailure in a step or
     in a watched functional becomes an IntegrationError carrying the partial
@@ -143,7 +145,8 @@ class Trajectory:
                  watch: Sequence[Functional] = (), output_every: float | None = None):
         self.integ, self.rhs, self.watch = integ, rhs, tuple(watch)
         self.n_steps = step_count(t_end, integ.dt)
-        self.stride = 1 if output_every is None else max(1, int(round(output_every / integ.dt)))
+        every_step = output_every is None or output_every <= integ.dt
+        self.stride = 1 if every_step else step_count(output_every, integ.dt)
         self.series = DiagnosticSeries(tuple(f.label for f in self.watch))
         self.state = z0
 

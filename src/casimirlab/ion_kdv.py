@@ -5,9 +5,15 @@ response through the nonlinear Poisson equation
 
     -d2x(phi) = rho - exp(phi),
 
-solved for phi = Phi(rho) by Newton iteration from the solution of the
-linearized equation, with FFT-preconditioned conjugate-gradient linear steps
-(two FFT calls per CG iteration).  The flow is
+solved for phi = Phi(rho) by Newton iteration with FFT-preconditioned
+conjugate-gradient linear steps (two FFT calls per CG iteration).  With m
+the mean density, L = k^2 + m and phi1 = L^-1(rho - m), `solve_phi` starts
+from the solution of the linearized equation, ln(m) + phi1.  The flow's
+closure starts a density with max|phi1| <= PHI1_BOUND from the next term of
+the perturbation series, ln(m) + phi1 - L^-1(m phi1^2 / 2): one chord step
+with the Jacobian frozen at m, where the FFT preconditioner is exact.  That
+guess already meets the tolerance, so at small amplitude the flow takes no
+Newton step; a larger density starts from ln(m) + phi1.  The flow is
 
     d(rho)/dt = -dx(V rho),      dV/dt = -dx(phi + V^2/2),
 
@@ -35,8 +41,9 @@ The closure and the flow work on rows: `ion_flow` takes rho and V of shape
 (..., n), one independent member per leading index, and solves every
 member's closure in one Newton loop whose transforms and reductions run
 along the last axis.  A member that has converged is dropped from the
-working set, so each member's flow is bitwise the flow of that member
-alone; `solve_phi` and `ion_rhs` are the one-member calls on fields.  The
+working set, and each member's starting guess depends on that member alone,
+so each member's flow is bitwise the flow of that member alone; `solve_phi`
+and `ion_rhs` are the one-member calls on fields.  The
 ionacoustic1d preset steps all of its modes as one such batch.
 """
 
@@ -67,6 +74,19 @@ from .poisson import Functional, PoissonOperator, State
 RHO_FLOOR = 1e-6
 PHI_TOL = 1e-12  # solve_phi's default bound on max|residual|
 PHI_MAX_ITER = 25  # solve_phi's default limit on Newton steps
+# ion_flow starts a row from the second-order guess (see `_newton`) when its
+# max|phi1| is at most PHI1_BOUND.  That guess leaves a residual of about
+# (2/3) m max|phi1|^3 at most (mean density m), under PHI_TOL here for m near 1.
+# Measured on 675 densities (modes 1, 2, 5 and random kmax 2, 6 states at 25
+# amplitudes from 1e-5 to 0.5, on grids n = 128, 256, 512): the residual was at
+# most 0.26 max|phi1|^3 and met PHI_TOL at the start on every row below 1.5e-4,
+# on 14 of 17 rows in [1.5e-4, 2e-4) and on none above 3e-4.  A row that misses
+# takes its Newton step anyway, and from a smaller residual the forcing term asks
+# CG for more iterations: with every row on the second-order guess, one ion_rhs
+# at n = 128 took 0.55x its time from the first-order guess on rows that met
+# PHI_TOL at the start, but 1.21x to 1.27x on 10 of the 24 rows measured above
+# 1e-4 (max|phi1| up to 0.25): those where it left the Newton step count unchanged.
+PHI1_BOUND = 1e-4
 
 
 class NewtonError(NumericalFailure):
@@ -170,9 +190,15 @@ def residual_floor(grid: Grid1D, k: int, amplitude: float) -> float:
     return 0.5 * np.finfo(np.float64).eps * k_max**2 * amplitude / (1.0 + kappa**2)
 
 
-def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
+def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, *,
+            phi1_bound: float | None = None):
     """Newton rows of solve_phi: phi for each row of rho (shape (m, n)) and each row's history.
 
+    Each row starts from the first-order guess ln(m) + phi1, with m the
+    row's mean, L = k^2 + m and phi1 = L^-1(rho - m).  Given phi1_bound,
+    a row with max|phi1| <= phi1_bound starts from the second-order guess
+    ln(m) + phi1 - L^-1(m phi1^2 / 2) instead, whose residual is O(phi1^3)
+    rather than O(phi1^2); the choice is made per row, from that row alone.
     A row whose residual is at most tol is dropped from the working set, so
     its phi and history are bitwise those of solving that row alone.  Raises
     NewtonError for the first row (in row order) that meets a non-finite
@@ -180,7 +206,14 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
     """
     k2 = workspace1d(grid).k ** 2
     mean = rho.mean(axis=-1, keepdims=True)
-    phi = np.log(mean) + np.fft.irfft(np.fft.rfft(rho - mean) / (k2 + mean), n=grid.n)
+    lin = k2 + mean
+    phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=grid.n)
+    phi = np.log(mean) + phi1
+    if phi1_bound is not None:
+        near = np.abs(phi1).max(axis=-1) <= phi1_bound
+        if np.count_nonzero(near):
+            quad = 0.5 * mean[near] * phi1[near] ** 2
+            phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=grid.n)
     histories = [[] for _ in range(rho.shape[0])]
     live = np.arange(rho.shape[0])  # the rows still iterating, in phi and rho
     out = phi  # phi0's buffer takes each row's phi once that row has converged
@@ -231,8 +264,11 @@ def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = PHI_MAX_ITER) 
     n = 256), too high for the contraction r1 <= 10 r0^2 to hold from
     r0 ~ 1e-7.
     This is the one-row call of the Newton loop that `ion_flow` runs on a
-    stack of densities (`_newton`); each row of a stack gets bitwise the phi
-    this returns for it.
+    stack of densities (`_newton`); each row of a stack started from this
+    first-order guess gets bitwise the phi this returns for it.  The flow
+    starts a small-amplitude row from the second-order guess instead (see
+    PHI1_BOUND), so its phi there agrees with this one to within the
+    tolerance, not bitwise.
     Raises NewtonError (carrying the last residual) if the residual is not
     at most tol within max_iter steps.  On fine grids the float64 rounding
     floor of the residual lies above the default tol (see `residual_floor`).
@@ -305,6 +341,14 @@ def momentum() -> Functional:
     return Functional("momentum", value, gradient)
 
 
+@lru_cache(maxsize=None)
+def _flow_symbols(grid: Grid1D) -> np.ndarray:
+    """ion_flow's symbols (-i k mask, -i k mask / 2, -i k), shape (3, 1, n // 2 + 1), read-only."""
+    ws = workspace1d(grid)
+    minus_dx = -1j * ws.dk
+    return _read_only(np.array((minus_dx * ws.mask, 0.5 * minus_dx * ws.mask, minus_dx))[:, None])
+
+
 def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(-dx(V rho), -dx(phi + V^2/2)) for rows rho, V of shape (..., n), stacked as (2, ..., n).
 
@@ -312,7 +356,10 @@ def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     every member go through one stacked rfft and one stacked irfft, each
     with its own symbol (-i k mask, -i k mask / 2, -i k); the last two are
     summed afterwards.  phi comes from the Newton rows of solve_phi, so each
-    member's flow is bitwise the flow of that member alone.
+    member's flow is bitwise the flow of that member alone.  A member with
+    max|phi1| <= PHI1_BOUND starts Newton from the second-order guess (see
+    `_newton`), which at small amplitude meets PHI_TOL with no Newton step;
+    the others start from solve_phi's first-order guess.
 
     Aborts with DensityFloorError if min(rho) < 1e-6 in any member, before
     the closure is solved for a density at or near zero.
@@ -322,11 +369,8 @@ def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise DensityFloorError(f"min(rho) = {low:.3e} below floor {RHO_FLOOR:g}")
     shape = rho.shape
     rho, v = rho.reshape(-1, grid.n), v.reshape(-1, grid.n)
-    phi, _ = _newton(grid, rho, PHI_TOL, PHI_MAX_ITER)
-    ws = workspace1d(grid)
-    minus_dx = -1j * ws.dk
-    symbols = np.array((minus_dx * ws.mask, 0.5 * minus_dx * ws.mask, minus_dx))
-    (out,) = _spectral(grid, np.array((rho * v, v * v, phi)), symbols[:, None])
+    phi, _ = _newton(grid, rho, PHI_TOL, PHI_MAX_ITER, phi1_bound=PHI1_BOUND)
+    (out,) = _spectral(grid, np.array((rho * v, v * v, phi)), _flow_symbols(grid))
     out[1] += out[2]
     return out[:2].reshape((2, *shape))
 

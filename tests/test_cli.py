@@ -204,6 +204,26 @@ class TestSnapshots:
         save_snapshot(tmp_path / "pt.snap", zf)
         assert np.array_equal(load_snapshot(tmp_path / "pt.snap").parts[0], zf.parts[0])
 
+    @pytest.mark.parametrize("grid", [
+        Grid1D(16, np.float64(40.0)),
+        Grid2D(8, 16, np.float64(1.5), np.float32(2.5)),
+    ])
+    def test_round_trip_numpy_float_lengths(self, grid, tmp_path):
+        field = Field1D if isinstance(grid, Grid1D) else Field2D
+        z = State("vortex1" if field is Field2D else "kdv",
+                  (field(grid, np.arange(float(np.prod(grid.shape))).reshape(grid.shape)),))
+        path = tmp_path / "np.snap"
+        save_snapshot(path, z)
+        back = load_snapshot(path)
+        assert back.parts[0].grid == grid
+        assert np.array_equal(back.parts[0].values, z.parts[0].values)
+
+    def test_integer_length_writes_a_float(self, tmp_path):
+        g = Grid1D(8, 40)
+        save_snapshot(tmp_path / "w.snap", State("kdv", (Field1D.zeros(g),)))
+        assert b"grid1d 8 40.0\n" in (tmp_path / "w.snap").read_bytes()
+        assert load_snapshot(tmp_path / "w.snap").parts[0].grid == g
+
     def test_payload_is_little_endian_float64(self, tmp_path):
         g = Grid1D(8, 1.0)
         z = State("kdv", (Field1D(g, np.arange(8.0)),))

@@ -127,6 +127,20 @@ class TestRunAndRecord:
         )
         assert series.times == [0.0, 0.5, 1.0]
 
+    def test_nonintegral_output_every_rejected(self):
+        with pytest.raises(ValueError, match="whole number"):
+            run_and_record(
+                Integrator("rk4", 0.01), harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.1,
+                output_every=0.015,
+            )
+
+    def test_output_every_below_dt_samples_every_step(self):
+        series, _ = run_and_record(
+            Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.5,
+            output_every=0.04,
+        )
+        assert len(series.times) == 6
+
     def test_nonintegral_t_end_rejected(self):
         with pytest.raises(ValueError):
             run_and_record(

@@ -241,6 +241,63 @@ class TestRowBatches:
             ik.ion_flow(GRID, rho, np.zeros_like(rho))
 
 
+def count_pcg(monkeypatch):
+    """Count ion_kdv._pcg calls from here on."""
+    calls = [0]
+    pcg = ik._pcg
+
+    def counted(*a, **k):
+        calls[0] += 1
+        return pcg(*a, **k)
+
+    monkeypatch.setattr(ik, "_pcg", counted)
+    return calls
+
+
+class TestFlowGuess:
+    """The flow starts a row from the second-order guess only below PHI1_BOUND."""
+
+    def test_small_amplitude_modes_take_no_newton_step(self, monkeypatch):
+        calls = count_pcg(monkeypatch)
+        for k in (1, 2):
+            z = ik.acoustic_mode_state(GRID, k, 1e-4)
+            ik.ion_flow(GRID, z.parts[0].values, z.parts[1].values)
+        assert calls == [0]
+
+    def test_second_order_guess_meets_the_tolerance(self):
+        rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2)])
+        phi, histories = ik._newton(GRID, rho, ik.PHI_TOL, ik.PHI_MAX_ITER,
+                                    phi1_bound=ik.PHI1_BOUND)
+        for i, history in enumerate(histories):
+            assert len(history) == 1 and history[0] <= ik.PHI_TOL
+            # and phi agrees with solve_phi's within the closure tolerance
+            sol = ik.solve_phi(Field1D(GRID, rho[i]))
+            assert np.max(np.abs(phi[i] - sol.phi.values)) <= 1e-12
+
+    # from the second-order guess, each of these would take one Newton step fewer
+    @pytest.mark.parametrize("z", [
+        ik.random_ion_state(GRID, 6, np.random.default_rng(12), 0.3),
+        ik.acoustic_mode_state(GRID, 1, 0.01),
+    ], ids=["random-0.3", "mode1-0.01"])
+    def test_density_above_the_bound_solves_as_solve_phi_does(self, z, monkeypatch):
+        calls = count_pcg(monkeypatch)
+        ik.solve_phi(z.parts[0])
+        alone = calls[0]
+        calls[0] = 0
+        ik.ion_flow(GRID, z.parts[0].values, z.parts[1].values)
+        assert calls[0] == alone > 0
+
+    def test_batch_straddling_the_bound_equals_ion_rhs_per_member(self):
+        members = [ik.acoustic_mode_state(GRID, 1, 1e-4),
+                   ik.random_ion_state(GRID, 6, np.random.default_rng(16), 0.3)]
+        z = np.array([[s.parts[i].values for s in members] for i in (0, 1)])
+        flow = ik.ion_flow(GRID, z[0], z[1])
+        for j, s in enumerate(members):
+            out = ik.ion_rhs(s)
+            assert np.array_equal(flow[0, j], out.parts[0].values)
+            assert np.array_equal(flow[1, j], out.parts[1].values)
+
+
 class TestIonSystem:
     def test_quiescent_equilibrium(self):
         out = ik.ion_rhs(ik.quiescent_state(GRID))
