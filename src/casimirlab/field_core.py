@@ -28,13 +28,16 @@ Conventions
   rejects the other's grid.
 * A field keeps its spectrum.  The spectrum is rfft(values) (rfft2 on a
   Grid2D), computed at the first spectral use and kept, unless the field was
-  synthesized from a spectrum: then it keeps that one.  Every spectral
-  operator's output and every bracket_sums output is synthesized, so a
-  derivative of it transforms nothing forward.  States built by arithmetic,
-  by seeded initial data or from a snapshot carry no synthesized spectrum,
-  so a run is the same whether it was stopped and reloaded or not.  A
-  level-2 rmhd_energy RHS takes 16 2-D FFTs, level 3 21, a level-2
-  euler_energy RHS 13 and level 1 8.
+  synthesized from a spectrum: then it keeps that one, and its values are
+  irfft(spectrum), computed and checked at their first read.  Every
+  spectral operator's output and every bracket_sums output is synthesized,
+  so a derivative of it transforms nothing forward, and a field used only
+  through its spectrum (the stream function, the current) is never
+  transformed back.  States built by arithmetic, by seeded initial data or
+  from a snapshot carry no synthesized spectrum, so a run is the same
+  whether it was stopped and reloaded or not.  With its outputs read, a
+  level-2 rmhd_energy RHS takes 14 2-D FFTs, level 3 19, a level-2
+  euler_energy RHS 12 and level 1 7.
 * Two helpers, _forward and _inverse, are the only code that picks the 1-D
   or 2-D transforms.
 """
@@ -198,6 +201,7 @@ def workspace2d(grid: Grid2D) -> SpectralWorkspace2D:
 class SpectralWorkspace1D:
     k: np.ndarray         # physical wavenumbers, rfft layout
     dk: np.ndarray        # Nyquist zeroed
+    k2: np.ndarray        # k^2
     mask: np.ndarray
     order: np.ndarray     # mode indices
 
@@ -210,7 +214,7 @@ def workspace1d(grid: Grid1D) -> SpectralWorkspace1D:
     dk = k.copy()
     dk[-1] = 0.0
     mask = ix <= n // 3
-    return SpectralWorkspace1D(k, dk, mask, ix)
+    return SpectralWorkspace1D(k, dk, k**2, mask, ix)
 
 
 def _workspace(grid):
@@ -251,6 +255,8 @@ class Field:
     """Real scalar field: finite, read-only values of shape grid.shape.
 
     A writeable input array is copied; a read-only one is taken as a view.
+    A field synthesized from a spectrum computes its values at their first
+    read, through the same checks (__post_init__).
     """
 
     grid: Grid1D | Grid2D
@@ -274,10 +280,31 @@ class Field:
 
     @classmethod
     def _from_spectrum(cls, grid, hat: np.ndarray):
-        """The field synthesized from hat, which it keeps as its spectrum (hat is taken over)."""
-        f = cls(grid, _read_only(_inverse(grid, hat)))
+        """The field synthesized from hat, which it keeps as its spectrum (hat is taken over).
+
+        Its values, irfft(hat), are computed and checked at their first read.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
         object.__setattr__(f, "_hat", _read_only(hat))
         return f
+
+    def __getattr__(self, name):
+        # reached only for the values of a synthesized field that no one has read yet
+        if name != "values" or self._hat is None:
+            raise AttributeError(name)
+        object.__setattr__(self, "values", _read_only(_inverse(self.grid, self._hat)))
+        try:
+            self.__post_init__()
+        except FieldError:
+            object.__delattr__(self, "values")  # every later read fails the same way
+            raise
+        return self.values
+
+    def _any(self) -> bool:
+        """values.any(), taken from the spectrum while the values are unread."""
+        values = vars(self).get("values")
+        return bool((self._hat if values is None else values).any())
 
     def _spectrum(self) -> np.ndarray:
         """The kept spectrum; the first call on a field that has none computes rfft(values)."""
@@ -375,7 +402,7 @@ def ddx1(f: Field1D) -> Field1D:
 
 
 def ddx2(f: Field1D) -> Field1D:
-    return _apply(f, -(workspace1d(f.grid).k ** 2))
+    return _apply(f, -workspace1d(f.grid).k2)
 
 
 def ddx3(f: Field1D) -> Field1D:
@@ -398,7 +425,7 @@ def bracket_sums(outputs) -> list[Field2D]:
     grid = outputs[0][0][0].grid
     if any(f.grid != grid for pairs in outputs for pair in pairs for f in pair):
         raise GridMismatchError("bracket2d requires one shared grid")
-    live = [[(a, b) for a, b in pairs if a.values.any() and b.values.any()] for pairs in outputs]
+    live = [[(a, b) for a, b in pairs if a._any() and b._any()] for pairs in outputs]
     uses = Counter(id(f) for pairs in live for pair in pairs for f in pair)
     ws, derivs, out = workspace2d(grid), {}, []
     for pairs in live:

@@ -103,24 +103,15 @@ def _poly_value(c: np.ndarray, x, y):
 
 
 # The gradient of a cubic has the monomials 1, x, y, x^2, xy, y^2.  Indices
-# into the point (x, y): the first factor of each non-constant monomial, and
+# into the point (x, y): the first factor of each non-constant monomial, then
 # the second factor of the three quadratic ones.
-_FIRST = np.array([0, 1, 0, 0, 1])
-_SECOND = np.array([0, 1, 1])
+_FACTORS = np.array([0, 1, 0, 0, 1, 0, 1, 1])
 
 
-def _cubic_gradient(coeffs):
-    """grad(p) -> (dH/dx, dH/dy) at p = (x, y) for the cubic with these coefficients.
-
-    coeffs has shape (10,) or (10, m); p and the result have shape (2,) or
-    (2, m).  The coefficient rows of the six monomials (entries such as 2 c3
-    and 3 c6) are built once here.  A call forms the five non-constant terms
-    of both partials in two stacked products and sums the six terms in the
-    order of the expanded derivative, so each partial rounds exactly as the
-    expanded formula does.
-    """
+def _cubic_rows(coeffs) -> np.ndarray:
+    """The gradient's rows (dH/dx, dH/dy), one per monomial: shape (6, 2) or (6, 2, m)."""
     c = np.asarray(coeffs, dtype=float)
-    rows = np.array([
+    return np.array([
         [c[1], c[2]],
         [2 * c[3], c[4]],
         [c[4], 2 * c[5]],
@@ -128,14 +119,24 @@ def _cubic_gradient(coeffs):
         [2 * c[7], 2 * c[8]],
         [c[8], 3 * c[9]],
     ])
+
+
+def _polynomial(rows: np.ndarray):
+    """p -> sum over i of rows[i] times the i-th monomial at p = (x, y) (shape (2,) or (2, m)).
+
+    The six terms are summed along axis 0, which adds left to right, so each
+    entry rounds exactly as the expanded derivative written out term by term.
+    """
     const, coeff = rows[0], rows[1:]
 
-    def grad(p):
-        t = coeff * p[_FIRST, None]  # the rows of x, y, x^2, xy, y^2 times x, y, x, x, y
-        t[2:] *= p[_SECOND, None]  # ... and the quadratic ones times x, y, y
-        return const + t[0] + t[1] + t[2] + t[3] + t[4]
+    def evaluate(p):
+        f = p[_FACTORS]
+        t = coeff * f[:5, None]  # the rows of x, y, x^2, xy, y^2 times x, y, x, x, y
+        t[2:] *= f[5:, None]  # ... and the quadratic ones times x, y, y
+        t[0] += const  # const + x term, as addition commutes exactly
+        return np.add.reduce(t, axis=0)
 
-    return grad
+    return evaluate
 
 
 def cubic_functional(coeffs, label: str = "cubic") -> Functional:
@@ -147,7 +148,7 @@ def cubic_functional(coeffs, label: str = "cubic") -> Functional:
     if c.shape != (10,):
         raise ValueError("cubic_functional needs 10 coefficients")
 
-    grad = _cubic_gradient(c)
+    grad = _polynomial(_cubic_rows(c))
 
     def value(z: State) -> float:
         x, y = z.parts[0]
@@ -182,9 +183,6 @@ def fd_rhs(z: State, H: Functional) -> State:
     return x_scaled_canonical_operator().apply(z, H.gradient(z))
 
 
-_FLIP = np.array([[1.0], [-1.0]])
-
-
 def simulate_plane_orbits(
     coeffs: np.ndarray, z0: np.ndarray, t_end: float, dt: float
 ) -> dict:
@@ -196,7 +194,9 @@ def simulate_plane_orbits(
     summary arrays: sign conservation, the signed extremes of x(t) (for
     step-function drift bounds), and final points.
     """
-    grad = _cubic_gradient(coeffs)
+    # the rows of (dH/dy, -dH/dx): negation is exact, so each entry is bitwise
+    # the old grad[::-1] * (1, -1) (but for the sign of an exactly zero sum)
+    flow = _polynomial(_cubic_rows(coeffs)[:, ::-1] * np.array([[1.0], [-1.0]]))
     z = np.array(z0, dtype=float)
     if np.any(z[0] == 0.0):
         raise ValueError("orbits must start off the singular plane x = 0")
@@ -204,7 +204,7 @@ def simulate_plane_orbits(
     xs_min = xs_max = s0 * z[0]
 
     def rhs(zv):  # (x dH/dy, -x dH/dx)
-        return zv[0] * (grad(zv)[::-1] * _FLIP)
+        return zv[0] * flow(zv)
 
     # sampled at t = 0 and t_end only; it heads a failed run's partial series
     least = Functional("min_signed_x", lambda zv: float(np.min(s0 * zv[0])))

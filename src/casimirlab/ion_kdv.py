@@ -13,7 +13,9 @@ closure starts a density with max|phi1| <= PHI1_BOUND from the next term of
 the perturbation series, ln(m) + phi1 - L^-1(m phi1^2 / 2): one chord step
 with the Jacobian frozen at m, where the FFT preconditioner is exact.  That
 guess already meets the tolerance, so at small amplitude the flow takes no
-Newton step; a larger density starts from ln(m) + phi1.  The flow is
+Newton step; a larger density starts from ln(m) + phi1.  The ion_energy
+watcher solves through the same closure, so its phi is bitwise the flow's
+for the same density.  The flow is
 
     d(rho)/dt = -dx(V rho),      dV/dt = -dx(phi + V^2/2),
 
@@ -204,14 +206,15 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, *,
     NewtonError for the first row (in row order) that meets a non-finite
     residual or is not converged after max_iter steps.
     """
-    k2 = workspace1d(grid).k ** 2
-    mean = rho.mean(axis=-1, keepdims=True)
+    k2 = workspace1d(grid).k2
+    mean = np.add.reduce(rho, axis=-1, keepdims=True) / grid.n  # what rho.mean(axis=-1) computes
     lin = k2 + mean
     phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=grid.n)
     phi = np.log(mean) + phi1
     if phi1_bound is not None:
         near = np.abs(phi1).max(axis=-1) <= phi1_bound
-        if np.count_nonzero(near):
+        if near.any():
+            near = slice(None) if near.all() else near  # every row: views, not gathers
             quad = 0.5 * mean[near] * phi1[near] ** 2
             phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=grid.n)
     histories = [[] for _ in range(rho.shape[0])]
@@ -247,6 +250,11 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, *,
     )
 
 
+def _closure(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
+    """The flow's phi for each row of rho (shape (m, n)): `_newton` to PHI_TOL, with PHI1_BOUND."""
+    return _newton(grid, rho, PHI_TOL, PHI_MAX_ITER, phi1_bound=PHI1_BOUND)[0]
+
+
 def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = PHI_MAX_ITER) -> PhiSolve:
     """Solve -d2x(phi) + exp(phi) = rho by Newton iteration.
 
@@ -266,9 +274,9 @@ def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = PHI_MAX_ITER) 
     This is the one-row call of the Newton loop that `ion_flow` runs on a
     stack of densities (`_newton`); each row of a stack started from this
     first-order guess gets bitwise the phi this returns for it.  The flow
-    starts a small-amplitude row from the second-order guess instead (see
-    PHI1_BOUND), so its phi there agrees with this one to within the
-    tolerance, not bitwise.
+    and the ion_energy watcher start a small-amplitude row from the
+    second-order guess instead (see PHI1_BOUND), so their phi there agrees
+    with this one to within the tolerance, not bitwise.
     Raises NewtonError (carrying the last residual) if the residual is not
     at most tol within max_iter steps.  On fine grids the float64 rounding
     floor of the residual lies above the default tol (see `residual_floor`).
@@ -301,20 +309,23 @@ def ion_energy() -> Functional:
     """H = int [rho V^2/2 + (dx phi)^2/2 + (phi - 1) e^phi]; grad (V^2/2 + phi, rho V).
 
     The closure response contributes exactly phi to the density gradient,
-    which the finite-difference harness verifies.
+    which the finite-difference harness verifies.  phi comes from the flow's
+    closure, so it is bitwise the phi ion_flow uses for the same density.
     """
+
+    def potential(rho: Field1D) -> Field1D:
+        return Field1D(rho.grid, _read_only(_closure(rho.grid, rho.values[None])[0]))
 
     def value(z: State) -> float:
         rho, v = z.parts
-        phi = solve_phi(rho).phi
+        phi = potential(rho)
         dphi = ddx1(phi)
         internal = Field1D(rho.grid, (phi.values - 1.0) * np.exp(phi.values))
         return integrate(rho * v * v * 0.5 + dphi * dphi * 0.5 + internal)
 
     def gradient(z: State) -> State:
         rho, v = z.parts
-        phi = solve_phi(rho).phi
-        return State("ion", (v * v * 0.5 + phi, rho * v))
+        return State("ion", (v * v * 0.5 + potential(rho), rho * v))
 
     return Functional("ion_energy", value, gradient)
 
@@ -369,8 +380,7 @@ def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise DensityFloorError(f"min(rho) = {low:.3e} below floor {RHO_FLOOR:g}")
     shape = rho.shape
     rho, v = rho.reshape(-1, grid.n), v.reshape(-1, grid.n)
-    phi, _ = _newton(grid, rho, PHI_TOL, PHI_MAX_ITER, phi1_bound=PHI1_BOUND)
-    (out,) = _spectral(grid, np.array((rho * v, v * v, phi)), _flow_symbols(grid))
+    (out,) = _spectral(grid, np.array((rho * v, v * v, _closure(grid, rho))), _flow_symbols(grid))
     out[1] += out[2]
     return out[:2].reshape((2, *shape))
 
@@ -499,24 +509,26 @@ def kdv_invariants(w: Field1D) -> tuple[float, float, float]:
 
 @lru_cache(maxsize=None)
 def _if_factors(grid: Grid1D, dt: float):
+    """The step's constants: e^(i k^3 dt/2), e^(i k^3 dt), 2 e^(i k^3 dt/2), -3i k, workspace."""
     ws = workspace1d(grid)
     lk = 1j * ws.k**3  # (-d3x w)-hat = +i k^3 w-hat
     half = np.exp(lk * (dt / 2.0))
-    return half, half * half, ws
+    return half, half * half, 2.0 * half, -3j * ws.k, ws
 
 
 def kdv_if_rk4_step(w: Field1D, dt: float) -> Field1D:
     """One integrating-factor RK4 step: exact linear propagator, RK4 nonlinearity."""
-    half, full, ws = _if_factors(w.grid, dt)
+    half, full, two_half, minus_3ik, ws = _if_factors(w.grid, dt)
 
     def nonlin(what: np.ndarray) -> np.ndarray:
         wv = np.fft.irfft(what, n=w.grid.n)
-        return -3j * ws.k * (np.fft.rfft(wv * wv) * ws.mask)
+        return minus_3ik * (np.fft.rfft(wv * wv) * ws.mask)
 
     v = np.fft.rfft(w.values) * ws.mask
+    full_v = full * v
     a = dt * nonlin(v)
     b = dt * nonlin(half * (v + 0.5 * a))
     c = dt * nonlin(half * v + 0.5 * b)
-    d = dt * nonlin(full * v + half * c)
-    v_new = full * v + (full * a + 2.0 * half * (b + c) + d) / 6.0
+    d = dt * nonlin(full_v + half * c)
+    v_new = full_v + (full * a + two_half * (b + c) + d) / 6.0
     return Field1D(w.grid, _read_only(np.fft.irfft(v_new, n=w.grid.n)))

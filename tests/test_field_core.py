@@ -31,6 +31,7 @@ from casimirlab import (
 )
 from casimirlab.field_core import (
     NonFiniteError,
+    bracket_sums,
     random_band_limited_2d,
     workspace1d,
     workspace2d,
@@ -325,9 +326,10 @@ class TestKeptSpectrum:
     def test_one_forward_transform_per_field(self, monkeypatch):
         f = random_band_limited_2d(GRID, 6, np.random.default_rng(30))
         calls = self.record(monkeypatch)
-        ddx(f)
-        ddy(f)
-        laplacian(f)
+        outputs = ddx(f), ddy(f), laplacian(f)
+        assert calls == ["rfft2"]
+        for g in outputs:
+            g.values
         assert calls.count("rfft2") == 1 and calls.count("irfft2") == 3
 
     def test_synthesized_field_keeps_its_spectrum(self, monkeypatch):
@@ -335,6 +337,8 @@ class TestKeptSpectrum:
         u = invert_laplacian(f)
         calls = self.record(monkeypatch)
         du = ddx(u)
+        assert calls == []
+        du.values
         assert calls == ["irfft2"]
         fresh = ddx(Field2D(GRID, u.values.copy()))
         assert np.max(np.abs(du.values - fresh.values)) <= 1e-13 * fresh.max_abs()
@@ -344,6 +348,8 @@ class TestKeptSpectrum:
         br = bracket2d(random_band_limited_2d(GRID, 8, rng), random_band_limited_2d(GRID, 8, rng))
         calls = self.record(monkeypatch)
         again = dealias(br)
+        assert calls == []
+        again.values
         assert calls == ["irfft2"]
         assert np.array_equal(again.values, br.values)
 
@@ -369,3 +375,42 @@ class TestKeptSpectrum:
         ddx2(d1)
         assert calls == ["rfft"]
         assert np.array_equal(d3.values, ddx3(Field1D(g, w.values.copy())).values)
+
+
+class TestLazyValues:
+    """A synthesized field keeps its spectrum and computes its values at the first read."""
+
+    record = staticmethod(TestKeptSpectrum.record)
+
+    def test_values_are_synthesized_at_the_first_read(self, monkeypatch):
+        f = random_band_limited_2d(GRID, 6, np.random.default_rng(40))
+        ddx(f)  # f keeps its spectrum from here on
+        calls = self.record(monkeypatch)
+        u = invert_laplacian(f)
+        assert calls == []
+        values = u.values
+        assert calls == ["irfft2"]
+        assert u.values is values and calls == ["irfft2"]
+        monkeypatch.undo()
+        assert np.array_equal(values, np.fft.irfft2(u._spectrum(), s=GRID.shape))
+        assert values.shape == GRID.shape and not values.flags.writeable
+
+    def test_non_finite_spectrum_raises_at_the_first_read(self):
+        with np.errstate(all="ignore"):  # its sum, and so its spectrum, overflows
+            lap = laplacian(Field2D.full(GRID, 1e306))
+        for _ in range(2):
+            with pytest.raises(NonFiniteError):
+                lap.values
+
+    def test_bracket_sums_skips_a_zero_synthesized_row_untransformed(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        a, b = (random_band_limited_2d(GRID, 6, rng) for _ in range(2))
+        zero = dealias(Field2D.zeros(GRID))  # synthesized, values unread
+        expect = bracket2d(a, b)
+        calls = self.record(monkeypatch)
+        out = bracket_sums([[(a, b), (zero, b)], [(a, zero)]])
+        # a's and b's derivatives and the one projection; zero is never transformed
+        assert calls.count("irfft2") == 4 and calls.count("rfft2") == 1
+        assert "values" not in vars(zero)
+        assert np.array_equal(out[0].values, expect.values)
+        assert not out[1].values.any()

@@ -103,6 +103,49 @@ class TestCubicGradient:
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
+def old_cubic_gradient(coeffs):
+    """The gradient as written before the flow's rows were built once: the oracle."""
+    c = np.asarray(coeffs, dtype=float)
+    rows = np.array([[c[1], c[2]], [2 * c[3], c[4]], [c[4], 2 * c[5]],
+                     [3 * c[6], c[7]], [2 * c[7], 2 * c[8]], [c[8], 3 * c[9]]])
+    const, coeff = rows[0], rows[1:]
+
+    def grad(p):
+        t = coeff * p[np.array([0, 1, 0, 0, 1]), None]
+        t[2:] *= p[np.array([0, 1, 1]), None]
+        return const + t[0] + t[1] + t[2] + t[3] + t[4]
+
+    return grad
+
+
+class TestBitwiseFlow:
+    """The gradient and the orbit flow round exactly as the old written-out sums."""
+
+    def test_gradient_is_bitwise_the_old_one(self):
+        rng = np.random.default_rng(14)
+        for m in (None, 1, 7, 100):
+            c = rng.uniform(-1, 1, 10 if m is None else (10, m))
+            p = rng.uniform(-2, 2, 2 if m is None else (2, m))
+            assert np.array_equal(fd._polynomial(fd._cubic_rows(c))(p), old_cubic_gradient(c)(p))
+
+    def test_flow_is_bitwise_the_flipped_gradient(self):
+        rng = np.random.default_rng(15)
+        m, dt = 50, 1e-2
+        flip = np.array([[1.0], [-1.0]])
+        for _ in range(5):
+            coeffs = rng.uniform(-1, 1, (10, m))
+            coeffs[rng.random((10, m)) < 0.3] = 0.0  # zero terms, as the preset's cubics have
+            z = np.vstack([rng.uniform(0.2, 1.0, m) * rng.choice([-1, 1], m),
+                           rng.uniform(-1, 1, m)])
+            grad = old_cubic_gradient(coeffs)
+            integ = Integrator("rk4", dt)
+            expect = z
+            for _ in range(3):
+                expect = step(integ, lambda zv: zv[0] * (grad(zv)[::-1] * flip), expect)
+            got = fd.simulate_plane_orbits(coeffs, z, 3 * dt, dt)["final"]
+            assert np.array_equal(got, expect)
+
+
 class TestKernelBasis:
     def test_unit_mass(self):
         xs = np.linspace(-2, 2, 4001)

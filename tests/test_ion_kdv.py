@@ -297,6 +297,43 @@ class TestFlowGuess:
             assert np.array_equal(flow[0, j], out.parts[0].values)
             assert np.array_equal(flow[1, j], out.parts[1].values)
 
+    def test_stack_below_the_bound_equals_each_row_alone(self):
+        rng = np.random.default_rng(17)
+        noise = random_band_limited_1d(GRID, 6, rng, 5e-5)
+        rho = np.array([ik.acoustic_mode_state(GRID, 1, 1e-4).parts[0].values,
+                        ik.acoustic_mode_state(GRID, 3, 5e-5).parts[0].values,
+                        (Field1D.full(GRID, 1.0) + noise).values])
+        phi, histories = ik._newton(GRID, rho, ik.PHI_TOL, ik.PHI_MAX_ITER,
+                                    phi1_bound=ik.PHI1_BOUND)
+        for i in range(len(rho)):
+            alone, (history,) = ik._newton(GRID, rho[i:i + 1], ik.PHI_TOL, ik.PHI_MAX_ITER,
+                                           phi1_bound=ik.PHI1_BOUND)
+            assert np.array_equal(phi[i], alone[0]) and histories[i] == history
+
+    def test_energy_watcher_uses_the_flows_phi(self, monkeypatch):
+        members = [ik.acoustic_mode_state(GRID, 1, 1e-4), ik.acoustic_mode_state(GRID, 2, 1e-4),
+                   ik.random_ion_state(GRID, 6, np.random.default_rng(18), 0.3)]
+        z = np.array([[s.parts[i].values for s in members] for i in (0, 1)])
+        solved, newton = [], ik._newton
+
+        def recorded(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            solved.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(ik, "_newton", recorded)
+        ik.ion_flow(GRID, z[0], z[1])
+        monkeypatch.undo()
+        (phi,) = solved
+        H = ik.ion_energy()
+        for j, s in enumerate(members):
+            rho, v = s.parts
+            flow_phi = Field1D(GRID, phi[j])
+            assert np.array_equal(H.gradient(s).parts[0].values, (v * v * 0.5 + flow_phi).values)
+            dphi = ddx1(flow_phi)
+            internal = Field1D(GRID, (phi[j] - 1.0) * np.exp(phi[j]))
+            assert H.value(s) == integrate(rho * v * v * 0.5 + dphi * dphi * 0.5 + internal)
+
 
 class TestIonSystem:
     def test_quiescent_equilibrium(self):
@@ -389,6 +426,25 @@ class TestGardner:
         assert np.max(np.abs(via_operator.parts[0].values - ik.gardner_rhs(w).values)) <= 1e-12
 
 
+def old_if_rk4_step(w, dt):
+    """The IF-RK4 KdV step as written before its constants were built once: the oracle."""
+    ws = ik.workspace1d(w.grid)
+    half = np.exp(1j * ws.k**3 * (dt / 2.0))
+    full = half * half
+
+    def nonlin(what):
+        wv = np.fft.irfft(what, n=w.grid.n)
+        return -3j * ws.k * (np.fft.rfft(wv * wv) * ws.mask)
+
+    v = np.fft.rfft(w.values) * ws.mask
+    a = dt * nonlin(v)
+    b = dt * nonlin(half * (v + 0.5 * a))
+    c = dt * nonlin(half * v + 0.5 * b)
+    d = dt * nonlin(full * v + half * c)
+    v_new = full * v + (full * a + 2.0 * half * (b + c) + d) / 6.0
+    return Field1D(w.grid, np.fft.irfft(v_new, n=w.grid.n))
+
+
 class TestSoliton:
     def test_peak_and_mass(self):
         grid = Grid1D(512, 40.0)
@@ -400,6 +456,13 @@ class TestSoliton:
     def test_invalid_speed(self):
         with pytest.raises(ValueError):
             ik.kdv_soliton(-1.0, 0.0, Grid1D(64))
+
+    def test_if_rk4_step_is_bitwise_the_old_one(self):
+        grid = Grid1D(256, 40.0)
+        w = old = ik.kdv_soliton(1.0, 10.0, grid)
+        for _ in range(300):
+            w, old = ik.kdv_if_rk4_step(w, 1e-3), old_if_rk4_step(old, 1e-3)
+        assert np.array_equal(w.values, old.values)
 
     def test_invariants_zero_field(self):
         assert ik.kdv_invariants(Field1D.zeros(GRID)) == (0.0, 0.0, 0.0)

@@ -105,14 +105,15 @@ class TestBracketKernel:
 
     @pytest.mark.parametrize(
         "level, hamiltonian, transforms",
-        [(2, vx.rmhd_energy, 16), (3, vx.rmhd_energy, 21), (2, vx.euler_energy, 13),
-         (1, vx.euler_energy, 8)],
+        [(2, vx.rmhd_energy, 14), (3, vx.rmhd_energy, 19), (2, vx.euler_energy, 12),
+         (1, vx.euler_energy, 7)],
     )
     def test_transforms_per_rhs(self, monkeypatch, level, hamiltonian, transforms):
         z = vx.random_vortex_state(level, GRID, 5, np.random.default_rng(20))
         rhs = vx.vortex_rhs(level, hamiltonian(level))
         calls = self.record_transforms(monkeypatch)
-        rhs(z)
+        for row in rhs(z).parts:
+            row.values
         assert len(calls) == transforms
 
     def test_tables_follow_the_extension_rule(self):
