@@ -214,7 +214,6 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, *,
     if phi1_bound is not None:
         near = np.abs(phi1).max(axis=-1) <= phi1_bound
         if near.any():
-            near = slice(None) if near.all() else near  # every row: views, not gathers
             quad = 0.5 * mean[near] * phi1[near] ** 2
             phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=grid.n)
     histories = [[] for _ in range(rho.shape[0])]
@@ -310,10 +309,13 @@ def ion_energy() -> Functional:
 
     The closure response contributes exactly phi to the density gradient,
     which the finite-difference harness verifies.  phi comes from the flow's
-    closure, so it is bitwise the phi ion_flow uses for the same density.
+    closure, so it is bitwise the phi ion_flow uses for the same density; a
+    density with min <= 0 raises ValueError, as in solve_phi.
     """
 
     def potential(rho: Field1D) -> Field1D:
+        if np.min(rho.values) <= 0.0:
+            raise ValueError("solve_phi requires rho > 0 everywhere")
         return Field1D(rho.grid, _read_only(_closure(rho.grid, rho.values[None])[0]))
 
     def value(z: State) -> float:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from casimirlab import Field1D, Grid1D, ddx1, ddx2, dealias, integrate
+from casimirlab import Field1D, Grid1D, State, ddx1, ddx2, dealias, integrate
 from casimirlab.dynamics import Integrator, estimate_frequency, run_and_record, step
 from casimirlab.field_core import random_band_limited_1d
 from casimirlab import ion_kdv as ik
@@ -41,6 +41,15 @@ class TestSolvePhi:
     def test_nonpositive_density_rejected(self):
         with pytest.raises(ValueError):
             ik.solve_phi(Field1D.full(GRID, -0.5))
+
+    def test_energy_watcher_rejects_a_nonpositive_density(self):
+        rho = Field1D.from_function(GRID, lambda x: 0.5 + np.cos(x))
+        z = State("ion", (rho, Field1D.zeros(GRID)))
+        H = ik.ion_energy()
+        with pytest.raises(ValueError):
+            H.value(z)
+        with pytest.raises(ValueError):
+            H.gradient(z)
 
     def test_nonconvergence_raises_with_residual(self):
         rho = Field1D.from_function(GRID, lambda x: 1.0 + 0.4 * np.cos(x))
