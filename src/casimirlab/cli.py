@@ -154,8 +154,8 @@ _RULES = {
     **dict.fromkeys(("xi", "eta"), (f"a profile name ({', '.join(sorted(vx.PROFILES))})",
                                     lambda v: isinstance(v, str) and v in vx.PROFILES)),
     "preset": ("a preset name", lambda v: isinstance(v, str)),
-    "watch": ("a list of distinct functional names", lambda v: v is None or (
-        isinstance(v, list) and all(isinstance(w, str) for w in v) and len(set(v)) == len(v))),
+    "watch": ("a non-empty list of distinct functional names", lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(w, str) for w in v) and 0 < len(set(v)) == len(v))),
     "out_dir": ("a directory path", lambda v: v is None or isinstance(v, str)),
     "snapshot": ("true or false", lambda v: isinstance(v, bool)),
     "n_orbits": ("an even integer >= 2", lambda v: _is_int(v) and v >= 2 and v % 2 == 0),
@@ -282,6 +282,8 @@ def parse_config(
             raise ConfigError(f"config field '{key}': {exc}") from exc
     if spec.check is not None:
         spec.check(cfg)
+    if cfg["watch"] is not None and not spec.watch_names:
+        raise ConfigError(f"config field 'watch': preset {name} has no watch catalog")
     unknown = sorted(set(cfg["watch"] or ()) - set(spec.watch_names))
     if unknown:
         raise ConfigError(f"unknown watch functional '{unknown[0]}' for preset {name} "
@@ -335,25 +337,24 @@ class Check:
 
 
 class Drift(NamedTuple):
-    """A check on one watched functional of a series."""
+    """A check on the series column of the functional it is paired with."""
 
     name: str
-    label: str
     measure: str  # 'abs' or 'rel' drift from the initial value, 'net' |final - initial|
     op: str
     threshold: float
     note: str = ""
 
 
-def _drift_checks(series: dyn.DiagnosticSeries, rows, suffix: str = "") -> list[Check]:
-    """Evaluate drift rows on a series, skipping labels it did not watch."""
+def _drift_checks(series: dyn.DiagnosticSeries, pairs, suffix: str = "") -> list[Check]:
+    """Judge each (functional, Drift) pair that carries a Drift on the functional's column."""
     checks = []
-    for row in rows:
-        if row.label in series.labels:
-            abs_drift, rel_drift = series.drift(row.label)
-            net = abs(series.final(row.label) - series.initial(row.label))
-            value = {"abs": abs_drift, "rel": rel_drift, "net": net}[row.measure]
-            checks.append(Check(row.name + suffix, value, row.threshold, row.op, row.note))
+    for f, drift in pairs:
+        if drift is not None:
+            abs_drift, rel_drift = series.drift(f.label)
+            net = abs(series.final(f.label) - series.initial(f.label))
+            value = {"abs": abs_drift, "rel": rel_drift, "net": net}[drift.measure]
+            checks.append(Check(drift.name + suffix, value, drift.threshold, drift.op, drift.note))
     return checks
 
 
@@ -367,12 +368,14 @@ class RunResult:
     snapshots: dict = field(default_factory=dict)
 
 
-def _stepped(cfg: RunConfig, rhs, z0, watch, divergence=None, scheme: str = "rk4"):
-    """Step z0 to cfg.t_end by cfg.dt, sampling watch every cfg.output_every; return the run.
+def _stepped(cfg: RunConfig, rhs, z0, pairs, divergence=None, scheme: str = "rk4"):
+    """Step z0 to cfg.t_end by cfg.dt, sampling the functionals of the (functional,
+    Drift | None) pairs every cfg.output_every; return the run.
 
     A divergence functional heads the series and is also taken after every
     step; its maximum over the steps then comes back beside the run.
     """
+    watch = [f for f, _ in pairs]
     run = dyn.Trajectory(dyn.Integrator(scheme, cfg.dt), rhs, z0, cfg.t_end,
                          [divergence, *watch] if divergence else watch, cfg.output_every)
     if divergence:
@@ -382,8 +385,10 @@ def _stepped(cfg: RunConfig, rhs, z0, watch, divergence=None, scheme: str = "rk4
     return run
 
 
-def _watch_list(cfg: RunConfig, catalog: dict) -> list:
-    return [catalog[n] for n in (catalog if cfg.watch is None else cfg.watch)]
+def _watched(cfg: RunConfig, catalog: dict) -> tuple[list, list]:
+    """A catalog's watched pairs: in the config's order (series), in its own (checks)."""
+    names = catalog if cfg.watch is None else cfg.watch
+    return [catalog[n] for n in names], [p for n, p in catalog.items() if n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +408,14 @@ def _run_euler2d(cfg: RunConfig) -> RunResult:
         rng = np.random.default_rng(cfg.seed)
         omega = random_band_limited_2d(grid, init["kmax"], rng, init["amplitude"])
     H = vx.euler_energy(1)
-    catalog = {
-        "energy": H,
-        "enstrophy": vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"])),
-    }
-    run = _stepped(cfg, vx.vortex_rhs(1, H), vx.state_i(omega), _watch_list(cfg, catalog))
-    checks = _drift_checks(run.series, [
-        Drift("energy_rel_drift", "euler_energy", "rel", "<=", 1e-8),
-        Drift("enstrophy_rel_drift", "enstrophy[square]", "rel", "<=", 1e-8),
-    ])
-    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
+    watch, judged = _watched(cfg, {
+        "energy": (H, Drift("energy_rel_drift", "rel", "<=", 1e-8)),
+        "enstrophy": (vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"])),
+                      Drift("enstrophy_rel_drift", "rel", "<=", 1e-8)),
+    })
+    run = _stepped(cfg, vx.vortex_rhs(1, H), vx.state_i(omega), watch)
+    return RunResult(checks=_drift_checks(run.series, judged), series=run.series,
+                     snapshots={"state_final": run.state})
 
 
 def _run_rmhd2d(cfg: RunConfig) -> RunResult:
@@ -420,22 +423,20 @@ def _run_rmhd2d(cfg: RunConfig) -> RunResult:
     omega = vx.field_from_modes(grid, cfg.initial["omega_modes"])
     psi = vx.field_from_modes(grid, cfg.initial["psi_modes"])
     H = vx.rmhd_energy(2)
-    catalog = {
-        "energy": H,
-        "cross_helicity": vx.make_casimir(vx.CasimirSpec("cross_helicity", vx.PROFILES["identity"])),
-        "flux_sq": vx.make_casimir(vx.CasimirSpec("flux", vx.PROFILES["square"])),
-        "enstrophy": vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2)),
-    }
-    run = _stepped(cfg, vx.vortex_rhs(2, H), vx.state_ii(omega, psi), _watch_list(cfg, catalog))
-    checks = _drift_checks(run.series, [
-        Drift("energy_rel_drift", "rmhd_energy", "rel", "<=", 1e-6),
-        Drift("cross_helicity_drift", "cross_helicity[identity]", "abs", "<=", 1e-6),
-        Drift("flux_sq_rel_drift", "flux[square]", "rel", "<=", 1e-6),
-        Drift("enstrophy_growth", "enstrophy[square]", "net", ">=", 1e-4,
-              note="non-conserved (expected): generalized enstrophy is not a Casimir "
-              "once the flux function enters the Hamiltonian"),
-    ])
-    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
+    watch, judged = _watched(cfg, {
+        "energy": (H, Drift("energy_rel_drift", "rel", "<=", 1e-6)),
+        "cross_helicity": (vx.make_casimir(vx.CasimirSpec("cross_helicity", vx.PROFILES["identity"])),
+                           Drift("cross_helicity_drift", "abs", "<=", 1e-6)),
+        "flux_sq": (vx.make_casimir(vx.CasimirSpec("flux", vx.PROFILES["square"])),
+                    Drift("flux_sq_rel_drift", "rel", "<=", 1e-6)),
+        "enstrophy": (vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2)),
+                      Drift("enstrophy_growth", "net", ">=", 1e-4,
+                            note="non-conserved (expected): generalized enstrophy is not a "
+                            "Casimir once the flux function enters the Hamiltonian")),
+    })
+    run = _stepped(cfg, vx.vortex_rhs(2, H), vx.state_ii(omega, psi), watch)
+    return RunResult(checks=_drift_checks(run.series, judged), series=run.series,
+                     snapshots={"state_final": run.state})
 
 
 def _run_phantom2(cfg: RunConfig) -> RunResult:
@@ -451,7 +452,7 @@ def _run_phantom2(cfg: RunConfig) -> RunResult:
                                lambda pair: (pair[0].parts[0] - pair[1].parts[0]).max_abs())
     energy = vx.Functional("euler_energy", lambda pair: H.value(pair[0]))
     # both trajectories step in lockstep
-    run, max_div = _stepped(cfg, vx.vortex_rhs(2, H), (za, zb), [energy], divergence)
+    run, max_div = _stepped(cfg, vx.vortex_rhs(2, H), (za, zb), [(energy, None)], divergence)
     za, zb = run.state
     identical = np.array_equal(za.parts[0].values, zb.parts[0].values)
     checks = [
@@ -471,15 +472,14 @@ def _run_phantom3(cfg: RunConfig) -> RunResult:
     psi = random_band_limited_2d(grid, init["psi_kmax"], rng, init["psi_amplitude"])
     z0 = vx.state_iii(omega, psi, Field2D(grid, psi.values.copy()))
     H = vx.rmhd_energy(3)
-    pair = vx.make_casimir(vx.CasimirSpec("flux_pair", vx.PROFILES["identity"]))
+    pairs = [(vx.make_casimir(vx.CasimirSpec("flux_pair", vx.PROFILES["identity"])),
+              Drift("flux_pair_rel_drift", "rel", "<=", 1e-6)), (H, None)]
     divergence = vx.Functional("psi_pair_divergence", lambda z: (z.parts[1] - z.parts[2]).max_abs())
-    run, max_div = _stepped(cfg, vx.vortex_rhs(3, H), z0, [pair, H], divergence)
+    run, max_div = _stepped(cfg, vx.vortex_rhs(3, H), z0, pairs, divergence)
     checks = [
         Check("psi_pair_max_divergence", max_div, 0.0, "==",
               note="equal initial data evolves under one identical generator"),
-        *_drift_checks(run.series, [
-            Drift("flux_pair_rel_drift", "flux_pair[identity]", "rel", "<=", 1e-6),
-        ]),
+        *_drift_checks(run.series, pairs),
     ]
     return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
 
@@ -518,18 +518,19 @@ def _run_singular_leaf(cfg: RunConfig) -> RunResult:
     H = vx.rmhd_energy(2)
     leaf = vx.Functional("leaf_norm_sq", lambda z: vx.singular_leaf_indicator(z.parts[1])[0])
     interior = vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2))
-    run = _stepped(cfg, vx.vortex_rhs(2, H), z0, [leaf, interior, H])
+    pairs = [(leaf, None),
+             (interior, Drift("interior_enstrophy_rel_drift", "rel", "<=", 1e-8,
+                              note="on the leaf, the subsystem conserves its own Casimir")),
+             (H, None)]
+    run = _stepped(cfg, vx.vortex_rhs(2, H), z0, pairs)
     res_on = vx.interior_casimir_residual(omega, vx.PROFILES["square"])
     z_off = vx.state_ii(omega, Field2D.from_function(grid, lambda X, Y: np.sin(X)))
     off_norm = l2norm(vx.apply_j2(z_off, interior.gradient(z_off)).parts[1])
     checks = [
-        Check("leaf_indicator_max", max(run.series.values["leaf_norm_sq"]), 1e-20, "<=",
+        Check("leaf_indicator_max", max(run.series.values[leaf.label]), 1e-20, "<=",
               note="an orbit starting on the leaf psi = 0 stays on it"),
         Check("on_leaf_at_end", float(vx.singular_leaf_indicator(run.state.parts[1])[1]), 1.0, "=="),
-        *_drift_checks(run.series, [
-            Drift("interior_enstrophy_rel_drift", "enstrophy[square]", "rel", "<=", 1e-8,
-                  note="on the leaf, the subsystem conserves its own Casimir"),
-        ]),
+        *_drift_checks(run.series, pairs),
         Check("interior_residual_on_leaf", res_on, 1e-9, "<="),
         Check("interior_residual_off_leaf", off_norm, 1e-3, ">=",
               note="off psi = 0 the same gradient is no longer annihilated"),
@@ -582,17 +583,14 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
                                    cfg.t_end, cfg.dt)
     for family, cols in (("loops", slice(None, m)), ("wells", slice(m, None))):
         x0s, mn, mx = res["x0"][cols], res["x_min_signed"][cols], res["x_max_signed"][cols]
-        sign_ok = res["sign_ok"][cols].all()
-        drifts = []
-        for i, (x0, lo, hi) in enumerate(zip(x0s, mn, mx)):
-            eps = eps_fixed if family == "loops" else min(eps_fixed, lo / 4.0)
-            y0 = fd.smoothed_step(abs(x0), eps)
-            drifts.append(max(abs(fd.smoothed_step(lo, eps) - y0),
-                              abs(fd.smoothed_step(hi, eps) - y0)))
-            rows.append({"case": f"{family}_{i}", "x0": x0, "min_signed_x": lo,
-                         "max_signed_x": hi, "y_drift": drifts[-1]})
-        all_checks.append(Check(f"{family}_sign_conserved", float(sign_ok), 1.0, "=="))
-        all_checks.append(Check(f"{family}_y_eps_drift_max", max(drifts), 1e-6, "<=",
+        eps = eps_fixed if family == "loops" else np.minimum(eps_fixed, mn / 4.0)
+        y0 = fd.smoothed_step(np.abs(x0s), eps)
+        drifts = abs(fd.smoothed_step(np.array([mn, mx]), eps) - y0).max(axis=0)
+        rows += [{"case": f"{family}_{i}", "x0": x0, "min_signed_x": lo, "max_signed_x": hi,
+                  "y_drift": d} for i, (x0, lo, hi, d) in enumerate(zip(x0s, mn, mx, drifts))]
+        all_checks.append(Check(f"{family}_sign_conserved", float(res["sign_ok"][cols].all()),
+                                1.0, "=="))
+        all_checks.append(Check(f"{family}_y_eps_drift_max", float(drifts.max()), 1e-6, "<=",
                                 note=_LOOPS_Y_NOTE if family == "loops" else ""))
 
     for eps in (0.05, 0.1, 0.5):
@@ -625,27 +623,26 @@ def _check_ionacoustic1d(cfg: dict):
             )
 
 
-def _mode_series(series: dyn.DiagnosticSeries, k: int, watch) -> dyn.DiagnosticSeries:
+def _mode_series(series: dyn.DiagnosticSeries, k: int, pairs) -> dyn.DiagnosticSeries:
     """Mode k's columns of the batch series, under its watchers' own labels."""
-    return dyn.DiagnosticSeries(tuple(f.label for f in watch), list(series.times),
-                                {f.label: series.values[f"{f.label}_k{k}"] for f in watch})
+    return dyn.DiagnosticSeries(tuple(f.label for f, _ in pairs), list(series.times),
+                                {f.label: series.values[f"{f.label}_k{k}"] for f, _ in pairs})
 
 
 def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     modes = cfg.initial["modes"]
     H = ik.ion_energy()
-    drifts = [
-        Drift("energy_rel_drift", "ion_energy", "rel", "<=", 1e-7),
-        Drift("mass_rel_drift", "mass", "rel", "<=", 1e-7),
-        Drift("momentum_drift", "momentum", "rel", "<=", 1e-7),
-    ]
     # each distinct mode is member j of one (2, m, n) array of (rho, V) rows;
     # the flow is row by row, so each member steps bitwise as it would alone
     members = list(dict.fromkeys(modes))
     starts = [ik.acoustic_mode_state(grid, k, cfg.initial["amplitude"]) for k in members]
     z0 = np.array([[z.parts[i].values for z in starts] for i in (0, 1)])
-    watch = {k: [ik.mode_amplitude(k), H, ik.total_mass(), ik.momentum()] for k in members}
+    watch = {k: [(ik.mode_amplitude(k), None),  # first: the frequency is read from it
+                 (H, Drift("energy_rel_drift", "rel", "<=", 1e-7)),
+                 (ik.total_mass(), Drift("mass_rel_drift", "rel", "<=", 1e-7)),
+                 (ik.momentum(), Drift("momentum_drift", "rel", "<=", 1e-7))]
+             for k in members}
 
     def member_watch(f, j, k):
         def value(zv):
@@ -653,9 +650,9 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
 
         return vx.Functional(f"{f.label}_k{k}", value)
 
-    batch_watch = [member_watch(f, j, k) for j, k in enumerate(members) for f in watch[k]]
+    batch = [(member_watch(f, j, k), None) for j, k in enumerate(members) for f, _ in watch[k]]
     try:
-        series = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0, batch_watch).series
+        series = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0, batch).series
     except dyn.IntegrationError as exc:
         raise dyn.IntegrationError(str(exc), _mode_series(exc.series, modes[0], watch[modes[0]]),
                                    exc.step_index, exc.last_state) from exc
@@ -666,14 +663,14 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
         series = series_by_mode[k]
         theory = ik.acoustic_dispersion(float(k))
         try:
-            measured = dyn.estimate_frequency(series.times, series.values[f"mode_cos_{k}"])
+            measured = dyn.estimate_frequency(series.times, series.values[watch[k][0][0].label])
         except ValueError as exc:
             measured, rel, note = None, math.inf, f"run too short to measure a frequency: {exc}"
         else:
             rel, note = abs(measured - theory) / theory, ""
         extras["modes"][str(k)] = {"measured_omega": measured, "theory_omega": theory}
         checks.append(Check(f"dispersion_rel_error_k{k}", rel, 1e-2, "<=", note))
-        checks += _drift_checks(series, drifts, suffix=f"_k{k}")
+        checks += _drift_checks(series, watch[k], suffix=f"_k{k}")
     return RunResult(checks=checks, series=series_by_mode.pop(modes[0]), extras=extras,
                      extra_series=series_by_mode)
 
@@ -682,17 +679,15 @@ def _run_kdv_soliton(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     c, x0 = cfg.initial["c"], cfg.initial["x0"]
     z0 = ik.kdv_state(ik.kdv_soliton(c, x0, grid))
-    watch = [ik.kdv_mass(), ik.kdv_momentum(), ik.kdv_energy()]
-    run = _stepped(cfg, None, z0, watch, scheme="if_rk4")
+    pairs = [(ik.kdv_mass(), Drift("mass_drift", "abs", "<=", 1e-12)),
+             (ik.kdv_momentum(), Drift("momentum_rel_drift", "rel", "<=", 1e-8)),
+             (ik.kdv_energy(), Drift("energy_rel_drift", "rel", "<=", 1e-7))]
+    run = _stepped(cfg, None, z0, pairs, scheme="if_rk4")
     exact = ik.kdv_soliton(c, x0 + c * cfg.t_end, grid)
     err = float(np.max(np.abs(run.state.parts[0].values - exact.values)))
     checks = [
         Check("soliton_linf_error", err, 1e-3, "<="),
-        *_drift_checks(run.series, [
-            Drift("mass_drift", "kdv_mass", "abs", "<=", 1e-12),
-            Drift("momentum_rel_drift", "kdv_momentum", "rel", "<=", 1e-8),
-            Drift("energy_rel_drift", "kdv_energy", "rel", "<=", 1e-7),
-        ]),
+        *_drift_checks(run.series, pairs),
     ]
     return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
 

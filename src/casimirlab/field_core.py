@@ -45,7 +45,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -167,10 +166,8 @@ class Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class SpectralWorkspace2D:
-    kx: np.ndarray        # physical wavenumbers, rfft layout, shape (1, nx//2+1)
-    ky: np.ndarray        # shape (ny, 1)
-    dkx: np.ndarray       # derivative wavenumbers, Nyquist zeroed
-    dky: np.ndarray
+    dkx: np.ndarray       # x derivative wavenumbers (Nyquist zeroed), shape (1, nx//2+1)
+    dky: np.ndarray       # y derivative wavenumbers (Nyquist zeroed), shape (ny, 1)
     k2: np.ndarray        # kx^2 + ky^2
     inv_neg_k2: np.ndarray  # -1/k2 with the k = 0 entry set to 0
     mask: np.ndarray      # 2/3-rule dealiasing mask (True = keep)
@@ -194,7 +191,7 @@ def workspace2d(grid: Grid2D) -> SpectralWorkspace2D:
     inv[nz] = -1.0 / k2[nz]
     mask = (ix[None, :] <= nx // 3) & (np.abs(iy)[:, None] <= ny // 3)
     order = np.maximum(ix[None, :], np.abs(iy)[:, None])
-    return SpectralWorkspace2D(kx, ky, dkx, dky, k2, inv, mask, order)
+    return SpectralWorkspace2D(dkx, dky, k2, inv, mask, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,26 +415,24 @@ def bracket_sums(outputs) -> list[Field2D]:
     """dealias(sum of [a, b] over the (a, b) pairs of each output), one Field2D per output.
 
     Each distinct input's derivatives are synthesized once from its kept
-    spectrum and dropped after their last use; a pair with an exactly zero
-    side is skipped untransformed ([a, 0] = 0), and an output with no live
+    spectrum and kept for the whole call; a pair with an exactly zero side
+    is skipped untransformed ([a, 0] = 0), and an output with no live
     pair is an exact zero field.  Each output keeps its masked spectrum.
     """
     grid = outputs[0][0][0].grid
     if any(f.grid != grid for pairs in outputs for pair in pairs for f in pair):
         raise GridMismatchError("bracket2d requires one shared grid")
-    live = [[(a, b) for a, b in pairs if a._any() and b._any()] for pairs in outputs]
-    uses = Counter(id(f) for pairs in live for pair in pairs for f in pair)
     ws, derivs, out = workspace2d(grid), {}, []
-    for pairs in live:
+    for pairs in outputs:
         total = None
         for a, b in pairs:
+            if not (a._any() and b._any()):
+                continue
             for f in (a, b):
                 if id(f) not in derivs:
                     hat = f._spectrum()
                     derivs[id(f)] = [_inverse(grid, 1j * k * hat) for k in (ws.dkx, ws.dky)]
             (a_x, a_y), (b_x, b_y) = derivs[id(a)], derivs[id(b)]
-            uses.subtract((id(a), id(b)))
-            derivs = {k: v for k, v in derivs.items() if uses[k]}
             p = a_y * b_x
             p -= a_x * b_y
             total = p if total is None else np.add(total, p, out=total)

@@ -86,7 +86,52 @@ class TestParseConfig:
         assert cfg.out_dir == str(tmp_path / "flag")
 
 
+VORTEX_CHECKS = ["energy_rel_drift", "enstrophy_rel_drift"]
+
+# (preset, --set overrides, every check the preset declares, in order): a short
+# run of each preset that passes all of its checks
+PASSING = [
+    ("euler2d", ("grid.n=16", "t_end=0.1"), VORTEX_CHECKS),
+    ("euler2d", ("grid.n=16", "t_end=0.1", 'initial.kind="taylor_green"'), VORTEX_CHECKS),
+    ("rmhd2d", ("grid.n=16", "dt=0.01", "t_end=0.1"),
+     ["energy_rel_drift", "cross_helicity_drift", "flux_sq_rel_drift", "enstrophy_growth"]),
+    ("phantom2", ("grid.n=16", "t_end=0.1"), ["omega_max_divergence", "omega_bitwise_identical"]),
+    ("phantom3", ("grid.n=16", "t_end=0.1"), ["psi_pair_max_divergence", "flux_pair_rel_drift"]),
+    ("singular_leaf", ("grid.n=16", "t_end=0.1"),
+     ["leaf_indicator_max", "on_leaf_at_end", "interior_enstrophy_rel_drift",
+      "interior_residual_on_leaf", "interior_residual_off_leaf"]),
+    ("finitedim", ("t_end=0.2",),
+     ["loops_sign_conserved", "loops_y_eps_drift_max", "wells_sign_conserved",
+      "wells_y_eps_drift_max", "closedness_nu_x_eps_0.05", "closedness_nu_y_eps_0.05",
+      "closedness_nu_x_eps_0.1", "closedness_nu_y_eps_0.1", "closedness_nu_x_eps_0.5",
+      "closedness_nu_y_eps_0.5"]),
+    ("ionacoustic1d", ("grid.n=16", "dt=0.05", "t_end=14.0"),
+     ["dispersion_rel_error_k1", "energy_rel_drift_k1", "mass_rel_drift_k1", "momentum_drift_k1",
+      "dispersion_rel_error_k2", "energy_rel_drift_k2", "mass_rel_drift_k2", "momentum_drift_k2"]),
+    ("kdv_soliton", ("grid.n=128", "t_end=0.1"),
+     ["soliton_linf_error", "mass_drift", "momentum_rel_drift", "energy_rel_drift"]),
+    ("kernel_deficit", (),
+     ["kernel_commutator", "cross_helicity_residual_identity", "cross_helicity_residual_square",
+      "cross_helicity_residual_sin", "deficit_witness"]),
+    ("jacobi_check", (), ["jacobi_canonical", "jacobi_x_scaled", "jacobi_so3", "jacobi_broken_so3"]),
+]
+
+
 class TestRunPreset:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_runs_to_a_pass(self, preset, tmp_path):
+        cases = [(sets, checks) for name, sets, checks in PASSING if name == preset]
+        assert cases, f"no passing case for preset {preset}"
+        for i, (sets, checks) in enumerate(cases):
+            csvs = []
+            for rerun in ("a", "b"):
+                code, out, summary = self.run(preset, tmp_path / f"{i}{rerun}", *sets)
+                assert code == 0
+                assert [c["name"] for c in summary["checks"]] == checks
+                assert all(c["passed"] for c in summary["checks"])
+                csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+            assert csvs[0] and csvs[0] == csvs[1]
+
     def run(self, preset, tmp_path, *sets):
         cfg = parse_config(preset=preset, sets=sets, out_dir_flag=str(tmp_path / preset))
         code = run_preset(cfg)

@@ -103,6 +103,10 @@ def check_failure_record(root, preset, sets, where):
         ("euler2d", ("initial.amplitude=Infinity",), "initial.amplitude"),
         # 0.015 is one and a half steps of dt = 0.01
         ("euler2d", ("output_every=0.015",), "output_every"),
+        # a watch list that judges nothing, and one for a preset with no watch catalog
+        ("euler2d", ("watch=[]",), "watch"),
+        ("phantom3", ("watch=[]",), "watch"),
+        ("phantom3", ('watch=["energy"]',), "watch"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):
