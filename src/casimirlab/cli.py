@@ -169,6 +169,10 @@ _RULES = {
     "x0": ("a finite number", _is_number),
 }
 
+# the time keys: a preset that steps in time has a dt default, and one that
+# does not takes none of them (they are null in its config echo)
+_TIME_KEYS = ("dt", "t_end", "output_every")
+
 # keys every config has before the preset defaults and the file are merged in
 _BASE = {"grid": {}, "initial": {}, "watch": None, "out_dir": None, "snapshot": False}
 
@@ -239,7 +243,8 @@ def parse_config(
 
     The preset's defaults are its schema: they name every initial key it
     accepts, and its grid class names the grid keys.  t_end, and an
-    output_every longer than dt, must be a whole number of dt steps.
+    output_every longer than dt, must be a whole number of dt steps; a preset
+    with no dt default does not step and takes no time key (_TIME_KEYS).
     """
     file_cfg: dict = {}
     if path is not None:
@@ -271,15 +276,23 @@ def parse_config(
         _set_dotted(cfg, key.strip(), value.strip())
     cfg["preset"] = name
 
-    _check_section(cfg, {f.name for f in fields(RunConfig)} | set(spec.defaults), "")
+    steps = "dt" in spec.defaults
+    known = {f.name for f in fields(RunConfig)} | set(spec.defaults)
+    _check_section(cfg, known if steps else known - set(_TIME_KEYS), "")
     _check_section(cfg["grid"], _GRID_KEYS[spec.grid], "grid.")
     _check_section(cfg["initial"], spec.defaults["initial"], "initial.")
-    # an output_every shorter than dt samples every step
-    for key in ("t_end", "output_every") if cfg.get("output_every", 0) > cfg["dt"] else ("t_end",):
-        try:
-            dyn.step_count(cfg[key], cfg["dt"])
-        except (ValueError, OverflowError) as exc:  # OverflowError: the ratio is infinite
-            raise ConfigError(f"config field '{key}': {exc}") from exc
+    if steps:
+        # an output_every shorter than dt samples every step
+        for key in ("t_end", "output_every") if cfg.get("output_every", 0) > cfg["dt"] else ("t_end",):
+            try:
+                dyn.step_count(cfg[key], cfg["dt"])
+            except (ValueError, OverflowError) as exc:  # OverflowError: the ratio is infinite
+                raise ConfigError(f"config field '{key}': {exc}") from exc
+        cfg.setdefault("output_every", cfg["dt"])
+        for key in _TIME_KEYS:
+            cfg[key] = float(cfg[key])
+    else:
+        cfg |= dict.fromkeys(_TIME_KEYS)
     if spec.check is not None:
         spec.check(cfg)
     if cfg["watch"] is not None and not spec.watch_names:
@@ -289,9 +302,6 @@ def parse_config(
         raise ConfigError(f"unknown watch functional '{unknown[0]}' for preset {name} "
                           f"(available: {', '.join(spec.watch_names)})")
 
-    cfg.setdefault("output_every", cfg["dt"])
-    for key in ("dt", "t_end", "output_every"):
-        cfg[key] = float(cfg[key])
     out_dir = out_dir_flag or cfg["out_dir"] or os.environ.get(ENV_OUT_DIR) or Path("runs") / name
     return RunConfig(**cfg | {"out_dir": str(out_dir)})
 
@@ -789,7 +799,7 @@ PRESETS = {
         Preset("kernel_deficit",
                "kernel state (omega, psi) = (xi(zeta), eta(zeta)) and the deficit witness",
                _run_kernel_deficit, Grid2D,
-               {"grid": {"n": 128}, "dt": 1e-2, "t_end": 1.0, "seed": 0,
+               {"grid": {"n": 128}, "seed": 0,
                 "initial": {"zeta_modes": [[1, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]],
                             "xi": "square", "eta": "identity"}}),
         Preset("singular_leaf", "orbit on the leaf psi = 0: leaf indicator and interior Casimir",
@@ -812,7 +822,7 @@ PRESETS = {
                 "seed": 0, "initial": {"c": 1.0, "x0": 10.0}}),
         Preset("jacobi_check", "finite-difference Jacobi residuals for sound and broken operators",
                _run_jacobi_check, None,
-               {"dt": 1e-2, "t_end": 1.0, "seed": 7, "initial": {"step": 1e-5}}),
+               {"seed": 7, "initial": {"step": 1e-5}}),
     )
 }
 

@@ -53,7 +53,12 @@ class Integrator:
 
 
 def step(integ: Integrator, rhs: Callable | None, z: State | np.ndarray) -> State | np.ndarray:
-    """One explicit step; raises a NumericalFailure on non-finite output."""
+    """One explicit step; raises a NumericalFailure on non-finite output.
+
+    Stage sums of synthesized fields stay in spectral space (field_core.Field);
+    the output's parts are born from their values, read and checked finite
+    here once per step, so a step is a function of its input's values alone.
+    """
     dt = integ.dt
     if integ.scheme == "if_rk4":
         if z.kind != "kdv":
@@ -68,6 +73,8 @@ def step(integ: Integrator, rhs: Callable | None, z: State | np.ndarray) -> Stat
     else:  # midpoint
         k1 = rhs(z)
         out = z + dt * rhs(z + (0.5 * dt) * k1)
+    if isinstance(out, State):
+        out = out.from_values()
     if not (np.isfinite(out).all() if isinstance(out, np.ndarray) else out.all_finite()):
         raise BlowupError("non-finite state after step")
     return out

@@ -97,10 +97,25 @@ class State:
         zero = type(self.parts[0]).zeros(self.parts[0].grid)
         return State(self.kind, tuple(zero for _ in self.parts))
 
+    def from_values(self) -> "State":
+        """This state with every field part born from its values (Field._born_from_values).
+
+        Reading a synthesized part's values checks them finite, so this raises
+        NonFiniteError on a non-finite part; no part of the result keeps a
+        synthesized spectrum.
+        """
+        if self.kind == "finite":
+            return self
+        return State(self.kind, tuple(p._born_from_values() for p in self.parts))
+
     def all_finite(self) -> bool:
         if self.kind == "finite":
             return bool(np.all(np.isfinite(self.parts[0])))
-        # Field values are validated finite at construction
+        try:
+            for p in self.parts:
+                p.values  # checked finite at construction, or at a synthesized field's first read
+        except NonFiniteError:
+            return False
         return True
 
 

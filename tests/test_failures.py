@@ -107,6 +107,10 @@ def check_failure_record(root, preset, sets, where):
         ("euler2d", ("watch=[]",), "watch"),
         ("phantom3", ("watch=[]",), "watch"),
         ("phantom3", ('watch=["energy"]',), "watch"),
+        # presets that do not step in time take no time key
+        ("jacobi_check", ("t_end=0.025",), "t_end"),
+        ("jacobi_check", ("dt=0.01",), "dt"),
+        ("kernel_deficit", ("output_every=0.1",), "output_every"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):

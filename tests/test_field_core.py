@@ -31,11 +31,13 @@ from casimirlab import (
 )
 from casimirlab.field_core import (
     NonFiniteError,
+    _zero_spectrum,
     bracket_sums,
     random_band_limited_2d,
     workspace1d,
     workspace2d,
 )
+from casimirlab.poisson import State
 
 GRID = Grid2D(64, 64)
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -414,3 +416,99 @@ class TestLazyValues:
         assert "values" not in vars(zero)
         assert np.array_equal(out[0].values, expect.values)
         assert not out[1].values.any()
+
+
+class TestSpectralArithmetic:
+    """+, -, unary - and scalar * stay spectral when an operand was synthesized."""
+
+    record = staticmethod(TestKeptSpectrum.record)
+
+    @staticmethod
+    def synthesized(seed):
+        rng = np.random.default_rng(seed)
+        return ddx(random_band_limited_2d(GRID, 6, rng)), laplacian(random_band_limited_2d(GRID, 6, rng))
+
+    def test_combination_of_synthesized_fields_is_spectral(self, monkeypatch):
+        a, b = self.synthesized(50)
+        calls = self.record(monkeypatch)
+        out = a + 0.3 * b - (-a)
+        assert calls == [] and out._synthesized
+        values = out.values
+        assert calls == ["irfft2"]
+        monkeypatch.undo()
+        hat = a._spectrum() + 0.3 * b._spectrum() - (-a._spectrum())
+        assert np.array_equal(values, np.fft.irfft2(hat, s=GRID.shape))
+
+    def test_field_born_from_values_contributes_its_kept_spectrum(self, monkeypatch):
+        a, _ = self.synthesized(51)
+        z = random_band_limited_2d(GRID, 6, np.random.default_rng(52))
+        calls = self.record(monkeypatch)
+        first, second = z + 0.5 * a, z + 0.25 * a
+        assert calls == ["rfft2"] and first._synthesized and second._synthesized
+        monkeypatch.undo()
+        hat = np.fft.rfft2(z.values) + 0.5 * a._spectrum()
+        assert np.array_equal(first.values, np.fft.irfft2(hat, s=GRID.shape))
+
+    def test_values_alone_stay_in_values(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        p, q = (random_band_limited_2d(GRID, 6, rng) for _ in range(2))
+        calls = self.record(monkeypatch)
+        out = p + 0.5 * q
+        assert calls == [] and not out._synthesized
+        assert np.array_equal(out.values, p.values + 0.5 * q.values)
+
+    def test_product_reads_values(self, monkeypatch):
+        a, b = self.synthesized(54)
+        calls = self.record(monkeypatch)
+        out = a * b
+        assert calls == ["irfft2", "irfft2"] and not out._synthesized
+        assert np.array_equal(out.values, a.values * b.values)
+
+    def test_result_is_independent_of_read_history(self):
+        a, b = self.synthesized(55)
+        unread = (a + 0.7 * b).values
+        a, b = self.synthesized(55)
+        a.values, b.values  # reading the operands first does not change the rule
+        assert np.array_equal((a + 0.7 * b).values, unread)
+
+
+class TestExactZero:
+    """Field.zeros keeps an exact zero spectrum: nothing transforms or scans it."""
+
+    record = staticmethod(TestKeptSpectrum.record)
+
+    def test_zero_field_is_never_transformed(self, monkeypatch):
+        f = random_band_limited_2d(GRID, 6, np.random.default_rng(60))
+        a = ddx(f)
+        calls = self.record(monkeypatch)
+        zero = Field2D.zeros(GRID)
+        assert not zero._any()
+        assert zero._spectrum() is _zero_spectrum(GRID) and not zero._spectrum().any()
+        out = a + zero
+        d = dealias(zero)
+        assert calls == []
+        assert not d._any() and not d.values.any()
+        monkeypatch.undo()
+        assert np.array_equal(out.values, a.values)
+
+    def test_1d_zero_keeps_an_exact_zero_spectrum(self):
+        zero = Field1D.zeros(Grid1D(16))
+        assert not zero._any() and zero._spectrum().shape == (9,)
+        assert not ddx1(zero).values.any()
+
+
+class TestStateFinite:
+    def test_non_finite_synthesized_part_is_not_finite(self):
+        with np.errstate(all="ignore"):  # its sum, and so its spectrum, overflows
+            lap = laplacian(Field2D.full(GRID, 1e306))
+        assert not State("vortex1", (lap,)).all_finite()
+        with pytest.raises(NonFiniteError):
+            State("vortex1", (lap,)).from_values()
+
+    def test_finite_synthesized_part_is_finite(self):
+        f = random_band_limited_2d(GRID, 6, np.random.default_rng(61))
+        z = State("vortex2", (ddx(f), f))
+        assert z.all_finite()
+        settled = z.from_values()
+        assert not settled.parts[0]._synthesized and settled.parts[1] is f
+        assert np.array_equal(settled.parts[0].values, z.parts[0].values)

@@ -116,6 +116,29 @@ class TestBracketKernel:
             row.values
         assert len(calls) == transforms
 
+    @pytest.mark.parametrize(
+        "level, hamiltonian, transforms",
+        [(1, vx.euler_energy, 22), (2, vx.euler_energy, 36), (2, vx.rmhd_energy, 44),
+         (3, vx.rmhd_energy, 58)],
+    )
+    def test_transforms_per_step(self, monkeypatch, level, hamiltonian, transforms):
+        # RK4's stage sums stay spectral: the step transforms its input forward
+        # once per part and its output back once per part, and each of the four
+        # RHS makes its bracket work only
+        z = vx.random_vortex_state(level, GRID, 5, np.random.default_rng(20))
+        rhs = vx.vortex_rhs(level, hamiltonian(level))
+        calls = self.record_transforms(monkeypatch)
+        step(Integrator("rk4", 0.01), rhs, z)
+        assert len(calls) == transforms
+
+    @pytest.mark.parametrize("level", sorted(vx.PAIRS))
+    def test_step_output_carries_no_synthesized_spectrum(self, level):
+        z = vx.random_vortex_state(level, GRID, 5, np.random.default_rng(24))
+        out = step(Integrator("rk4", 0.01), vx.vortex_rhs(level, vx.euler_energy(level)), z)
+        for p in out.parts:
+            assert not p._synthesized and "_hat" not in vars(p)
+            assert not p.values.flags.writeable
+
     def test_tables_follow_the_extension_rule(self):
         # row 0 sums [z_s, g_s]; row s >= 1 is [z_s, g_0]
         assert vx._KINDS == {1: "vortex1", 2: "vortex2", 3: "vortex3"}
