@@ -844,9 +844,10 @@ def _write_rows_csv(path, rows: list[dict]):
 def run_preset(cfg: RunConfig) -> int:
     """Run a preset and write its artifacts; return 0 if every check passed, else 1.
 
-    This is the one place where a numerical failure becomes a failure record.
-    One inside the time loop keeps the partial series and names its step; one
-    outside it (at setup, or in a preset without a series) has step null.
+    This is the one place where a numerical failure, or a failed allocation
+    (MemoryError), becomes a failure record.  One inside the time loop keeps
+    the partial series and names its step; one outside it (at setup, or in a
+    preset without a series) has step null.
     The runner runs with numpy's floating-point warnings off: the finiteness
     checks report a blow-up, so the warnings would only repeat it on stderr.
     """
@@ -863,6 +864,9 @@ def run_preset(cfg: RunConfig) -> int:
     except NumericalFailure as exc:
         result = RunResult()
         failure = {"step": None, "message": f"{type(exc).__name__}: {exc}"}
+    except MemoryError as exc:  # numpy raises a subclass whose own name is private
+        result = RunResult()
+        failure = {"step": None, "message": f"MemoryError: {exc}"}
     wall = time.perf_counter() - t0
 
     if result.series is not None:

@@ -145,7 +145,8 @@ class Trajectory:
     a tuple of states that one rhs steps in lockstep, in which case the
     watched functionals receive the tuple.  A NumericalFailure in a step or
     in a watched functional becomes an IntegrationError carrying the partial
-    series and the index of the failing step.
+    series and the index of the failing step; so does a MemoryError, a failed
+    allocation, whose message names it MemoryError.
     """
 
     def __init__(self, integ: Integrator, rhs, z0, t_end: float,
@@ -171,9 +172,11 @@ class Trajectory:
                 if n % self.stride == 0 or n == self.n_steps:
                     self.series.record(n * integ.dt, [f.value(z) for f in self.watch])
                 yield z
-        except NumericalFailure as exc:
+        except (NumericalFailure, MemoryError) as exc:
+            # numpy raises a MemoryError subclass; its own name is private
+            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
             raise IntegrationError(
-                f"{type(exc).__name__} at step {n} (t = {n * integ.dt:g}): {exc}",
+                f"{name} at step {n} (t = {n * integ.dt:g}): {exc}",
                 self.series, n, self.state,
             ) from exc
 

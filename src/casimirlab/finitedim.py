@@ -236,7 +236,12 @@ def gaussian_bump(x, eps: float):
 
 @dataclass(frozen=True)
 class OneForm2:
-    """A 1-form wx dx + wy dy given by two callables of (X, Y) arrays."""
+    """A 1-form wx dx + wy dy given by two callables of (X, Y) arrays.
+
+    The callables are evaluated pointwise: closedness_residual calls them on
+    blocks of rows of its window, so each must compute an element from the
+    same element of X and Y alone.
+    """
 
     label: str
     wx: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -266,6 +271,11 @@ def apply_scaled_canonical_to_form(form: OneForm2, X, Y) -> tuple[np.ndarray, np
     return X * form.wy(X, Y), -X * form.wx(X, Y)
 
 
+# interior rows per block of closedness_residual's window: 34 rows of 401
+# points make about 107 KiB per array
+_CURL_ROWS = 32
+
+
 def closedness_residual(
     w: OneForm2,
     window: tuple[tuple[float, float], tuple[float, float]] = ((-2.0, 2.0), (-2.0, 2.0)),
@@ -273,24 +283,31 @@ def closedness_residual(
     """max |d(wy)/dx - d(wx)/dy| on the window, central differences on 401 x 401 points.
 
     Zero (to FD accuracy) iff w is closed there, i.e. locally a gradient and
-    hence integrable to a Casimir candidate.
+    hence integrable to a Casimir candidate.  The window is walked in blocks
+    of _CURL_ROWS interior rows, each evaluated with one halo row on either
+    side, so every curl element is the whole-window arithmetic on the same
+    inputs; np.maximum keeps a NaN, as np.max over the whole curl would.
     """
     (x0, x1), (y0, y1) = window
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate evaluation window")
     xs = np.linspace(x0, x1, 401)
     ys = np.linspace(y0, y1, 401)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    WX = np.asarray(w.wx(X, Y), dtype=float)
-    WY = np.asarray(w.wy(X, Y), dtype=float)
-    if not (np.all(np.isfinite(WX)) and np.all(np.isfinite(WY))):
-        raise NonFiniteError(f"one-form {w.label} is not finite on the window")
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
-    curl = (WY[1:-1, 2:] - WY[1:-1, :-2]) / (2.0 * hx) - (
-        WX[2:, 1:-1] - WX[:-2, 1:-1]
-    ) / (2.0 * hy)
-    return float(np.max(np.abs(curl)))
+    peak = -np.inf
+    for start in range(1, ys.size - 1, _CURL_ROWS):
+        stop = min(start + _CURL_ROWS, ys.size - 1)
+        X, Y = np.meshgrid(xs, ys[start - 1 : stop + 1], indexing="xy")
+        WX = np.asarray(w.wx(X, Y), dtype=float)
+        WY = np.asarray(w.wy(X, Y), dtype=float)
+        if not (np.all(np.isfinite(WX)) and np.all(np.isfinite(WY))):
+            raise NonFiniteError(f"one-form {w.label} is not finite on the window")
+        curl = (WY[1:-1, 2:] - WY[1:-1, :-2]) / (2.0 * hx) - (
+            WX[2:, 1:-1] - WX[:-2, 1:-1]
+        ) / (2.0 * hy)
+        peak = np.maximum(peak, np.max(np.abs(curl)))
+    return float(peak)
 
 
 def smoothed_step(x, eps: float):

@@ -102,9 +102,9 @@ class State:
 
         Reading a synthesized part's values checks them finite, so this raises
         NonFiniteError on a non-finite part; no part of the result keeps a
-        synthesized spectrum.
+        synthesized spectrum.  A state with no synthesized part is itself.
         """
-        if self.kind == "finite":
+        if self.kind == "finite" or not any(p._synthesized for p in self.parts):
             return self
         return State(self.kind, tuple(p._born_from_values() for p in self.parts))
 

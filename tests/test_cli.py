@@ -314,3 +314,11 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "kdv_soliton" in proc.stdout
+
+    def test_python_dash_m_package(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "casimirlab", "list-presets"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "kdv_soliton" in proc.stdout

@@ -183,6 +183,48 @@ class TestRunAndRecord:
         assert np.array_equal(zf1.parts[0].values, zf2.parts[0].values)
 
 
+class TestFailedAllocation:
+    """A MemoryError in a step or a watcher ends the run as a numerical failure does."""
+
+    @staticmethod
+    def energy():
+        return Functional("energy", lambda s: 0.5 * float(s.parts[0] @ s.parts[0]))
+
+    def test_in_a_step_names_the_step_and_keeps_the_series(self):
+        calls = {"n": 0}
+
+        def hungry(s):
+            calls["n"] += 1
+            if calls["n"] > 20:  # the first RHS of step 6
+                np.empty(1 << 60, dtype=np.uint8)
+            return harmonic_rhs()(s)
+
+        with pytest.raises(IntegrationError) as info:
+            run_and_record(Integrator("rk4", 0.1), hungry, fd.finite_state(1.0, 0.0), 10.0,
+                           watch=[self.energy()])
+        err = info.value
+        assert err.step_index == 6
+        assert str(err).startswith("MemoryError at step 6 (t = 0.6): Unable to allocate")
+        assert isinstance(err.__cause__, MemoryError)
+        assert err.series.times == pytest.approx([0.1 * n for n in range(6)])
+        _, z5 = run_and_record(Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0),
+                               0.5)
+        assert np.array_equal(err.last_state.parts[0], z5.parts[0])
+
+    def test_in_a_watcher_names_the_step(self):
+        def value(s):
+            if s.parts[0][1] != 0.0:
+                raise MemoryError("no room")
+            return 0.0
+
+        with pytest.raises(IntegrationError) as info:
+            run_and_record(Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0),
+                           1.0, watch=[Functional("hungry", value)])
+        assert info.value.step_index == 1
+        assert str(info.value) == "MemoryError at step 1 (t = 0.1): no room"
+        assert info.value.series.times == [0.0]
+
+
 class TestDiagnosticSeries:
     def test_repeated_label_rejected(self):
         # both columns would append to one list, so later rows would read earlier samples

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from casimirlab import Field1D, Field2D, Grid1D, Grid2D
+from casimirlab import Field1D, Field2D, Grid1D, Grid2D, cli
+from casimirlab import dynamics as dyn
 from casimirlab.cli import (
     _GRID_KEYS, _RULES, PRESETS, RunConfig, SnapshotError, load_snapshot, main, save_snapshot,
 )
@@ -186,6 +187,37 @@ def test_run_too_short_for_frequency_fails_check(tmp_path, capsys):
     check = {c["name"]: c for c in summary["checks"]}["dispersion_rel_error_k1"]
     assert not check["passed"]
     assert "too short" in check["note"]
+
+
+def refused_allocation(*args, **kwargs):
+    # far beyond any address space, so numpy's MemoryError comes at once, with no memory used
+    np.empty(1 << 60, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("preset", STEPPING)
+def test_failed_allocation_in_a_step_writes_failure_record(preset, tmp_path, monkeypatch, capsys):
+    real_step, calls = dyn.step, []
+
+    def step(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            refused_allocation()
+        return real_step(*args)
+
+    monkeypatch.setattr(dyn, "step", step)
+    sets = ("grid.n=8",) if PRESETS[preset].grid is Grid2D else ()
+    check_failure_record(tmp_path, preset, sets, "step")
+    summary = json.loads((tmp_path / preset / "summary.json").read_text())
+    assert summary["failure"]["message"].startswith("MemoryError at step ")
+
+
+@pytest.mark.parametrize("preset", ["euler2d", "ionacoustic1d", "kernel_deficit"])
+def test_failed_allocation_at_setup_writes_failure_record(preset, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_grid", refused_allocation)
+    check_failure_record(tmp_path, preset, (), "setup")
+    summary = json.loads((tmp_path / preset / "summary.json").read_text())
+    assert summary["failure"]["message"].startswith("MemoryError: Unable to allocate")
+    assert not (tmp_path / preset / "diagnostics.csv").exists()
 
 
 # ---------------------------------------------------------------------------

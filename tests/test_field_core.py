@@ -512,3 +512,20 @@ class TestStateFinite:
         settled = z.from_values()
         assert not settled.parts[0]._synthesized and settled.parts[1] is f
         assert np.array_equal(settled.parts[0].values, z.parts[0].values)
+
+
+class TestStateFromValues:
+    def test_values_born_state_is_itself(self):
+        f = random_band_limited_2d(GRID, 6, np.random.default_rng(62))
+        z = State("vortex2", (f, f + f))
+        assert z.from_values() is z
+        w = State("kdv", (Field1D(Grid1D(16), np.arange(16.0)),))
+        assert w.from_values() is w
+
+    def test_synthesized_part_makes_a_new_state(self):
+        f = random_band_limited_2d(GRID, 6, np.random.default_rng(63))
+        z = State("vortex2", (f, ddx(f)))
+        settled = z.from_values()
+        assert settled is not z and settled.parts[0] is f
+        assert not settled.parts[1]._synthesized
+        assert settled.from_values() is settled

@@ -3,12 +3,14 @@ off the plane x = 0, the regularized kernel basis, closedness separation and
 the smoothed step invariant."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from casimirlab import finitedim as fd
 from casimirlab.dynamics import Integrator, step
+from casimirlab.field_core import NonFiniteError
 
 
 def harmonic():
@@ -194,6 +196,84 @@ class TestClosedness:
         nu_x, _ = fd.kernel_basis_regularized(0.1)
         with pytest.raises(ValueError):
             fd.closedness_residual(nu_x, window=((0.0, 0.0), (-1.0, 1.0)))
+
+
+def whole_window_residual(w, window=((-2.0, 2.0), (-2.0, 2.0))):
+    """The oracle: closedness_residual's arithmetic on the whole 401 x 401 window at once."""
+    (x0, x1), (y0, y1) = window
+    xs = np.linspace(x0, x1, 401)
+    ys = np.linspace(y0, y1, 401)
+    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    WX = np.asarray(w.wx(X, Y), dtype=float)
+    WY = np.asarray(w.wy(X, Y), dtype=float)
+    if not (np.all(np.isfinite(WX)) and np.all(np.isfinite(WY))):
+        raise NonFiniteError(f"one-form {w.label} is not finite on the window")
+    hx = xs[1] - xs[0]
+    hy = ys[1] - ys[0]
+    curl = (WY[1:-1, 2:] - WY[1:-1, :-2]) / (2.0 * hx) - (
+        WX[2:, 1:-1] - WX[:-2, 1:-1]
+    ) / (2.0 * hy)
+    return float(np.max(np.abs(curl)))
+
+
+GRADIENT = fd.OneForm2("grad(x^2+y^3)", lambda X, Y: 2 * X, lambda X, Y: 3 * Y**2)
+TWISTED = fd.OneForm2("twisted", lambda X, Y: np.sin(X * Y), lambda X, Y: X**2 * np.cos(3 * Y))
+OFF_CENTRE = ((-0.7, 1.3), (-1.9, 0.4))
+
+
+def kernel_forms():
+    return [(form, None) for eps in (0.05, 0.1, 0.5) for form in fd.kernel_basis_regularized(eps)]
+
+
+class TestBlockedClosedness:
+    """closedness_residual walks its window in row blocks and returns the whole-window float."""
+
+    @pytest.mark.parametrize(
+        "form, window",
+        [*kernel_forms(), (GRADIENT, None), (TWISTED, None), (GRADIENT, OFF_CENTRE),
+         (TWISTED, OFF_CENTRE), (fd.kernel_basis_regularized(0.1)[1], OFF_CENTRE)],
+        ids=lambda v: getattr(v, "label", None) or ("off_centre" if v else "default"),
+    )
+    def test_bitwise_the_whole_window(self, form, window):
+        args = () if window is None else (window,)
+        got = fd.closedness_residual(form, *args)
+        assert got.hex() == whole_window_residual(form, *args).hex()
+
+    @pytest.mark.parametrize("row", [0, 1, 399, 400])
+    def test_non_finite_in_one_edge_row_raises(self, row):
+        y_bad = np.linspace(-2.0, 2.0, 401)[row]
+        bad = fd.OneForm2("edge", lambda X, Y: 0.0 * X, lambda X, Y: np.where(Y == y_bad, np.nan, X))
+        for residual in (fd.closedness_residual, whole_window_residual):
+            with pytest.raises(NonFiniteError, match="one-form edge is not finite"):
+                residual(bad)
+
+    @pytest.mark.parametrize("y_step, expect", [(None, math.inf), (-1.5, math.nan)],
+                             ids=["inf", "nan"])
+    def test_overflowing_curl_equals_the_whole_window(self, y_step, expect):
+        # finite values whose differences overflow: a jump of 3.4e308 across
+        # x = 0 makes d(wy)/dx inf; a jump across y = y_step makes d(wx)/dy inf
+        # too, and inf - inf where the two meet is NaN
+        def wx(X, Y):
+            return 0.0 * X if y_step is None else np.where(Y > y_step, 1.7e308, -1.7e308)
+
+        form = fd.OneForm2("steep", wx, lambda X, Y: np.where(X > 0, 1.7e308, -1.7e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, oracle = fd.closedness_residual(form), whole_window_residual(form)
+        if math.isnan(expect):
+            assert math.isnan(got) and math.isnan(oracle)
+        else:
+            assert got == oracle == expect
+
+    def test_one_call_stays_below_one_and_a_half_mib(self):
+        _, nu_y = fd.kernel_basis_regularized(0.1)
+        fd.closedness_residual(nu_y)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            fd.closedness_residual(nu_y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
 
 class TestExteriorCasimir:
