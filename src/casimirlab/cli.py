@@ -625,11 +625,14 @@ def _check_ionacoustic1d(cfg: dict):
     grid = Grid1D(**cfg["grid"])
     for k in cfg["initial"]["modes"]:
         floor = ik.residual_floor(grid, k, amp)
-        if floor > ik.PHI_TOL:
+        if not floor <= ik.PHI_TOL:  # also a NaN floor: a grid.l so small that k^2 overflows
+            bound = (f"a float64 rounding floor of up to {floor:.2e}, above its tolerance "
+                     f"{ik.PHI_TOL:g}" if math.isfinite(floor) else
+                     "no finite float64 rounding floor, since the squared wavenumbers overflow")
             raise ConfigError(
-                f"config fields 'grid.n' = {grid.n} and 'initial.amplitude' = {amp:g} (mode {k}): "
-                f"the potential's Newton residual has a float64 rounding floor of up to {floor:.2e}, "
-                f"above its tolerance {ik.PHI_TOL:g}; lower grid.n or initial.amplitude"
+                f"config fields 'grid.n' = {grid.n}, 'grid.l' = {grid.l!r} and "
+                f"'initial.amplitude' = {amp:g} (mode {k}): the potential's Newton residual has "
+                f"{bound}; lower grid.n or initial.amplitude, or raise grid.l"
             )
 
 

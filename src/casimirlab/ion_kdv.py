@@ -52,6 +52,7 @@ ionacoustic1d preset steps all of its modes as one such batch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -186,10 +187,14 @@ def residual_floor(grid: Grid1D, k: int, amplitude: float) -> float:
     The smallest residual of 7 Newton iterates measured 0.14 to 0.43 of
     eps k_max^2 a / (1 + kappa^2) (n = 256 to 2048, l = 3 to 20, modes 1 to 8,
     a = 0.01 to 0.97); this returns 0.5 of it.
+
+    Python float arithmetic throughout, so a tiny l raises nothing: the
+    squares overflow to inf and the bound is inf or NaN, which the caller
+    must reject as not <= its tolerance.
     """
     k_max = math.pi * grid.n / grid.l
     kappa = 2.0 * math.pi * k / grid.l
-    return 0.5 * np.finfo(np.float64).eps * k_max**2 * amplitude / (1.0 + kappa**2)
+    return 0.5 * sys.float_info.epsilon * (k_max * k_max) * amplitude / (1.0 + kappa * kappa)
 
 
 def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, *,

@@ -327,3 +327,18 @@ def test_non_finite_point_payload_raises_snapshot_error(bad, tmp_path):
     save_snapshot(path, State("finite", (np.array([bad, 1.0]),)))
     with pytest.raises(SnapshotError, match="non-finite"):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("length", ["1e-155", "1e-200", "1e-320"])
+def test_ion_domain_too_small_for_the_floor_exits_2(length, tmp_path, capsys):
+    # the squared wavenumbers overflow, so the floor bound is NaN: rejected, not accepted
+    # or raised through (OverflowError)
+    with pytest.raises(cli.ConfigError, match="'grid.l'"):
+        cli.parse_config(preset="ionacoustic1d", sets=(f"grid.l={length}",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, "ionacoustic1d", f"grid.l={length}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'grid.l'" in err and "'grid.n'" in err and "Traceback" not in err
+    assert not out.exists()

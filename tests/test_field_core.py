@@ -529,3 +529,67 @@ class TestStateFromValues:
         assert settled is not z and settled.parts[0] is f
         assert not settled.parts[1]._synthesized
         assert settled.from_values() is settled
+
+
+class TestBitwiseAgainstRealSymbols:
+    """The workspace's complex full-shape symbols and rfft2's s give every bit of
+    the real broadcast forms: rfft2 without s, i k built from the grid, and a
+    bool 2/3 mask, sign bits of the kept spectra included."""
+
+    GRIDS = [Grid2D(64, 64), Grid2D(48, 32, ly=3.0)]
+
+    @staticmethod
+    def real_symbols(grid):
+        ix = np.arange(grid.nx // 2 + 1)
+        iy = np.rint(np.fft.fftfreq(grid.ny) * grid.ny).astype(int)
+        dkx = (2.0 * math.pi / grid.lx) * ix[None, :]
+        dkx[0, -1] = 0.0
+        dky = (2.0 * math.pi / grid.ly) * iy[:, None].astype(float)
+        dky[grid.ny // 2, 0] = 0.0
+        mask = (ix[None, :] <= grid.nx // 3) & (np.abs(iy)[:, None] <= grid.ny // 3)
+        return dkx, dky, mask
+
+    @staticmethod
+    def field(grid, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "band_limited":
+            return random_band_limited_2d(grid, 5, rng)
+        return Field2D(grid, rng.standard_normal(grid.shape))
+
+    @staticmethod
+    def assert_same_spectrum(kept, hat):
+        assert np.array_equal(kept, hat)
+        assert np.array_equal(np.signbit(kept.real), np.signbit(hat.real))
+        assert np.array_equal(np.signbit(kept.imag), np.signbit(hat.imag))
+
+    def assert_bitwise(self, f, hat):
+        """f keeps exactly hat, sign bits included, and its values are irfft2(hat)."""
+        self.assert_same_spectrum(f._spectrum(), hat)
+        assert np.array_equal(f.values, np.fft.irfft2(hat, s=f.grid.shape))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["64x64", "48x32"])
+    @pytest.mark.parametrize("kind", ["band_limited", "full_spectrum"])
+    def test_operators(self, grid, kind):
+        dkx, dky, mask = self.real_symbols(grid)
+        f = self.field(grid, kind, 70)
+        hat = np.fft.rfft2(f.values)
+        self.assert_same_spectrum(f._spectrum(), hat)
+        self.assert_bitwise(ddx(f), 1j * dkx * hat)
+        self.assert_bitwise(ddy(f), 1j * dky * hat)
+        self.assert_bitwise(dealias(f), mask * hat)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["64x64", "48x32"])
+    @pytest.mark.parametrize("kind", ["band_limited", "full_spectrum"])
+    def test_bracket(self, grid, kind):
+        dkx, dky, mask = self.real_symbols(grid)
+        a, b = self.field(grid, kind, 71), self.field(grid, kind, 72)
+        ha, hb = np.fft.rfft2(a.values), np.fft.rfft2(b.values)
+
+        def d(hat, k):
+            return np.fft.irfft2(1j * k * hat, s=grid.shape)
+
+        p = d(ha, dky) * d(hb, dkx)
+        p -= d(ha, dkx) * d(hb, dky)
+        hat = np.fft.rfft2(p)
+        hat *= mask
+        self.assert_bitwise(bracket2d(a, b), hat)

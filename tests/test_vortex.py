@@ -503,3 +503,26 @@ class TestEnergyConservation:
             watch=[H], output_every=0.5,
         )
         assert series.drift("euler_energy")[1] <= 1e-8
+
+
+class TestZeroTests:
+    def test_each_distinct_input_is_tested_for_zero_once(self, monkeypatch):
+        # a level-3 RHS with the rmhd gradient brackets 6 distinct fields in
+        # 5 pairs; each is tested for an exact zero once, not once per pair
+        from casimirlab.field_core import Field
+
+        z = vx.random_vortex_state(3, GRID, 5, np.random.default_rng(26))
+        g = vx.rmhd_energy(3).gradient(z)
+        expected = [vx.apply_j3(z, g).parts[s].values for s in range(3)]
+        calls, real_any = [], Field._any
+
+        def spy(f):
+            calls.append(id(f))
+            return real_any(f)
+
+        monkeypatch.setattr(Field, "_any", spy)
+        out = vx.apply_j3(z, g)
+        assert len(calls) == 6
+        assert set(calls) == {id(f) for f in (*z.parts, *g.parts)}
+        for row, values in zip(out.parts, expected):
+            assert np.array_equal(row.values, values)
