@@ -10,11 +10,13 @@ A state is a ``State`` or a bare float ndarray: the RK4 and midpoint stages
 only add states and scale them by floats, so a batch of independent
 trajectories steps as one array without a wrapper per operation.  Two
 presets do so: finitedim's orbits as one (2, m) array of points, and
-ionacoustic1d's modes as one (2, m, n) array of (rho, V) rows, whose
-watchers read each member back as an ion ``State``.  Every operation on
-such a batch is member by member, so each member's trajectory is bitwise
-the one it would have alone; the batch fails at the first step at which
-any member fails.
+ionacoustic1d's modes as one (2, m, n) array of (rho, V) rows.  Every
+operation on such a batch is member by member, so each member's trajectory
+is bitwise the one it would have alone; the batch fails at the first step
+at which any member fails.  A watcher may read a whole batch: its label is
+then a tuple of labels and its value one value per label (ionacoustic1d's
+one watcher gives every member's values from one closure solve), and the
+series has one column per label.
 """
 
 from __future__ import annotations
@@ -135,15 +137,33 @@ def step_count(t_end: float, dt: float) -> int:
     return n_steps
 
 
+def _labels(watch: Sequence[Functional]) -> tuple[str, ...]:
+    """The series columns of the watched functionals: a tuple label gives one per entry."""
+    return tuple(lab for f in watch
+                 for lab in (f.label if isinstance(f.label, tuple) else (f.label,)))
+
+
+def _sample(watch: Sequence[Functional], z) -> list[float]:
+    """The watched values at z, one per column of `_labels(watch)`."""
+    values = []
+    for f in watch:
+        if isinstance(f.label, tuple):
+            values.extend(f.value(z))
+        else:
+            values.append(f.value(z))
+    return values
+
+
 class Trajectory:
     """The time loop: iterating it steps z0 to t_end and yields each new state.
 
     The watched functionals are sampled into ``series`` at t = 0, every
-    ``output_every`` and at t_end; ``state`` is the latest state.  An
-    ``output_every`` longer than dt must be a whole number of dt steps
-    (ValueError otherwise); one of at most dt samples every step.  z0 may be
-    a tuple of states that one rhs steps in lockstep, in which case the
-    watched functionals receive the tuple.  A NumericalFailure in a step or
+    ``output_every`` and at t_end; ``state`` is the latest state.  A
+    functional whose label is a tuple gives one value per label, each in its
+    own column.  An ``output_every`` longer than dt must be a whole number of
+    dt steps (ValueError otherwise); one of at most dt samples every step.
+    z0 may be a tuple of states that one rhs steps in lockstep, in which case
+    the watched functionals receive the tuple.  A NumericalFailure in a step or
     in a watched functional becomes an IntegrationError carrying the partial
     series and the index of the failing step; so does a MemoryError, a failed
     allocation, whose message names it MemoryError.
@@ -155,14 +175,14 @@ class Trajectory:
         self.n_steps = step_count(t_end, integ.dt)
         every_step = output_every is None or output_every <= integ.dt
         self.stride = 1 if every_step else step_count(output_every, integ.dt)
-        self.series = DiagnosticSeries(tuple(f.label for f in self.watch))
+        self.series = DiagnosticSeries(_labels(self.watch))
         self.state = z0
 
     def __iter__(self):
         integ, rhs, z = self.integ, self.rhs, self.state
         n = 0
         try:
-            self.series.record(0.0, [f.value(z) for f in self.watch])
+            self.series.record(0.0, _sample(self.watch, z))
             for n in range(1, self.n_steps + 1):
                 if isinstance(z, tuple):
                     z = tuple(step(integ, rhs, member) for member in z)
@@ -170,7 +190,7 @@ class Trajectory:
                     z = step(integ, rhs, z)
                 self.state = z
                 if n % self.stride == 0 or n == self.n_steps:
-                    self.series.record(n * integ.dt, [f.value(z) for f in self.watch])
+                    self.series.record(n * integ.dt, _sample(self.watch, z))
                 yield z
         except (NumericalFailure, MemoryError) as exc:
             # numpy raises a MemoryError subclass; its own name is private

@@ -58,7 +58,8 @@ Conventions
   i ky and the 2/3-rule mask as read-only complex arrays of the full rfft2
   shape.  A derivative or a projection is then one complex multiply, with
   no symbol built and no bool or broadcast operand cast per call, and each
-  product is bitwise the one the real broadcast forms give.
+  product is bitwise the one the real broadcast forms give.  The 1-D
+  workspace holds its mask as complex 1/0 too, and all its arrays read-only.
 """
 
 from __future__ import annotations
@@ -226,10 +227,18 @@ def workspace2d(grid: Grid2D) -> SpectralWorkspace2D:
 
 @dataclass(frozen=True, eq=False)
 class SpectralWorkspace1D:
+    """The spectral symbols of one Grid1D: read-only, each of the rfft shape (n//2+1,).
+
+    The mask is complex, as in the 2-D workspace, so a projection casts no
+    bool operand, and a symbol may fold it in (KdV's -3i k mask): numpy
+    casts True to 1 + 0j before it multiplies, so the products are bitwise
+    those of a bool mask.
+    """
+
     k: np.ndarray         # physical wavenumbers, rfft layout
     dk: np.ndarray        # Nyquist zeroed
     k2: np.ndarray        # k^2
-    mask: np.ndarray
+    mask: np.ndarray      # 2/3-rule dealiasing mask, complex: 1 keeps a mode, 0 drops it
     order: np.ndarray     # mode indices
 
 
@@ -240,8 +249,8 @@ def workspace1d(grid: Grid1D) -> SpectralWorkspace1D:
     k = (TWO_PI / grid.l) * ix.astype(float)
     dk = k.copy()
     dk[-1] = 0.0
-    mask = ix <= n // 3
-    return SpectralWorkspace1D(k, dk, k**2, mask, ix)
+    mask = (ix <= n // 3).astype(complex)
+    return SpectralWorkspace1D(*(_read_only(a) for a in (k, dk, k**2, mask, ix)))
 
 
 def _workspace(grid):
@@ -532,8 +541,16 @@ def integrate(f: Field) -> float:
 
     Raises NonFiniteError if the sum of the (finite) samples overflows.
     """
+    return integrate_rows(f.grid, f.values[None])[0]
+
+
+def integrate_rows(grid, rows: np.ndarray) -> list[float]:
+    """integrate() of each of a stack of finite sample arrays on grid, shape (m, *grid.shape).
+
+    Raises NonFiniteError if a sum overflows.
+    """
     try:
-        return math.fsum(f.values.ravel()) * f.grid.cell
+        return [math.fsum(row) * grid.cell for row in rows.reshape(len(rows), -1)]
     except OverflowError as exc:
         raise NonFiniteError(f"integral overflows: {exc}") from None
 

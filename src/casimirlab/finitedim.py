@@ -126,11 +126,13 @@ def _polynomial(rows: np.ndarray):
 
     The six terms are summed along axis 0, which adds left to right, so each
     entry rounds exactly as the expanded derivative written out term by term.
+    The factors are gathered with take, the same rows as p[_FACTORS] for less
+    per-call overhead.
     """
     const, coeff = rows[0], rows[1:]
 
     def evaluate(p):
-        f = p[_FACTORS]
+        f = p.take(_FACTORS, axis=0)
         t = coeff * f[:5, None]  # the rows of x, y, x^2, xy, y^2 times x, y, x, x, y
         t[2:] *= f[5:, None]  # ... and the quadratic ones times x, y, y
         t[0] += const  # const + x term, as addition commutes exactly
@@ -203,8 +205,10 @@ def simulate_plane_orbits(
     s0 = np.sign(z[0])
     xs_min = xs_max = s0 * z[0]
 
-    def rhs(zv):  # (x dH/dy, -x dH/dx)
-        return zv[0] * flow(zv)
+    def rhs(zv):  # (x dH/dy, -x dH/dx), scaled in place: the product commutes exactly
+        out = flow(zv)
+        out *= zv[0]
+        return out
 
     # sampled at t = 0 and t_end only; it heads a failed run's partial series
     least = Functional("min_signed_x", lambda zv: float(np.min(s0 * zv[0])))

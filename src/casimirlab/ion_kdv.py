@@ -15,7 +15,10 @@ with the Jacobian frozen at m, where the FFT preconditioner is exact.  That
 guess already meets the tolerance, so at small amplitude the flow takes no
 Newton step; a larger density starts from ln(m) + phi1.  The ion_energy
 watcher solves through the same closure, so its phi is bitwise the flow's
-for the same density.  The flow is
+for the same density.  The four ion watchers (mode amplitude, energy, mass,
+momentum) are array kernels on rows; `ion_diagnostics` runs them on a whole
+batch of members with one closure solve, and each Functional runs them on
+its one member, so both give the same values.  The flow is
 
     d(rho)/dt = -dx(V rho),      dV/dt = -dx(phi + V^2/2),
 
@@ -61,6 +64,7 @@ import numpy as np
 from .field_core import (
     Field1D,
     Grid1D,
+    NonFiniteError,
     NumericalFailure,
     _read_only,
     _spectral,
@@ -69,6 +73,7 @@ from .field_core import (
     ddx2,
     ddx3,
     integrate,
+    integrate_rows,
     random_band_limited_1d,
     workspace1d,
 )
@@ -218,7 +223,9 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, *,
     phi = np.log(mean) + phi1
     if phi1_bound is not None:
         near = np.abs(phi1).max(axis=-1) <= phi1_bound
-        if near.any():
+        if near.all():  # the whole arrays: no row is picked out, so nothing is gathered
+            phi -= np.fft.irfft(np.fft.rfft(0.5 * mean * phi1 ** 2) / lin, n=grid.n)
+        elif near.any():
             quad = 0.5 * mean[near] * phi1[near] ** 2
             phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=grid.n)
     histories = [[] for _ in range(rho.shape[0])]
@@ -309,6 +316,59 @@ def ion_operator() -> PoissonOperator:
     return PoissonOperator("J_ion", "ion", apply)
 
 
+# The ion watchers' values are array kernels on rows of shape (m, n), one
+# member per row (mass and momentum: integrate_rows, which integrate runs): a
+# Functional's value is its kernel on one row, and `ion_diagnostics` runs all
+# four kernels on a whole batch, so the two paths share every operation and
+# their values are equal.
+
+
+def _potentials(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
+    """The flow's phi for each row of rho (one `_closure` call); ValueError unless rho > 0."""
+    if np.min(rho) <= 0.0:
+        raise ValueError("solve_phi requires rho > 0 everywhere")
+    return _closure(grid, rho)
+
+
+def _energies(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> list[float]:
+    """H of each row pair (rho, V), from one closure solve and one rfft/irfft pair for dx phi.
+
+    The density is formed in the order the Field arithmetic of H forms it,
+    and dx phi with ddx1's symbol, so each value is bitwise the Field one.
+    A non-finite density raises NonFiniteError, as a Field of it would.
+    """
+    phi = _potentials(grid, rho)
+    dphi = np.fft.irfft(1j * workspace1d(grid).dk * np.fft.rfft(phi), n=grid.n)
+    density = rho * v * v * 0.5 + dphi * dphi * 0.5 + (phi - 1.0) * np.exp(phi)
+    if not np.isfinite(density).all():
+        raise NonFiniteError("field contains non-finite values")
+    return integrate_rows(grid, density)
+
+
+def _probes(grid: Grid1D, modes: tuple[int, ...]) -> np.ndarray:
+    """cos(k x) for each k of modes, shape (len(modes), n)."""
+    x = grid.x()
+    return np.array([np.cos(2.0 * math.pi * k / grid.l * x) for k in modes])
+
+
+def _mode_amplitudes(grid: Grid1D, rho: np.ndarray, modes: tuple[int, ...]) -> list[float]:
+    """(2/L) int (rho - 1) cos(k x) dx for each row of rho and its mode k."""
+    return [2.0 / grid.l * s for s in integrate_rows(grid, (rho - 1.0) * _probes(grid, modes))]
+
+
+def ion_diagnostics(grid: Grid1D, rho: np.ndarray, v: np.ndarray,
+                    modes: tuple[int, ...]) -> list[float]:
+    """The `mode_watchers(k)` values of each member of rows rho, V (shape (m, n)), member by member.
+
+    Row j is the member of mode modes[j].  One closure solve serves every
+    member's energy, and each value equals its Functional's on that member
+    alone.
+    """
+    columns = (_mode_amplitudes(grid, rho, modes), _energies(grid, rho, v),
+               integrate_rows(grid, rho), integrate_rows(grid, v))
+    return [value for member in zip(*columns) for value in member]
+
+
 def ion_energy() -> Functional:
     """H = int [rho V^2/2 + (dx phi)^2/2 + (phi - 1) e^phi]; grad (V^2/2 + phi, rho V).
 
@@ -318,21 +378,14 @@ def ion_energy() -> Functional:
     density with min <= 0 raises ValueError, as in solve_phi.
     """
 
-    def potential(rho: Field1D) -> Field1D:
-        if np.min(rho.values) <= 0.0:
-            raise ValueError("solve_phi requires rho > 0 everywhere")
-        return Field1D(rho.grid, _read_only(_closure(rho.grid, rho.values[None])[0]))
-
     def value(z: State) -> float:
         rho, v = z.parts
-        phi = potential(rho)
-        dphi = ddx1(phi)
-        internal = Field1D(rho.grid, (phi.values - 1.0) * np.exp(phi.values))
-        return integrate(rho * v * v * 0.5 + dphi * dphi * 0.5 + internal)
+        return _energies(rho.grid, rho.values[None], v.values[None])[0]
 
     def gradient(z: State) -> State:
         rho, v = z.parts
-        return State("ion", (v * v * 0.5 + potential(rho), rho * v))
+        phi = Field1D(rho.grid, _read_only(_potentials(rho.grid, rho.values[None])[0]))
+        return State("ion", (v * v * 0.5 + phi, rho * v))
 
     return Functional("ion_energy", value, gradient)
 
@@ -429,12 +482,15 @@ def mode_amplitude(k: int) -> Functional:
 
     def value(z: State) -> float:
         rho = z.parts[0]
-        x = rho.grid.x()
-        kk = 2.0 * math.pi * k / rho.grid.l
-        probe = Field1D(rho.grid, np.cos(kk * x))
-        return 2.0 / rho.grid.l * integrate((rho - Field1D.full(rho.grid, 1.0)) * probe)
+        return _mode_amplitudes(rho.grid, rho.values[None], (k,))[0]
 
     return Functional(f"mode_cos_{k}", value)
+
+
+def mode_watchers(k: int) -> tuple[Functional, ...]:
+    """Mode k's watchers, in the order `ion_diagnostics` gives their values:
+    mode amplitude, energy, mass, momentum."""
+    return mode_amplitude(k), ion_energy(), total_mass(), momentum()
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +572,27 @@ def kdv_invariants(w: Field1D) -> tuple[float, float, float]:
 
 @lru_cache(maxsize=None)
 def _if_factors(grid: Grid1D, dt: float):
-    """The step's constants: e^(i k^3 dt/2), e^(i k^3 dt), 2 e^(i k^3 dt/2), -3i k, workspace."""
+    """The step's constants: e^(i k^3 dt/2), e^(i k^3 dt), 2 e^(i k^3 dt/2), -3i k mask, workspace.
+
+    The mask is folded into the nonlinear symbol: it is 1 + 0j or 0, so
+    (-3i k mask) X equals -3i k (X mask) entry by entry.  Only the sign of an
+    exact zero can differ (at k = 0 and on the dropped modes), and the step's
+    output values are bitwise those of the unfolded form.  dt is not folded
+    in: dt (s X) is not bitwise (dt s) X.
+    """
     ws = workspace1d(grid)
     lk = 1j * ws.k**3  # (-d3x w)-hat = +i k^3 w-hat
     half = np.exp(lk * (dt / 2.0))
-    return half, half * half, 2.0 * half, -3j * ws.k, ws
+    return half, half * half, 2.0 * half, _read_only(-3j * ws.k * ws.mask), ws
 
 
 def kdv_if_rk4_step(w: Field1D, dt: float) -> Field1D:
     """One integrating-factor RK4 step: exact linear propagator, RK4 nonlinearity."""
-    half, full, two_half, minus_3ik, ws = _if_factors(w.grid, dt)
+    half, full, two_half, symbol, ws = _if_factors(w.grid, dt)
 
     def nonlin(what: np.ndarray) -> np.ndarray:
         wv = np.fft.irfft(what, n=w.grid.n)
-        return minus_3ik * (np.fft.rfft(wv * wv) * ws.mask)
+        return symbol * np.fft.rfft(wv * wv)
 
     v = np.fft.rfft(w.values) * ws.mask
     full_v = full * v

@@ -161,10 +161,11 @@ class Functional:
     """Pairing of a value map and its analytic gradient map.
 
     ``gradient`` may be None for watch-only functionals (diagnostics that are
-    recorded but never differentiated).
+    recorded but never differentiated).  A watch-only functional may carry a
+    tuple of labels and return one value per label (see dynamics.Trajectory).
     """
 
-    label: str
+    label: str | tuple[str, ...]
     value: Callable[[State], float]
     gradient: Callable[[State], State] | None = None
 

@@ -165,6 +165,18 @@ class TestRunAndRecord:
         assert err.step_index >= 1
         assert len(err.series.times) >= 1
 
+    def test_tuple_label_gives_one_column_per_label(self):
+        pair = Functional(("x", "y"), lambda s: tuple(float(c) for c in s.parts[0]))
+        E = Functional("energy", lambda s: 0.5 * float(s.parts[0] @ s.parts[0]))
+        series, zf = run_and_record(
+            Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.4,
+            watch=[pair, E], output_every=0.2,
+        )
+        assert series.labels == ("x", "y", "energy")
+        assert series.values["x"][0] == 1.0 and series.values["y"][0] == 0.0
+        assert (series.final("x"), series.final("y")) == tuple(zf.parts[0])
+        assert len(series.values["energy"]) == len(series.times) == 3
+
     def test_determinism_bitwise(self):
         rng_state = 17
 

@@ -342,3 +342,25 @@ def test_ion_domain_too_small_for_the_floor_exits_2(length, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'grid.l'" in err and "'grid.n'" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("length", ["1e-9", "1e-10", "1e-20"])
+def test_ion_domain_on_which_the_closure_fails_exits_2(length, tmp_path, capsys):
+    # the floor bound tends to a constant as grid.l shrinks, so it passes these;
+    # the initial closure solve does not converge on them
+    with pytest.raises(cli.ConfigError, match="'grid.l'"):
+        cli.parse_config(preset="ionacoustic1d", sets=(f"grid.l={length}",))
+    code, out = run_cli(tmp_path, "ionacoustic1d", f"grid.l={length}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'grid.l'" in err and "'grid.n'" in err and "Traceback" not in err
+    assert not out.exists()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "ionacoustic1d", "grid": {"l": float(length)}}))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "'grid.l'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets", [(), ("grid.l=1e-6",)], ids=["defaults", "l-1e-6"])
+def test_ion_domain_on_which_the_closure_converges_is_accepted(sets):
+    assert cli.parse_config(preset="ionacoustic1d", sets=sets).preset == "ionacoustic1d"

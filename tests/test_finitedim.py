@@ -130,6 +130,19 @@ class TestBitwiseFlow:
             p = rng.uniform(-2, 2, 2 if m is None else (2, m))
             assert np.array_equal(fd._polynomial(fd._cubic_rows(c))(p), old_cubic_gradient(c)(p))
 
+    def test_polynomial_is_bitwise_the_fancy_indexed_one(self):
+        # the factors gathered with p[_FACTORS], as before take: the oracle
+        rng = np.random.default_rng(16)
+        for m in (None, 1, 50):
+            rows = fd._cubic_rows(rng.uniform(-1, 1, 10 if m is None else (10, m)))
+            const, coeff = rows[0], rows[1:]
+            p = rng.uniform(-2, 2, 2 if m is None else (2, m))
+            f = p[fd._FACTORS]
+            t = coeff * f[:5, None]
+            t[2:] *= f[5:, None]
+            t[0] += const
+            assert np.array_equal(fd._polynomial(rows)(p), np.add.reduce(t, axis=0))
+
     def test_flow_is_bitwise_the_flipped_gradient(self):
         rng = np.random.default_rng(15)
         m, dt = 50, 1e-2

@@ -513,3 +513,125 @@ class TestSoliton:
         x_peak = grid.x()[i] + grid.dx * (num / den if den != 0 else 0.0)
         speed = (x_peak - 10.0) / t_end
         assert abs(speed - c) <= 0.01 * c
+
+
+def count_closures(monkeypatch):
+    """Count ion_kdv._closure calls from here on."""
+    calls = [0]
+    closure = ik._closure
+
+    def counted(*a, **k):
+        calls[0] += 1
+        return closure(*a, **k)
+
+    monkeypatch.setattr(ik, "_closure", counted)
+    return calls
+
+
+def stepped_batch(members, steps, dt=0.05):
+    """The (2, m, n) batch of members' (rho, V) after RK4 steps of the ion flow."""
+    grid = members[0].parts[0].grid
+    z = np.array([[s.parts[i].values for s in members] for i in (0, 1)])
+    integ = Integrator("rk4", dt)
+    for _ in range(steps):
+        z = step(integ, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z)
+    return z
+
+
+def field_watch_values(z, modes):
+    """The ion watchers of each member in Field arithmetic, as written before the array
+    kernels: the oracle."""
+    grid = GRID
+    out = []
+    for j, k in enumerate(modes):
+        rho, v = Field1D(grid, z[0, j]), Field1D(grid, z[1, j])
+        probe = Field1D(grid, np.cos(2.0 * math.pi * k / grid.l * grid.x()))
+        phi = Field1D(grid, ik._closure(grid, z[0, j:j + 1])[0])
+        dphi = ddx1(phi)
+        internal = Field1D(grid, (phi.values - 1.0) * np.exp(phi.values))
+        out += [2.0 / grid.l * integrate((rho - Field1D.full(grid, 1.0)) * probe),
+                integrate(rho * v * v * 0.5 + dphi * dphi * 0.5 + internal),
+                integrate(rho), integrate(v)]
+    return out
+
+
+class TestBatchDiagnostics:
+    """ion_diagnostics: every member's watcher values from the arrays, one closure solve."""
+
+    MODES = (1, 2, 3)
+
+    @pytest.mark.parametrize("steps", [0, 4])
+    def test_batch_values_equal_each_members_functionals(self, steps):
+        members = [ik.acoustic_mode_state(GRID, k, 1e-4) for k in self.MODES]
+        z = stepped_batch(members, steps)
+        assert (np.abs(z[1]).max() > 0) == (steps > 0)  # stepped: V is no longer zero
+        got = ik.ion_diagnostics(GRID, z[0], z[1], self.MODES)
+        states = [State("ion", (Field1D(GRID, z[0, j]), Field1D(GRID, z[1, j])))
+                  for j in range(len(self.MODES))]
+        assert got == [f.value(s) for s, k in zip(states, self.MODES) for f in ik.mode_watchers(k)]
+        assert got == field_watch_values(z, self.MODES)
+
+    def test_mixed_batch_equals_each_member_alone(self):
+        # the middle member is above PHI1_BOUND: it takes Newton steps, the others none
+        members = [ik.acoustic_mode_state(GRID, 1, 1e-4),
+                   ik.random_ion_state(GRID, 6, np.random.default_rng(19), 0.3),
+                   ik.acoustic_mode_state(GRID, 3, 1e-4)]
+        z = stepped_batch(members, 3)
+        modes = (1, 2, 3)
+        got = ik.ion_diagnostics(GRID, z[0], z[1], modes)
+        for j, k in enumerate(modes):
+            alone = ik.ion_diagnostics(GRID, z[0, j:j + 1], z[1, j:j + 1], (k,))
+            assert got[4 * j:4 * j + 4] == alone
+        assert got == field_watch_values(z, modes)
+        phi = ik._closure(GRID, z[0])
+        for j in range(len(members)):
+            assert np.array_equal(phi[j], ik._closure(GRID, z[0, j:j + 1])[0])
+
+    def test_one_closure_solve_for_all_members(self, monkeypatch):
+        members = [ik.acoustic_mode_state(GRID, k, 1e-4) for k in self.MODES]
+        z = stepped_batch(members, 2)
+        calls = count_closures(monkeypatch)
+        ik.ion_diagnostics(GRID, z[0], z[1], self.MODES)
+        assert calls == [1]
+
+    def test_preset_solves_the_closure_once_per_sample(self, monkeypatch):
+        from casimirlab import cli
+
+        cfg = cli.parse_config(preset="ionacoustic1d",
+                               sets=("initial.modes=[1,2,3]", "dt=0.01", "t_end=0.1",
+                                     "output_every=0.05"))
+        calls = count_closures(monkeypatch)
+        result = cli.PRESETS["ionacoustic1d"].runner(cfg)
+        steps, samples = 10, len(result.series.times)
+        assert samples == 3
+        assert calls == [4 * steps + samples]  # 4 per RK4 step, then 1 per sample
+
+    def test_energy_of_a_nonpositive_density_raises_value_error(self):
+        rho = np.array([np.ones(GRID.n), np.cos(GRID.x())])
+        with pytest.raises(ValueError, match="rho > 0"):
+            ik.ion_diagnostics(GRID, rho, np.zeros_like(rho), (1, 2))
+
+    def test_second_order_guess_of_a_whole_stack_is_the_indexed_one(self):
+        # every row below the bound: the guess on the whole arrays is bitwise the
+        # guess on the rows picked out by the mask
+        rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2, 5)])
+        k2 = ik.workspace1d(GRID).k2
+        mean = np.add.reduce(rho, axis=-1, keepdims=True) / GRID.n
+        lin = k2 + mean
+        phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=GRID.n)
+        phi = np.log(mean) + phi1
+        near = np.abs(phi1).max(axis=-1) <= ik.PHI1_BOUND
+        assert near.all()
+        quad = 0.5 * mean[near] * phi1[near] ** 2
+        phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=GRID.n)
+        assert np.array_equal(ik._closure(GRID, rho), phi)
+
+
+class TestFoldedMask:
+    def test_nonlinear_symbol_folds_the_mask(self):
+        grid = Grid1D(512, 40.0)
+        ws = ik.workspace1d(grid)
+        symbol = ik._if_factors(grid, 1e-3)[3]
+        assert np.array_equal(symbol, -3j * ws.k * ws.mask)
+        assert not symbol[grid.n // 3 + 1:].any()
+        assert ws.mask.dtype == complex and not ws.mask.flags.writeable
