@@ -1,6 +1,6 @@
 """Command-line front door: preset experiments with reproducible artifacts.
 
-Each preset is fully determined by its config plus seed.  A run writes
+Each preset is fully determined by its config.  A run writes
 ``diagnostics.csv`` (floats printed with 17 significant digits, so re-running
 an identical config yields a byte-identical file), ``summary.json`` (config
 echo, per-functional initial/final/drift, pass/fail per threshold, wall
@@ -10,10 +10,10 @@ failure, and 2 for a configuration error.
 
 Config is a single JSON document; ``--set key=value`` flags override file
 entries (dotted paths, values parsed as JSON when possible).  Validation is
-strict: a preset's defaults name every key it accepts, and unknown keys or
-values that break their rule are rejected with a field diagnostic.  The
-output directory resolves as flag > config > $CASIMIRLAB_OUT_DIR >
-./runs/<preset>.
+strict: beyond preset, grid, initial and out_dir, a preset's defaults name
+every key it accepts, and unknown keys or values that break their rule are
+rejected with a field diagnostic.  The output directory resolves as flag >
+config > $CASIMIRLAB_OUT_DIR > ./runs/<preset>.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -169,12 +169,9 @@ _RULES = {
     "x0": ("a finite number", _is_number),
 }
 
-# the time keys: a preset that steps in time has a dt default, and one that
-# does not takes none of them (they are null in its config echo)
-_TIME_KEYS = ("dt", "t_end", "output_every")
-
-# keys every config has before the preset defaults and the file are merged in
-_BASE = {"grid": {}, "initial": {}, "watch": None, "out_dir": None, "snapshot": False}
+# the keys every config takes besides preset; any other key a preset takes is
+# named by its defaults
+_BASE = {"grid": {}, "initial": {}, "out_dir": None}
 
 # the grid keys each grid class takes; in 2-D, n and l set both axes and
 # nx, ny, lx and ly override them
@@ -213,24 +210,23 @@ def _set_dotted(cfg: dict, dotted: str, raw_value: str):
         node = node.setdefault(k, {})
         if not isinstance(node, dict):
             raise ConfigError(f"--set path '{dotted}' descends into a non-object")
-    node[keys[-1]] = value
+    node.update(_deep_merge(node, {keys[-1]: value}))  # an object merges, as from a file
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
+    """A validated config; a field the preset's defaults do not name is None."""
+
     preset: str
     grid: dict
-    dt: float
-    t_end: float
-    output_every: float
-    seed: int
+    dt: float | None = None
+    t_end: float | None = None
+    output_every: float | None = None
+    seed: int | None = None
     initial: dict
-    watch: list | None
+    watch: list | None = None
     out_dir: str
-    snapshot: bool
-
-    def echo(self) -> dict:
-        return asdict(self)
+    snapshot: bool | None = None
 
 
 def parse_config(
@@ -241,10 +237,11 @@ def parse_config(
 ) -> RunConfig:
     """Merge preset defaults, config file and --set overrides; validate strictly.
 
-    The preset's defaults are its schema: they name every initial key it
-    accepts, and its grid class names the grid keys.  t_end, and an
-    output_every longer than dt, must be a whole number of dt steps; a preset
-    with no dt default does not step and takes no time key (_TIME_KEYS).
+    The preset's defaults are its schema: they name every top-level and
+    initial key it accepts beyond those of every config (_BASE and preset),
+    and its grid class names the grid keys.  A preset steps in time iff its
+    defaults have dt; then t_end, and an output_every longer than dt, must be
+    a whole number of dt steps.
     """
     file_cfg: dict = {}
     if path is not None:
@@ -261,9 +258,6 @@ def parse_config(
     name = preset or file_cfg.get("preset")
     if name is None:
         raise ConfigError("no preset given (positional argument or 'preset' config key)")
-    if preset and "preset" in file_cfg and file_cfg["preset"] != preset:
-        raise ConfigError(f"preset mismatch: command line says '{preset}', "
-                          f"config says '{file_cfg['preset']}'")
     if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset '{name}' (valid presets: {', '.join(sorted(PRESETS))})")
     spec = PRESETS[name]
@@ -274,33 +268,26 @@ def parse_config(
             raise ConfigError(f"--set needs key=value, got '{item}'")
         key, _, value = item.partition("=")
         _set_dotted(cfg, key.strip(), value.strip())
-    cfg["preset"] = name
+    if cfg.setdefault("preset", name) != name:
+        raise ConfigError(f"config field 'preset': preset mismatch, {cfg['preset']!r} is not '{name}'")
 
-    steps = "dt" in spec.defaults
-    known = {f.name for f in fields(RunConfig)} | set(spec.defaults)
-    _check_section(cfg, known if steps else known - set(_TIME_KEYS), "")
+    _check_section(cfg, {"preset", *_BASE, *spec.defaults}, "")
     _check_section(cfg["grid"], _GRID_KEYS[spec.grid], "grid.")
     _check_section(cfg["initial"], spec.defaults["initial"], "initial.")
-    if steps:
+    if "dt" in spec.defaults:
         # an output_every shorter than dt samples every step
         for key in ("t_end", "output_every") if cfg.get("output_every", 0) > cfg["dt"] else ("t_end",):
             try:
                 dyn.step_count(cfg[key], cfg["dt"])
             except (ValueError, OverflowError) as exc:  # OverflowError: the ratio is infinite
-                raise ConfigError(f"config field '{key}': {exc}") from exc
-        cfg.setdefault("output_every", cfg["dt"])
-        for key in _TIME_KEYS:
-            cfg[key] = float(cfg[key])
-    else:
-        cfg |= dict.fromkeys(_TIME_KEYS)
+                raise ConfigError(f"config fields '{key}' and 'dt': {exc}") from exc
+        cfg |= {key: float(cfg[key]) for key in ("dt", "t_end", "output_every") if key in cfg}
     if spec.check is not None:
         spec.check(cfg)
-    if cfg["watch"] is not None and not spec.watch_names:
-        raise ConfigError(f"config field 'watch': preset {name} has no watch catalog")
-    unknown = sorted(set(cfg["watch"] or ()) - set(spec.watch_names))
+    unknown = sorted(set(cfg.get("watch") or ()) - set(spec.watch_names))
     if unknown:
-        raise ConfigError(f"unknown watch functional '{unknown[0]}' for preset {name} "
-                          f"(available: {', '.join(spec.watch_names)})")
+        raise ConfigError(f"config field 'watch': unknown functional '{unknown[0]}' for preset "
+                          f"{name} (available: {', '.join(spec.watch_names)})")
 
     out_dir = out_dir_flag or cfg["out_dir"] or os.environ.get(ENV_OUT_DIR) or Path("runs") / name
     return RunConfig(**cfg | {"out_dir": str(out_dir)})
@@ -616,15 +603,19 @@ def _run_finitedim(cfg: RunConfig) -> RunResult:
 
 
 def _check_ionacoustic1d(cfg: dict):
-    """Reject an amplitude outside (0, 1), and a grid on which solve_phi's residual
+    """Reject an amplitude outside (0, 1), a mode the flow's 2/3-rule dealiasing
+    drops, a grid too large to allocate, and a grid on which solve_phi's residual
     cannot reach its tolerance in float64: its floor bound is above the tolerance,
     or the flow's closure does not converge on the initial densities."""
     amp = cfg["initial"]["amplitude"]
     if not 0 < amp < 1:
         raise ConfigError(f"config field 'initial.amplitude': expected a number in (0, 1), "
                           f"so the density 1 + a cos(kx) stays positive, got {amp!r}")
-    grid = Grid1D(**cfg["grid"])
-    for k in cfg["initial"]["modes"]:
+    grid, modes = Grid1D(**cfg["grid"]), cfg["initial"]["modes"]
+    for k in modes:
+        if k > grid.n // 3:
+            raise ConfigError(f"config fields 'initial.modes' and 'grid.n' = {grid.n}: mode {k} "
+                              f"is above n // 3 = {grid.n // 3}, so the flow's dealiasing drops it")
         floor = ik.residual_floor(grid, k, amp)
         if not floor <= ik.PHI_TOL:  # also a NaN floor: a grid.l so small that k^2 overflows
             bound = (f"a float64 rounding floor of up to {floor:.2e}, above its tolerance "
@@ -637,16 +628,17 @@ def _check_ionacoustic1d(cfg: dict):
             )
     # the floor bound was calibrated on l = 3 to 20 and tends to a constant as l
     # shrinks, so a tiny domain passes it: one closure solve on the initial rows
-    rho = np.array([ik.acoustic_mode_state(grid, k, amp).parts[0].values
-                    for k in dict.fromkeys(cfg["initial"]["modes"])])
     try:
-        ik._closure(grid, rho)
+        ik._closure(grid, np.array([ik.acoustic_mode_state(grid, k, amp).parts[0].values
+                                    for k in dict.fromkeys(modes)]))
     except ik.NewtonError as exc:
         raise ConfigError(
             f"config fields 'grid.l' = {grid.l!r} and 'grid.n' = {grid.n}: the potential's "
             f"Newton solve on the initial density ends at residual {exc.residual:.2e} ({exc}); "
             f"raise grid.l"
         ) from None
+    except MemoryError:  # numpy raises a subclass whose own name is private
+        raise ConfigError(f"config field 'grid.n' = {grid.n}: too large to allocate") from None
 
 
 def _mode_series(series: dyn.DiagnosticSeries, k: int, pairs) -> dyn.DiagnosticSeries:
@@ -764,12 +756,13 @@ def _run_jacobi_check(cfg: RunConfig) -> RunResult:
 class Preset:
     """A named experiment.
 
-    ``defaults`` is the preset's whole config schema: it names every initial
-    key the preset accepts and gives its default value, while ``_RULES``
-    holds what each value must be.  ``grid`` is the grid class the runner
-    builds (``_GRID_KEYS`` names the keys it takes), or None for no grid.
-    ``check``, if set, tests the merged config across its fields and raises
-    ConfigError.
+    ``defaults`` is the preset's whole config schema: it names every
+    top-level and initial key the preset accepts beyond ``preset``, ``grid``,
+    ``initial`` and ``out_dir``, and gives its default value, while
+    ``_RULES`` holds what each value must be.  ``grid`` is the grid class the
+    runner builds (``_GRID_KEYS`` names the keys it takes), or None for no
+    grid.  ``check``, if set, tests the merged config across its fields and
+    raises ConfigError.
     """
 
     name: str
@@ -787,36 +780,40 @@ PRESETS = {
         Preset("euler2d", "single-field vortex dynamics; energy and enstrophy conservation",
                _run_euler2d, Grid2D,
                {"grid": {"n": 64}, "dt": 1e-2, "t_end": 10.0, "output_every": 0.1, "seed": 12,
+                "snapshot": False, "watch": None,
                 "initial": {"kind": "random", "kmax": 4, "amplitude": 0.8}},
                watch_names=("energy", "enstrophy")),
         Preset("rmhd2d",
                "two-field dynamics: flux-coupled Hamiltonian breaks enstrophy conservation",
                _run_rmhd2d, Grid2D,
-               {"grid": {"n": 64}, "dt": 1e-3, "t_end": 1.0, "output_every": 0.01, "seed": 0,
+               {"grid": {"n": 64}, "dt": 1e-3, "t_end": 1.0, "output_every": 0.01,
+                "snapshot": False, "watch": None,
                 "initial": {"omega_modes": [],
                             "psi_modes": [[1, 0, 1.0, 0.0], [0, 2, 1.0, 0.0]]}},
                watch_names=("energy", "cross_helicity", "flux_sq", "enstrophy")),
         Preset("phantom2", "two psi seeds, one omega trajectory: bitwise phantom invariance",
                _run_phantom2, Grid2D,
                {"grid": {"n": 64}, "dt": 1e-2, "t_end": 10.0, "output_every": 0.1, "seed": 12,
+                "snapshot": False,
                 "initial": {"omega_kmax": 4, "omega_amplitude": 0.8, "psi_kmax": 4,
                             "psi_amplitude": 1.0, "psi_seeds": [101, 202]}}),
         Preset("phantom3",
                "three-field run with equal flux fields: one generator, bitwise equal orbits",
                _run_phantom3, Grid2D,
                {"grid": {"n": 64}, "dt": 1e-2, "t_end": 5.0, "output_every": 0.1, "seed": 12,
+                "snapshot": False,
                 "initial": {"omega_kmax": 4, "omega_amplitude": 0.8, "psi_kmax": 4,
                             "psi_amplitude": 1.0}}),
         Preset("kernel_deficit",
                "kernel state (omega, psi) = (xi(zeta), eta(zeta)) and the deficit witness",
                _run_kernel_deficit, Grid2D,
-               {"grid": {"n": 128}, "seed": 0,
+               {"grid": {"n": 128}, "snapshot": False,
                 "initial": {"zeta_modes": [[1, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]],
                             "xi": "square", "eta": "identity"}}),
         Preset("singular_leaf", "orbit on the leaf psi = 0: leaf indicator and interior Casimir",
                _run_singular_leaf, Grid2D,
                {"grid": {"n": 64}, "dt": 1e-2, "t_end": 5.0, "output_every": 0.1, "seed": 12,
-                "initial": {"omega_kmax": 4, "omega_amplitude": 0.8}}),
+                "snapshot": False, "initial": {"omega_kmax": 4, "omega_amplitude": 0.8}}),
         Preset("finitedim",
                "orbit batch for J = x * Jc: sign invariance, step-function drift, closedness",
                _run_finitedim, None,
@@ -824,13 +821,13 @@ PRESETS = {
         Preset("ionacoustic1d",
                "acoustic mode dispersion against k/sqrt(1+k^2) plus invariant drifts",
                _run_ionacoustic1d, Grid1D,
-               {"grid": {"n": 128}, "dt": 1e-2, "t_end": 50.0, "output_every": 0.05, "seed": 0,
+               {"grid": {"n": 128}, "dt": 1e-2, "t_end": 50.0, "output_every": 0.05,
                 "initial": {"modes": [1, 2], "amplitude": 1e-4}},
                check=_check_ionacoustic1d),
         Preset("kdv_soliton", "soliton transport against the exact translated profile",
                _run_kdv_soliton, Grid1D,
                {"grid": {"n": 512, "l": 40.0}, "dt": 1e-3, "t_end": 10.0, "output_every": 0.1,
-                "seed": 0, "initial": {"c": 1.0, "x0": 10.0}}),
+                "snapshot": False, "initial": {"c": 1.0, "x0": 10.0}}),
         Preset("jacobi_check", "finite-difference Jacobi residuals for sound and broken operators",
                _run_jacobi_check, None,
                {"seed": 7, "initial": {"step": 1e-5}}),
@@ -900,7 +897,7 @@ def run_preset(cfg: RunConfig) -> int:
     passed = failure is None and all(c.passed for c in result.checks)
     summary = {
         "preset": cfg.preset,
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "functionals": functionals,
         "checks": [c.as_dict() for c in result.checks],
         "pass": passed,
@@ -952,7 +949,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             cfg = parse_config(path=args.config, sets=tuple(args.set))
-            print(json.dumps(cfg.echo(), indent=2))
+            print(json.dumps(asdict(cfg), indent=2))
             print("config ok")
             return 0
         cfg = parse_config(preset=args.preset, path=args.config, sets=tuple(args.set),

@@ -3,8 +3,9 @@
 the field named, and corrupt snapshots raise SnapshotError."""
 
 import json
+import re
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 from casimirlab import Field1D, Field2D, Grid1D, Grid2D, cli
 from casimirlab import dynamics as dyn
 from casimirlab.cli import (
-    _GRID_KEYS, _RULES, PRESETS, RunConfig, SnapshotError, load_snapshot, main, save_snapshot,
+    _GRID_KEYS, _RULES, PRESETS, ConfigError, RunConfig, SnapshotError, load_snapshot, main,
+    parse_config, save_snapshot,
 )
 from casimirlab.poisson import State
 
@@ -112,6 +114,19 @@ def check_failure_record(root, preset, sets, where):
         ("jacobi_check", ("t_end=0.025",), "t_end"),
         ("jacobi_check", ("dt=0.01",), "dt"),
         ("kernel_deficit", ("output_every=0.1",), "output_every"),
+        # a key the preset's defaults do not name changes nothing, so it is rejected
+        ("rmhd2d", ("seed=3",), "seed"),
+        ("kernel_deficit", ("seed=1",), "seed"),
+        ("ionacoustic1d", ("seed=1",), "seed"),
+        ("kdv_soliton", ("seed=1",), "seed"),
+        ("finitedim", ("snapshot=true",), "snapshot"),
+        ("ionacoustic1d", ("snapshot=true",), "snapshot"),
+        ("jacobi_check", ("snapshot=true",), "snapshot"),
+        ("finitedim", ("output_every=0.1",), "output_every"),
+        # a mode above n // 3 is dropped by the flow's 2/3-rule dealiasing
+        ("ionacoustic1d", ("initial.modes=[43]",), "initial.modes"),
+        ("ionacoustic1d", ("initial.modes=[64]",), "initial.modes"),
+        ("ionacoustic1d", ("grid.n=16", "initial.modes=[6]"), "initial.modes"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):
@@ -364,3 +379,98 @@ def test_ion_domain_on_which_the_closure_fails_exits_2(length, tmp_path, capsys)
 @pytest.mark.parametrize("sets", [(), ("grid.l=1e-6",)], ids=["defaults", "l-1e-6"])
 def test_ion_domain_on_which_the_closure_converges_is_accepted(sets):
     assert cli.parse_config(preset="ionacoustic1d", sets=sets).preset == "ionacoustic1d"
+
+
+# the top-level keys each preset takes besides preset, grid, initial and out_dir
+TOP_LEVEL_KEYS = {
+    "euler2d": {"dt", "t_end", "output_every", "seed", "snapshot", "watch"},
+    "rmhd2d": {"dt", "t_end", "output_every", "snapshot", "watch"},
+    "phantom2": {"dt", "t_end", "output_every", "seed", "snapshot"},
+    "phantom3": {"dt", "t_end", "output_every", "seed", "snapshot"},
+    "kernel_deficit": {"snapshot"},
+    "singular_leaf": {"dt", "t_end", "output_every", "seed", "snapshot"},
+    "finitedim": {"dt", "t_end", "seed"},
+    "ionacoustic1d": {"dt", "t_end", "output_every"},
+    "kdv_soliton": {"dt", "t_end", "output_every", "snapshot"},
+    "jacobi_check": {"seed"},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_takes_exactly_its_top_level_keys(preset):
+    # set each echoed key to its echoed value: a key the preset takes is accepted,
+    # and any other (null in the echo) is an unknown key
+    taken = set()
+    for key, value in asdict(parse_config(preset=preset)).items():
+        try:
+            parse_config(preset=preset, sets=(f"{key}={json.dumps(value)}",))
+        except ConfigError as exc:
+            assert value is None and f"unknown config key '{key}'" in str(exc)
+        else:
+            taken.add(key)
+    assert taken == {"preset", "grid", "initial", "out_dir"} | TOP_LEVEL_KEYS[preset]
+
+
+def test_failed_allocation_in_the_ion_config_check_exits_2(tmp_path, monkeypatch, capsys):
+    # a grid too large for memory fails where the check builds the initial densities
+    monkeypatch.setattr(Grid1D, "x", refused_allocation)
+    code, out = run_cli(tmp_path, "ionacoustic1d")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'grid.n'" in err and "Traceback" not in err
+    assert not out.exists()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "ionacoustic1d"}))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'grid.n'" in err and "Traceback" not in err
+
+
+# every top-level, grid.* and initial.* key some preset takes, and names none takes
+CONFIG_KEYS = sorted(
+    {"preset", "out_dir", "frobnicate", "grid.nz", "initial.solitons"}
+    | {f"grid.{k}" for keys in _GRID_KEYS.values() for k in keys}
+    | {k for spec in PRESETS.values() for k in spec.defaults}
+    | {f"initial.{k}" for spec in PRESETS.values() for k in spec.defaults["initial"]}
+)
+
+
+def defaults_at(key):
+    """Every preset's default value at a dotted key, so that valid values are drawn too."""
+    head, _, tail = key.partition(".")
+    section = (spec.defaults.get(head, {}) if tail else spec.defaults for spec in PRESETS.values())
+    return [s[tail or head] for s in section if (tail or head) in s]
+
+
+def json_values(ints):
+    keys = st.sampled_from(["n", "l", "nx", "modes", "amplitude"]) | st.text(max_size=4)
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(preset=st.sampled_from(sorted(PRESETS)), key=st.sampled_from(CONFIG_KEYS), data=st.data())
+def test_any_value_at_any_key_parses_or_names_the_key(preset, key, data):
+    # grid integers stay small: no config rule bounds a grid's memory, and the
+    # ion check allocates the grid
+    ints = st.integers(-2**12, 2**12) if key.startswith("grid") else st.integers()
+    value = data.draw(st.sampled_from(defaults_at(key) or [None]) | json_values(ints), label="value")
+    try:
+        cfg = parse_config(preset=preset, sets=(f"{key}={json.dumps(value)}",))
+    except ConfigError as exc:
+        assert re.search(f"'{re.escape(key)}[.']", str(exc)), str(exc)
+    else:
+        assert isinstance(cfg, RunConfig)
+        # a runner reads every initial key and the grid keys its defaults name
+        assert set(cfg.initial) == set(PRESETS[preset].defaults["initial"])
+        assert set(cfg.grid) >= set(PRESETS[preset].defaults.get("grid", {}))
+        assert "." in key or key in {"preset", "grid", "initial", "out_dir"} | TOP_LEVEL_KEYS[preset]
+
+
+def test_set_object_merges_into_the_defaults():
+    # as a file's object does: replacing would drop the keys the runner reads
+    cfg = parse_config(preset="kdv_soliton", sets=('initial={"c": 2.0}', "grid={}"))
+    assert cfg.initial == {"c": 2.0, "x0": 10.0} and cfg.grid == {"n": 512, "l": 40.0}
