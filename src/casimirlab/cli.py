@@ -284,10 +284,12 @@ def parse_config(
         cfg |= {key: float(cfg[key]) for key in ("dt", "t_end", "output_every") if key in cfg}
     if spec.check is not None:
         spec.check(cfg)
-    unknown = sorted(set(cfg.get("watch") or ()) - set(spec.watch_names))
-    if unknown:
-        raise ConfigError(f"config field 'watch': unknown functional '{unknown[0]}' for preset "
-                          f"{name} (available: {', '.join(spec.watch_names)})")
+    if cfg.get("watch"):  # only a preset with a watch catalog takes the key
+        names = tuple(spec.catalog())
+        unknown = sorted(set(cfg["watch"]) - set(names))
+        if unknown:
+            raise ConfigError(f"config field 'watch': unknown functional '{unknown[0]}' for "
+                              f"preset {name} (available: {', '.join(names)})")
 
     out_dir = out_dir_flag or cfg["out_dir"] or os.environ.get(ENV_OUT_DIR) or Path("runs") / name
     return RunConfig(**cfg | {"out_dir": str(out_dir)})
@@ -393,6 +395,43 @@ def _watched(cfg: RunConfig, catalog: dict) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 
+def _check_euler2d(cfg: dict):
+    """Reject a seed or initial.kmax other than the default on a Taylor-Green start,
+    which draws no random field, so neither would change the run."""
+    init, defaults = cfg["initial"], PRESETS["euler2d"].defaults
+    if init["kind"] != "taylor_green":
+        return
+    for key, value, default in (("seed", cfg["seed"], defaults["seed"]),
+                                ("initial.kmax", init["kmax"], defaults["initial"]["kmax"])):
+        if value != default:
+            raise ConfigError(f"config field '{key}' = {value!r}: a taylor_green start draws no "
+                              f"random field, so {key} changes nothing; leave it at {default!r}")
+
+
+def _euler2d_catalog() -> dict:
+    """euler2d's watch catalog, name -> (functional, Drift); its energy is the Hamiltonian."""
+    return {
+        "energy": (vx.euler_energy(1), Drift("energy_rel_drift", "rel", "<=", 1e-8)),
+        "enstrophy": (vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"])),
+                      Drift("enstrophy_rel_drift", "rel", "<=", 1e-8)),
+    }
+
+
+def _rmhd2d_catalog() -> dict:
+    """rmhd2d's watch catalog, name -> (functional, Drift); its energy is the Hamiltonian."""
+    return {
+        "energy": (vx.rmhd_energy(2), Drift("energy_rel_drift", "rel", "<=", 1e-6)),
+        "cross_helicity": (vx.make_casimir(vx.CasimirSpec("cross_helicity", vx.PROFILES["identity"])),
+                           Drift("cross_helicity_drift", "abs", "<=", 1e-6)),
+        "flux_sq": (vx.make_casimir(vx.CasimirSpec("flux", vx.PROFILES["square"])),
+                    Drift("flux_sq_rel_drift", "rel", "<=", 1e-6)),
+        "enstrophy": (vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2)),
+                      Drift("enstrophy_growth", "net", ">=", 1e-4,
+                            note="non-conserved (expected): generalized enstrophy is not a "
+                            "Casimir once the flux function enters the Hamiltonian")),
+    }
+
+
 def _run_euler2d(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     init = cfg.initial
@@ -404,13 +443,9 @@ def _run_euler2d(cfg: RunConfig) -> RunResult:
     else:
         rng = np.random.default_rng(cfg.seed)
         omega = random_band_limited_2d(grid, init["kmax"], rng, init["amplitude"])
-    H = vx.euler_energy(1)
-    watch, judged = _watched(cfg, {
-        "energy": (H, Drift("energy_rel_drift", "rel", "<=", 1e-8)),
-        "enstrophy": (vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"])),
-                      Drift("enstrophy_rel_drift", "rel", "<=", 1e-8)),
-    })
-    run = _stepped(cfg, vx.vortex_rhs(1, H), vx.state_i(omega), watch)
+    catalog = _euler2d_catalog()
+    watch, judged = _watched(cfg, catalog)
+    run = _stepped(cfg, vx.vortex_rhs(1, catalog["energy"][0]), vx.state_i(omega), watch)
     return RunResult(checks=_drift_checks(run.series, judged), series=run.series,
                      snapshots={"state_final": run.state})
 
@@ -419,19 +454,9 @@ def _run_rmhd2d(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     omega = vx.field_from_modes(grid, cfg.initial["omega_modes"])
     psi = vx.field_from_modes(grid, cfg.initial["psi_modes"])
-    H = vx.rmhd_energy(2)
-    watch, judged = _watched(cfg, {
-        "energy": (H, Drift("energy_rel_drift", "rel", "<=", 1e-6)),
-        "cross_helicity": (vx.make_casimir(vx.CasimirSpec("cross_helicity", vx.PROFILES["identity"])),
-                           Drift("cross_helicity_drift", "abs", "<=", 1e-6)),
-        "flux_sq": (vx.make_casimir(vx.CasimirSpec("flux", vx.PROFILES["square"])),
-                    Drift("flux_sq_rel_drift", "rel", "<=", 1e-6)),
-        "enstrophy": (vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2)),
-                      Drift("enstrophy_growth", "net", ">=", 1e-4,
-                            note="non-conserved (expected): generalized enstrophy is not a "
-                            "Casimir once the flux function enters the Hamiltonian")),
-    })
-    run = _stepped(cfg, vx.vortex_rhs(2, H), vx.state_ii(omega, psi), watch)
+    catalog = _rmhd2d_catalog()
+    watch, judged = _watched(cfg, catalog)
+    run = _stepped(cfg, vx.vortex_rhs(2, catalog["energy"][0]), vx.state_ii(omega, psi), watch)
     return RunResult(checks=_drift_checks(run.series, judged), series=run.series,
                      snapshots={"state_final": run.state})
 
@@ -761,8 +786,10 @@ class Preset:
     ``initial`` and ``out_dir``, and gives its default value, while
     ``_RULES`` holds what each value must be.  ``grid`` is the grid class the
     runner builds (``_GRID_KEYS`` names the keys it takes), or None for no
-    grid.  ``check``, if set, tests the merged config across its fields and
-    raises ConfigError.
+    grid.  ``catalog``, if set, builds the preset's watch catalog, name ->
+    (functional, Drift | None): the runner watches it and ``parse_config``
+    checks ``watch`` against its names.  ``check``, if set, tests the merged
+    config across its fields and raises ConfigError.
     """
 
     name: str
@@ -770,7 +797,7 @@ class Preset:
     runner: object
     grid: type | None
     defaults: dict
-    watch_names: tuple = ()
+    catalog: object = None
     check: object = None
 
 
@@ -782,7 +809,7 @@ PRESETS = {
                {"grid": {"n": 64}, "dt": 1e-2, "t_end": 10.0, "output_every": 0.1, "seed": 12,
                 "snapshot": False, "watch": None,
                 "initial": {"kind": "random", "kmax": 4, "amplitude": 0.8}},
-               watch_names=("energy", "enstrophy")),
+               catalog=_euler2d_catalog, check=_check_euler2d),
         Preset("rmhd2d",
                "two-field dynamics: flux-coupled Hamiltonian breaks enstrophy conservation",
                _run_rmhd2d, Grid2D,
@@ -790,7 +817,7 @@ PRESETS = {
                 "snapshot": False, "watch": None,
                 "initial": {"omega_modes": [],
                             "psi_modes": [[1, 0, 1.0, 0.0], [0, 2, 1.0, 0.0]]}},
-               watch_names=("energy", "cross_helicity", "flux_sq", "enstrophy")),
+               catalog=_rmhd2d_catalog),
         Preset("phantom2", "two psi seeds, one omega trajectory: bitwise phantom invariance",
                _run_phantom2, Grid2D,
                {"grid": {"n": 64}, "dt": 1e-2, "t_end": 10.0, "output_every": 0.1, "seed": 12,
@@ -869,6 +896,10 @@ def run_preset(cfg: RunConfig) -> int:
     except dyn.IntegrationError as exc:
         result = RunResult(series=exc.series)
         failure = {"step": exc.step_index, "message": str(exc)}
+        # a lockstep pair's CSV and state_final follow its first member
+        last = exc.last_state[0] if isinstance(exc.last_state, tuple) else exc.last_state
+        if isinstance(last, State):  # a bare-array batch has no snapshot format
+            save_snapshot(out_dir / "state_last_finite.snap", last)
     except NumericalFailure as exc:
         result = RunResult()
         failure = {"step": None, "message": f"{type(exc).__name__}: {exc}"}

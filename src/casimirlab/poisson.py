@@ -15,6 +15,7 @@ integrate(a * b), finite-dimensional components by the dot product.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -74,13 +75,13 @@ class State:
     def _zip(self, other, op):
         if not isinstance(other, State) or other.kind != self.kind:
             raise StateError("state arithmetic requires matching kinds")
-        return State(self.kind, tuple(op(a, b) for a, b in zip(self.parts, other.parts)))
+        return State(self.kind, tuple(map(op, self.parts, other.parts)))
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, operator.sub)
 
     def __mul__(self, s):
         s = float(s)

@@ -88,7 +88,7 @@ def state_iii(omega: Field2D, psi: Field2D, psi2: Field2D) -> State:
 
 def stream_function(omega: Field2D) -> Field2D:
     """phi with omega = -lap(phi), zero-mean gauge: the symbol +1/k^2 on omega's spectrum."""
-    return _apply(omega, -workspace2d(omega.grid).inv_neg_k2)
+    return _apply(omega, workspace2d(omega.grid).inv_k2)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="watch"):
             parse_config(preset="euler2d", sets=('watch=["vorticity_flux"]',))
 
+    @pytest.mark.parametrize("preset", ["euler2d", "rmhd2d"])
+    def test_watch_takes_exactly_the_catalog_names(self, preset, tmp_path):
+        names = list(PRESETS[preset].catalog())
+        others = {n for p in PRESETS.values() if p.catalog for n in p.catalog()} - set(names)
+        for name in names:
+            assert parse_config(preset=preset, sets=(f'watch=["{name}"]',)).watch == [name]
+        for name in sorted(others) + ["vorticity_flux", "Energy", ""]:
+            with pytest.raises(ConfigError, match="'watch'"):
+                parse_config(preset=preset, sets=(f'watch=["{name}"]',))
+        # the runner watches the same catalog: every name runs into its own column
+        sets = ("grid.n=8", f"t_end={PRESETS[preset].defaults['dt']}",
+                f"watch={json.dumps(names[::-1])}")
+        run_preset(parse_config(preset=preset, sets=sets, out_dir_flag=str(tmp_path)))
+        header = (tmp_path / "diagnostics.csv").read_text().split("\n")[0]
+        assert header.split(",")[1:] == [PRESETS[preset].catalog()[n][0].label for n in names[::-1]]
+
     def test_set_overrides_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "euler2d", "dt": 0.01}))

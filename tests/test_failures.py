@@ -19,6 +19,7 @@ from casimirlab.cli import (
     _GRID_KEYS, _RULES, PRESETS, ConfigError, RunConfig, SnapshotError, load_snapshot, main,
     parse_config, save_snapshot,
 )
+from casimirlab.field_core import random_band_limited_2d
 from casimirlab.poisson import State
 
 BLOWUP_2D = ("grid.n=8", "dt=0.5", "t_end=50.0")
@@ -85,6 +86,34 @@ def check_failure_record(root, preset, sets, where):
     assert float(rows[-1].split(",")[0]) <= failure["step"] * summary["config"]["dt"]
 
 
+# the kind of State each preset steps; finitedim and ionacoustic1d step bare arrays
+STATE_KIND = {"euler2d": "vortex1", "rmhd2d": "vortex2", "phantom2": "vortex2",
+              "phantom3": "vortex3", "singular_leaf": "vortex2", "kdv_soliton": "kdv"}
+
+
+@pytest.mark.parametrize("preset", STEPPING)
+def test_blowup_keeps_the_last_finite_state(preset, tmp_path, capsys):
+    ((sets, _),) = [(sets, where) for name, sets, where in FAILURES
+                    if name == preset and where == "step"]
+    code, out = run_cli(tmp_path, preset, *sets)
+    assert code == 1
+    path = out / "state_last_finite.snap"
+    if preset not in STATE_KIND:
+        assert not path.exists()
+        return
+    state = load_snapshot(path)
+    assert state.kind == STATE_KIND[preset]
+    assert all(np.isfinite(p.values).all() for p in state.parts)
+
+
+def test_failure_at_step_0_keeps_the_initial_state(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "euler2d", "initial.amplitude=1e153", "t_end=0.1")
+    assert code == 1
+    (omega,) = load_snapshot(out / "state_last_finite.snap").parts
+    expected = random_band_limited_2d(Grid2D(64, 64), 4, np.random.default_rng(12), 1e153)
+    assert np.array_equal(omega.values, expected.values)
+
+
 @pytest.mark.parametrize(
     "preset, sets, field",
     [
@@ -127,6 +156,9 @@ def check_failure_record(root, preset, sets, where):
         ("ionacoustic1d", ("initial.modes=[43]",), "initial.modes"),
         ("ionacoustic1d", ("initial.modes=[64]",), "initial.modes"),
         ("ionacoustic1d", ("grid.n=16", "initial.modes=[6]"), "initial.modes"),
+        # a Taylor-Green start draws no random field, so neither key changes the run
+        ("euler2d", ('initial.kind="taylor_green"', "seed=13"), "seed"),
+        ("euler2d", ('initial.kind="taylor_green"', "initial.kmax=5"), "initial.kmax"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):

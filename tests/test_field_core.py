@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from casimirlab import (
     Field1D,
@@ -31,8 +34,10 @@ from casimirlab import (
 )
 from casimirlab.field_core import (
     NonFiniteError,
+    _forward,
     _zero_spectrum,
     bracket_sums,
+    integrate_rows,
     random_band_limited_2d,
     workspace1d,
     workspace2d,
@@ -291,6 +296,30 @@ class TestIntegrate:
                 integrate(f)
 
 
+@st.composite
+def sample_rows(draw):
+    """(grid, rows): a stack of finite sample rows on a Grid1D, with signed zeros,
+    subnormals and magnitudes up to 1e308."""
+    grid = Grid1D(2 * draw(st.integers(4, 16)), draw(st.floats(1e-3, 1e3)))
+    samples = st.floats(-1e308, 1e308) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308])
+    rows = draw(arrays(float, (draw(st.integers(1, 4)), grid.n), elements=samples))
+    return grid, rows
+
+
+@given(sample_rows())
+@example((Grid1D(8), np.array([[-0.0] * 8, [5e-324, -0.0, *[0.0] * 6]])))
+def test_integrate_rows_is_fsum_of_the_numpy_rows(case):
+    grid, rows = case
+    try:
+        expected = [math.fsum(row) * grid.cell for row in rows]
+    except OverflowError:
+        with pytest.raises(NonFiniteError):
+            integrate_rows(grid, rows)
+        return
+    got = integrate_rows(grid, rows)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]  # sign of zero included
+
+
 class TestInvertLaplacian:
     def test_single_mode(self):
         f = Field2D.from_function(GRID, lambda X, Y: np.sin(X))
@@ -495,6 +524,32 @@ class TestExactZero:
         zero = Field1D.zeros(Grid1D(16))
         assert not zero._any() and zero._spectrum().shape == (9,)
         assert not ddx1(zero).values.any()
+
+    def test_zeros_is_one_shared_read_only_field_per_class_and_grid(self):
+        zero = Field2D.zeros(GRID)
+        assert Field2D.zeros(Grid2D(64, 64)) is zero  # an equal grid, not the same object
+        assert Field2D.zeros(Grid2D(32, 32)) is not zero
+        assert not zero.values.flags.writeable and not zero._spectrum().flags.writeable
+        assert not zero.values.any() and not zero._spectrum().any()
+        assert zero._spectrum() is _zero_spectrum(GRID)
+        g1 = Grid1D(16)
+        assert Field1D.zeros(g1) is Field1D.zeros(g1) and type(Field1D.zeros(g1)) is Field1D
+
+
+class TestForward:
+    """_forward hands numpy a fresh output array: the same bits as the plain
+    transform, and every spectrum its own memory."""
+
+    @pytest.mark.parametrize("grid, shape", [(GRID, GRID.shape), (Grid2D(48, 32), (32, 48)),
+                                             (Grid1D(16), (16,)), (Grid1D(16), (3, 2, 16))],
+                             ids=["2d", "2d_48x32", "1d", "1d_rows"])
+    def test_two_calls_give_equal_spectra_that_share_no_memory(self, grid, shape):
+        values = np.random.default_rng(80).standard_normal(shape)
+        first, second = _forward(grid, values), _forward(grid, values)
+        plain = np.fft.rfft(values) if isinstance(grid, Grid1D) else np.fft.rfft2(values)
+        for hat in (first, second):
+            TestBitwiseAgainstRealSymbols.assert_same_spectrum(hat, plain)
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, values)
 
 
 class TestStateFinite:

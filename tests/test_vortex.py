@@ -267,6 +267,15 @@ class TestHamiltonians:
         mean = integrate(omega) / (GRID.lx * GRID.ly)
         assert np.max(np.abs(laplacian(phi).values + omega.values - mean)) <= 1e-10
 
+    def test_stream_function_symbol_is_the_negated_inverse_laplacian(self):
+        # the workspace's +1/k^2 is -(-1/k^2) bit for bit, its k = 0 entry -0.0 included
+        omega = random_band_limited_2d(GRID, 6, np.random.default_rng(8))
+        kept = vx.stream_function(omega)._spectrum()
+        hat = -vx.workspace2d(GRID).inv_neg_k2 * omega._spectrum()
+        for part in ("real", "imag"):
+            a, b = getattr(kept, part), getattr(hat, part)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
 
 class TestRhs:
     def test_shear_equilibrium(self):
