@@ -134,6 +134,8 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+_SIZES = ("n", "nx", "ny")  # the grid keys that count points
+
 # What a config value must be, as (description, test), by key.  Every key of
 # every preset's defaults has a rule here.
 _POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
@@ -146,7 +148,7 @@ _RULES = {
     **dict.fromkeys(("grid", "initial"), ("an object", lambda v: isinstance(v, dict))),
     **dict.fromkeys(("dt", "t_end", "output_every", "l", "lx", "ly", "amplitude",
                      "omega_amplitude", "psi_amplitude", "c", "eps", "step"), _POSITIVE),
-    **dict.fromkeys(("n", "nx", "ny"),
+    **dict.fromkeys(_SIZES,
                     ("an even integer >= 8", lambda v: _is_int(v) and v >= 8 and v % 2 == 0)),
     **dict.fromkeys(("kmax", "omega_kmax", "psi_kmax"),
                     ("a positive integer", lambda v: _is_int(v) and v > 0)),
@@ -159,12 +161,13 @@ _RULES = {
     "out_dir": ("a directory path", lambda v: v is None or isinstance(v, str)),
     "snapshot": ("true or false", lambda v: isinstance(v, bool)),
     "n_orbits": ("an even integer >= 2", lambda v: _is_int(v) and v >= 2 and v % 2 == 0),
-    "modes": ("a non-empty list of positive mode numbers",
-              lambda v: isinstance(v, list) and len(v) > 0 and all(_is_int(k) and k > 0 for k in v)),
+    # the elements are tested before the set is built: a list is unhashable
+    "modes": ("a non-empty list of distinct positive mode numbers", lambda v: isinstance(v, list)
+              and len(v) > 0 and all(_is_int(k) and k > 0 for k in v) and len(set(v)) == len(v)),
     "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
-    "psi_seeds": ("a list of two non-negative integer seeds",
+    "psi_seeds": ("a list of two distinct non-negative integer seeds",
                   lambda v: isinstance(v, list) and len(v) == 2
-                  and all(_is_int(s) and s >= 0 for s in v)),
+                  and all(_is_int(s) and s >= 0 for s in v) and v[0] != v[1]),
     "kind": ("'random' or 'taylor_green'", lambda v: v in ("random", "taylor_green")),
     "x0": ("a finite number", _is_number),
 }
@@ -176,6 +179,10 @@ _BASE = {"grid": {}, "initial": {}, "out_dir": None}
 # the grid keys each grid class takes; in 2-D, n and l set both axes and
 # nx, ny, lx and ly override them
 _GRID_KEYS = {None: (), Grid1D: ("n", "l"), Grid2D: ("n", "l", "nx", "ny", "lx", "ly")}
+
+# the most points a grid may have (1024^2 in 2-D): 64 times the largest grid a
+# preset defaults to, and far below a grid whose fields would not fit in memory
+MAX_GRID_POINTS = 2**20
 
 
 def _check_section(section: dict, known, where: str):
@@ -239,9 +246,10 @@ def parse_config(
 
     The preset's defaults are its schema: they name every top-level and
     initial key it accepts beyond those of every config (_BASE and preset),
-    and its grid class names the grid keys.  A preset steps in time iff its
-    defaults have dt; then t_end, and an output_every longer than dt, must be
-    a whole number of dt steps.
+    and its grid class names the grid keys.  A grid of more than
+    MAX_GRID_POINTS points is rejected before anything allocates on it.  A
+    preset steps in time iff its defaults have dt; then t_end, and an
+    output_every longer than dt, must be a whole number of dt steps.
     """
     file_cfg: dict = {}
     if path is not None:
@@ -274,11 +282,16 @@ def parse_config(
     _check_section(cfg, {"preset", *_BASE, *spec.defaults}, "")
     _check_section(cfg["grid"], _GRID_KEYS[spec.grid], "grid.")
     _check_section(cfg["initial"], spec.defaults["initial"], "initial.")
+    if spec.grid is not None:  # before any check allocates on the grid
+        points = math.prod(v for k, v in _grid_args(spec.grid, cfg["grid"]).items() if k in _SIZES)
+        if points > MAX_GRID_POINTS:
+            given = [f"'grid.{k}' = {v!r}" for k, v in cfg["grid"].items() if k in _SIZES]
+            raise ConfigError(f"config field{'s' * (len(given) > 1)} {', '.join(given)}: a grid of "
+                              f"{points} points is above the limit of {MAX_GRID_POINTS} (1024^2)")
     if "dt" in spec.defaults:
-        # an output_every shorter than dt samples every step
-        for key in ("t_end", "output_every") if cfg.get("output_every", 0) > cfg["dt"] else ("t_end",):
+        for key, count in (("t_end", dyn.step_count), ("output_every", dyn.sample_stride)):
             try:
-                dyn.step_count(cfg[key], cfg["dt"])
+                count(cfg.get(key), cfg["dt"])
             except (ValueError, OverflowError) as exc:  # OverflowError: the ratio is infinite
                 raise ConfigError(f"config fields '{key}' and 'dt': {exc}") from exc
         cfg |= {key: float(cfg[key]) for key in ("dt", "t_end", "output_every") if key in cfg}
@@ -295,16 +308,22 @@ def parse_config(
     return RunConfig(**cfg | {"out_dir": str(out_dir)})
 
 
-def _grid(cfg: RunConfig) -> Grid1D | Grid2D:
-    grid = dict(cfg.grid)
-    grid_type = PRESETS[cfg.preset].grid
+def _grid_args(grid_type: type, grid: dict) -> dict:
+    """The grid class's arguments from a config's grid keys: in 2-D, n and l set
+    both axes and nx, ny, lx and ly override them."""
+    args = dict(grid)
     if grid_type is Grid2D:
         for short, axes in (("n", ("nx", "ny")), ("l", ("lx", "ly"))):
-            if short in grid:
-                value = grid.pop(short)
+            if short in args:
+                value = args.pop(short)
                 for axis in axes:
-                    grid.setdefault(axis, value)
-    return grid_type(**grid)
+                    args.setdefault(axis, value)
+    return args
+
+
+def _grid(cfg: RunConfig) -> Grid1D | Grid2D:
+    grid_type = PRESETS[cfg.preset].grid
+    return grid_type(**_grid_args(grid_type, cfg.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +347,9 @@ class Check:
         return _OPS[self.op](self.value, self.threshold)
 
     def as_dict(self) -> dict:
-        d = {"name": self.name, "value": self.value, "op": self.op, "threshold": self.threshold,
+        """The check as strict JSON: a non-finite value is the string 'inf', '-inf' or 'nan'."""
+        value = self.value if math.isfinite(self.value) else str(float(self.value))
+        d = {"name": self.name, "value": value, "op": self.op, "threshold": self.threshold,
              "passed": self.passed}
         if self.note:
             d["note"] = self.note
@@ -367,14 +388,17 @@ class RunResult:
     snapshots: dict = field(default_factory=dict)
 
 
-def _stepped(cfg: RunConfig, rhs, z0, pairs, divergence=None, scheme: str = "rk4"):
+def _stepped(cfg: RunConfig, rhs, z0, pairs, divergence=None):
     """Step z0 to cfg.t_end by cfg.dt, sampling the functionals of the (functional,
     Drift | None) pairs every cfg.output_every; return the run.
 
-    A divergence functional heads the series and is also taken after every
-    step; its maximum over the steps then comes back beside the run.
+    RK4 steps the rhs; no rhs means KdV's integrating-factor step, the one
+    scheme that takes none.  A divergence functional heads the series and is
+    also taken after every step; its maximum over the steps then comes back
+    beside the run.
     """
     watch = [f for f, _ in pairs]
+    scheme = "rk4" if rhs is not None else "if_rk4"
     run = dyn.Trajectory(dyn.Integrator(scheme, cfg.dt), rhs, z0, cfg.t_end,
                          [divergence, *watch] if divergence else watch, cfg.output_every)
     if divergence:
@@ -384,10 +408,18 @@ def _stepped(cfg: RunConfig, rhs, z0, pairs, divergence=None, scheme: str = "rk4
     return run
 
 
-def _watched(cfg: RunConfig, catalog: dict) -> tuple[list, list]:
-    """A catalog's watched pairs: in the config's order (series), in its own (checks)."""
+def _run_catalog(cfg: RunConfig, z0: State) -> RunResult:
+    """Step z0 under its level's operator and its preset's watch catalog's energy.
+
+    The catalog's watched pairs head the series in the config's order and
+    are judged in the catalog's own.
+    """
+    catalog = PRESETS[cfg.preset].catalog()
     names = catalog if cfg.watch is None else cfg.watch
-    return [catalog[n] for n in names], [p for n, p in catalog.items() if n in names]
+    rhs = vx.vortex_rhs(len(z0.parts), catalog["energy"][0])
+    run = _stepped(cfg, rhs, z0, [catalog[n] for n in names])
+    checks = _drift_checks(run.series, [p for n, p in catalog.items() if n in names])
+    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +475,14 @@ def _run_euler2d(cfg: RunConfig) -> RunResult:
     else:
         rng = np.random.default_rng(cfg.seed)
         omega = random_band_limited_2d(grid, init["kmax"], rng, init["amplitude"])
-    catalog = _euler2d_catalog()
-    watch, judged = _watched(cfg, catalog)
-    run = _stepped(cfg, vx.vortex_rhs(1, catalog["energy"][0]), vx.state_i(omega), watch)
-    return RunResult(checks=_drift_checks(run.series, judged), series=run.series,
-                     snapshots={"state_final": run.state})
+    return _run_catalog(cfg, vx.state_i(omega))
 
 
 def _run_rmhd2d(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     omega = vx.field_from_modes(grid, cfg.initial["omega_modes"])
     psi = vx.field_from_modes(grid, cfg.initial["psi_modes"])
-    catalog = _rmhd2d_catalog()
-    watch, judged = _watched(cfg, catalog)
-    run = _stepped(cfg, vx.vortex_rhs(2, catalog["energy"][0]), vx.state_ii(omega, psi), watch)
-    return RunResult(checks=_drift_checks(run.series, judged), series=run.series,
-                     snapshots={"state_final": run.state})
+    return _run_catalog(cfg, vx.state_ii(omega, psi))
 
 
 def _run_phantom2(cfg: RunConfig) -> RunResult:
@@ -655,7 +679,7 @@ def _check_ionacoustic1d(cfg: dict):
     # shrinks, so a tiny domain passes it: one closure solve on the initial rows
     try:
         ik._closure(grid, np.array([ik.acoustic_mode_state(grid, k, amp).parts[0].values
-                                    for k in dict.fromkeys(modes)]))
+                                    for k in modes]))
     except ik.NewtonError as exc:
         raise ConfigError(
             f"config fields 'grid.l' = {grid.l!r} and 'grid.n' = {grid.n}: the potential's "
@@ -675,26 +699,25 @@ def _mode_series(series: dyn.DiagnosticSeries, k: int, pairs) -> dyn.DiagnosticS
 def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     modes = cfg.initial["modes"]
-    # each distinct mode is member j of one (2, m, n) array of (rho, V) rows;
-    # the flow is row by row, so each member steps bitwise as it would alone
-    members = tuple(dict.fromkeys(modes))
-    starts = [ik.acoustic_mode_state(grid, k, cfg.initial["amplitude"]) for k in members]
+    # mode j is member j of one (2, m, n) array of (rho, V) rows; the flow is
+    # row by row, so each member steps bitwise as it would alone
+    starts = [ik.acoustic_mode_state(grid, k, cfg.initial["amplitude"]) for k in modes]
     z0 = np.array([[z.parts[i].values for z in starts] for i in (0, 1)])
     drifts = (None,  # the mode amplitude: the frequency is read from it
               Drift("energy_rel_drift", "rel", "<=", 1e-7),
               Drift("mass_rel_drift", "rel", "<=", 1e-7),
               Drift("momentum_drift", "rel", "<=", 1e-7))
-    watch = {k: list(zip(ik.mode_watchers(k), drifts)) for k in members}
+    watch = {k: list(zip(ik.mode_watchers(k), drifts)) for k in modes}
     # one watcher gives every member's values in that order, from one closure solve
-    batch = vx.Functional(tuple(f"{f.label}_k{k}" for k in members for f, _ in watch[k]),
-                          lambda zv: ik.ion_diagnostics(grid, zv[0], zv[1], members))
+    batch = vx.Functional(tuple(f"{f.label}_k{k}" for k in modes for f, _ in watch[k]),
+                          lambda zv: ik.ion_diagnostics(grid, zv[0], zv[1], modes))
     try:
         series = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0,
                           [(batch, None)]).series
     except dyn.IntegrationError as exc:
         raise dyn.IntegrationError(str(exc), _mode_series(exc.series, modes[0], watch[modes[0]]),
                                    exc.step_index, exc.last_state) from exc
-    series_by_mode = {k: _mode_series(series, k, watch[k]) for k in members}
+    series_by_mode = {k: _mode_series(series, k, watch[k]) for k in modes}
     checks = []
     extras = {"modes": {}}
     for k in modes:
@@ -720,7 +743,7 @@ def _run_kdv_soliton(cfg: RunConfig) -> RunResult:
     pairs = [(ik.kdv_mass(), Drift("mass_drift", "abs", "<=", 1e-12)),
              (ik.kdv_momentum(), Drift("momentum_rel_drift", "rel", "<=", 1e-8)),
              (ik.kdv_energy(), Drift("energy_rel_drift", "rel", "<=", 1e-7))]
-    run = _stepped(cfg, None, z0, pairs, scheme="if_rk4")
+    run = _stepped(cfg, None, z0, pairs)
     exact = ik.kdv_soliton(c, x0 + c * cfg.t_end, grid)
     err = float(np.max(np.abs(run.state.parts[0].values - exact.values)))
     checks = [
@@ -867,15 +890,6 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 
-def _write_rows_csv(path, rows: list[dict]):
-    keys = list(dict.fromkeys(k for row in rows for k in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            cells = (row.get(k, "") for k in keys)
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells) + "\n")
-
-
 def run_preset(cfg: RunConfig) -> int:
     """Run a preset and write its artifacts; return 0 if every check passed, else 1.
 
@@ -900,18 +914,17 @@ def run_preset(cfg: RunConfig) -> int:
         last = exc.last_state[0] if isinstance(exc.last_state, tuple) else exc.last_state
         if isinstance(last, State):  # a bare-array batch has no snapshot format
             save_snapshot(out_dir / "state_last_finite.snap", last)
-    except NumericalFailure as exc:
+    except (NumericalFailure, MemoryError) as exc:
         result = RunResult()
-        failure = {"step": None, "message": f"{type(exc).__name__}: {exc}"}
-    except MemoryError as exc:  # numpy raises a subclass whose own name is private
-        result = RunResult()
-        failure = {"step": None, "message": f"MemoryError: {exc}"}
+        failure = {"step": None, "message": f"{dyn.failure_name(exc)}: {exc}"}
     wall = time.perf_counter() - t0
 
     if result.series is not None:
         result.series.to_csv(out_dir / "diagnostics.csv")
     elif result.rows:
-        _write_rows_csv(out_dir / "diagnostics.csv", result.rows)
+        keys = list(dict.fromkeys(k for row in result.rows for k in row))
+        dyn.write_csv(out_dir / "diagnostics.csv", keys,
+                      ([row.get(k, "") for k in keys] for row in result.rows))
     for k, extra in result.extra_series.items():
         extra.to_csv(out_dir / f"diagnostics_k{k}.csv")
     if cfg.snapshot:
@@ -938,7 +951,7 @@ def run_preset(cfg: RunConfig) -> int:
     if result.extras:
         summary["extras"] = result.extras
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=repr)
+        json.dump(summary, fh, indent=2, default=repr, allow_nan=False)
         fh.write("\n")
 
     for c in result.checks:

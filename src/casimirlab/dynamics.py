@@ -17,6 +17,11 @@ at which any member fails.  A watcher may read a whole batch: its label is
 then a tuple of labels and its value one value per label (ionacoustic1d's
 one watcher gives every member's values from one closure solve), and the
 series has one column per label.
+
+Three rules that the front door shares with the time loop live here once:
+``write_csv`` prints every CSV the package writes (floats with 17
+significant digits), ``sample_stride`` turns output_every into steps between
+samples, and ``failure_name`` names an exception in a failure record.
 """
 
 from __future__ import annotations
@@ -122,11 +127,18 @@ class DiagnosticSeries:
         return abs_drift, rel_drift
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["t", *self.labels]) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t] + [self.values[lab][i] for lab in self.labels]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, ("t", *self.labels),
+                  zip(self.times, *(self.values[lab] for lab in self.labels)))
+
+
+def write_csv(path, header: Sequence[str], rows):
+    """Write a header line and one line per row: floats with 17 significant
+    digits, so a value round-trips exactly and a rerun is byte-identical; any
+    other cell as its str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in (header, *rows):
+            cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -135,6 +147,18 @@ def step_count(t_end: float, dt: float) -> int:
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"{t_end:g} is not a whole number of dt = {dt:g} steps")
     return n_steps
+
+
+def sample_stride(output_every: float | None, dt: float) -> int:
+    """Steps between samples: an output_every of at most dt (or None) samples
+    every step; a longer one must be a whole number of dt steps (ValueError)."""
+    return 1 if output_every is None or output_every <= dt else step_count(output_every, dt)
+
+
+def failure_name(exc: BaseException) -> str:
+    """The name a failure record gives exc: numpy raises a MemoryError
+    subclass whose own name is private, so any MemoryError is MemoryError."""
+    return "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
 
 
 def _labels(watch: Sequence[Functional]) -> tuple[str, ...]:
@@ -173,8 +197,7 @@ class Trajectory:
                  watch: Sequence[Functional] = (), output_every: float | None = None):
         self.integ, self.rhs, self.watch = integ, rhs, tuple(watch)
         self.n_steps = step_count(t_end, integ.dt)
-        every_step = output_every is None or output_every <= integ.dt
-        self.stride = 1 if every_step else step_count(output_every, integ.dt)
+        self.stride = sample_stride(output_every, integ.dt)
         self.series = DiagnosticSeries(_labels(self.watch))
         self.state = z0
 
@@ -193,10 +216,8 @@ class Trajectory:
                     self.series.record(n * integ.dt, _sample(self.watch, z))
                 yield z
         except (NumericalFailure, MemoryError) as exc:
-            # numpy raises a MemoryError subclass; its own name is private
-            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
             raise IntegrationError(
-                f"{name} at step {n} (t = {n * integ.dt:g}): {exc}",
+                f"{failure_name(exc)} at step {n} (t = {n * integ.dt:g}): {exc}",
                 self.series, n, self.state,
             ) from exc
 

@@ -89,9 +89,6 @@ class State:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def zeros_like(self) -> "State":
         if self.kind == "finite":
             return State(self.kind, (np.zeros_like(self.parts[0]),))
@@ -133,23 +130,20 @@ def norm(a: State) -> float:
     return math.sqrt(inner(a, a))
 
 
+def _value_arrays(z: State) -> tuple:
+    """The value array of each part: a finite state's one part is its point."""
+    return z.parts if z.kind == "finite" else tuple(p.values for p in z.parts)
+
+
 def max_abs_diff(a: State, b: State) -> float:
     if a.kind != b.kind:
         raise StateError("max_abs_diff across kinds")
-    if a.kind == "finite":
-        return float(np.max(np.abs(a.parts[0] - b.parts[0])))
-    return max(
-        float(np.max(np.abs(p.values - q.values))) for p, q in zip(a.parts, b.parts)
-    )
+    return max(float(np.max(np.abs(p - q))) for p, q in zip(_value_arrays(a), _value_arrays(b)))
 
 
 def states_equal_bitwise(a: State, b: State) -> bool:
     """Elementwise equality of every component (the bit-reproducibility check)."""
-    if a.kind != b.kind:
-        return False
-    if a.kind == "finite":
-        return bool(np.array_equal(a.parts[0], b.parts[0]))
-    return all(np.array_equal(p.values, q.values) for p, q in zip(a.parts, b.parts))
+    return a.kind == b.kind and all(map(np.array_equal, _value_arrays(a), _value_arrays(b)))
 
 
 # ---------------------------------------------------------------------------

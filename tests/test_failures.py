@@ -4,6 +4,7 @@ the field named, and corrupt snapshots raise SnapshotError."""
 
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import asdict, fields
 
@@ -16,8 +17,8 @@ from hypothesis.extra.numpy import arrays
 from casimirlab import Field1D, Field2D, Grid1D, Grid2D, cli
 from casimirlab import dynamics as dyn
 from casimirlab.cli import (
-    _GRID_KEYS, _RULES, PRESETS, ConfigError, RunConfig, SnapshotError, load_snapshot, main,
-    parse_config, save_snapshot,
+    _GRID_KEYS, _RULES, MAX_GRID_POINTS, PRESETS, ConfigError, RunConfig, SnapshotError,
+    load_snapshot, main, parse_config, save_snapshot,
 )
 from casimirlab.field_core import random_band_limited_2d
 from casimirlab.poisson import State
@@ -159,6 +160,10 @@ def test_failure_at_step_0_keeps_the_initial_state(tmp_path, capsys):
         # a Taylor-Green start draws no random field, so neither key changes the run
         ("euler2d", ('initial.kind="taylor_green"', "seed=13"), "seed"),
         ("euler2d", ('initial.kind="taylor_green"', "initial.kmax=5"), "initial.kmax"),
+        # a repeated mode would step once and report its checks twice
+        ("ionacoustic1d", ("t_end=0.5", "initial.modes=[1,1]"), "initial.modes"),
+        # equal seeds start both members equal, so the pair tests no phantom invariance
+        ("phantom2", ("grid.n=16", "t_end=0.1", "initial.psi_seeds=[7,7]"), "initial.psi_seeds"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):
@@ -234,6 +239,26 @@ def test_run_too_short_for_frequency_fails_check(tmp_path, capsys):
     check = {c["name"]: c for c in summary["checks"]}["dispersion_rel_error_k1"]
     assert not check["passed"]
     assert "too short" in check["note"]
+
+
+def refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number (RFC 8259)")
+
+
+def test_summary_is_strict_json(tmp_path, capsys):
+    # the dispersion error of a run too short to measure a frequency is infinite
+    code, out = run_cli(tmp_path, "ionacoustic1d", "grid.n=16", "initial.modes=[1]", "t_end=2.0")
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse_constant)
+    check = {c["name"]: c for c in summary["checks"]}["dispersion_rel_error_k1"]
+    assert check["value"] == "inf" and check["passed"] is False
+
+
+@pytest.mark.parametrize("value, text", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")])
+def test_non_finite_check_value_is_written_as_a_string(value, text):
+    d = cli.Check("c", value, 1.0, "<=").as_dict()
+    assert d["value"] == text
+    json.loads(json.dumps(d, allow_nan=False), parse_constant=refuse_constant)
 
 
 def refused_allocation(*args, **kwargs):
@@ -486,8 +511,8 @@ def json_values(ints):
 @settings(max_examples=300, deadline=None)
 @given(preset=st.sampled_from(sorted(PRESETS)), key=st.sampled_from(CONFIG_KEYS), data=st.data())
 def test_any_value_at_any_key_parses_or_names_the_key(preset, key, data):
-    # grid integers stay small: no config rule bounds a grid's memory, and the
-    # ion check allocates the grid
+    # grid integers stay small: an ion grid below the point ceiling is allocated
+    # by the ion check; the property below draws them up to 2**40
     ints = st.integers(-2**12, 2**12) if key.startswith("grid") else st.integers()
     value = data.draw(st.sampled_from(defaults_at(key) or [None]) | json_values(ints), label="value")
     try:
@@ -506,3 +531,47 @@ def test_set_object_merges_into_the_defaults():
     # as a file's object does: replacing would drop the keys the runner reads
     cfg = parse_config(preset="kdv_soliton", sets=('initial={"c": 2.0}', "grid={}"))
     assert cfg.initial == {"c": 2.0, "x0": 10.0} and cfg.grid == {"n": 512, "l": 40.0}
+
+
+@pytest.mark.parametrize("preset, n, accepted", [
+    ("euler2d", 100000000, False), ("euler2d", 1026, False), ("euler2d", 1024, True),
+    ("kdv_soliton", 2097152, False),
+])
+def test_grid_above_the_point_ceiling_exits_2_before_allocating(preset, n, accepted, tmp_path,
+                                                                capsys):
+    # through parse_config and validate, never run: a run would allocate the grid
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": preset, "grid": {"n": n}}))
+    if accepted:
+        assert parse_config(preset=preset, sets=(f"grid.n={n}",)).grid["n"] == n
+        assert main(["validate", "--config", str(path)]) == 0
+        return
+    refused = f"'grid.n' = {n}: .* above the limit of {MAX_GRID_POINTS}"
+    with pytest.raises(ConfigError, match=refused):
+        parse_config(preset=preset, sets=(f"grid.n={n}",))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "'grid.n'" in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None)
+@given(preset=st.sampled_from(sorted(p for p, spec in PRESETS.items() if spec.grid)),
+       data=st.data())
+def test_any_grid_integer_parses_or_names_the_key(preset, data):
+    # a grid the ceiling refuses is refused before anything allocates on it
+    keys = _GRID_KEYS[PRESETS[preset].grid]
+    key = data.draw(st.sampled_from(["grid", *(f"grid.{k}" for k in keys)]), label="key")
+    # even sizes, which pass the key rule and meet the ceiling, and any integer;
+    # the key grid takes an object of them
+    ints = st.integers(0, 2**39).map(lambda h: 2 * h) | st.integers(-2**40, 2**40)
+    if key == "grid":
+        ints = st.dictionaries(st.sampled_from(keys), ints, max_size=3)
+    value = data.draw(ints, label="value")
+    tracemalloc.start()
+    try:
+        parse_config(preset=preset, sets=(f"{key}={json.dumps(value)}",))
+    except ConfigError as exc:
+        assert re.search(f"'{re.escape(key)}[.']", str(exc)), str(exc)
+        if f"above the limit of {MAX_GRID_POINTS}" in str(exc):
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()

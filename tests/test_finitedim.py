@@ -11,6 +11,7 @@ import pytest
 from casimirlab import finitedim as fd
 from casimirlab.dynamics import Integrator, step
 from casimirlab.field_core import NonFiniteError
+from casimirlab.poisson import State, gradient_check
 
 
 def harmonic():
@@ -83,6 +84,19 @@ class TestCubicGradient:
         fd_x = (fd._poly_value(c, x + h, y) - fd._poly_value(c, x - h, y)) / (2 * h)
         fd_y = (fd._poly_value(c, x, y + h) - fd._poly_value(c, x, y - h)) / (2 * h)
         assert np.allclose(expanded_gradient(c, x, y), [fd_x, fd_y], rtol=0, atol=1e-8)
+
+    def test_value_matches_its_gradient(self):
+        # the analytic gradient pairs with a direction as the value's central difference
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            F = fd.cubic_functional(rng.uniform(-1, 1, 10))
+            z, dz = (fd.finite_state(*rng.uniform(-2, 2, 2)) for _ in range(2))
+            assert gradient_check(F, z, dz) <= 1e-7
+
+    def test_coordinate_value_is_the_coordinate(self):
+        z = State("finite", (np.random.default_rng(14).uniform(-1, 1, 3),))
+        for i in range(3):
+            assert fd.coordinate_functional(i).value(z) == z.parts[0][i]
 
     def test_orbit_rhs_matches_expanded_derivative(self):
         # one RK4 step of the batch against one built from the expanded gradient

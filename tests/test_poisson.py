@@ -102,6 +102,18 @@ class TestStates:
         assert not states_equal_bitwise(z, bumped)
         assert 0.0 < max_abs_diff(z, bumped) <= 2e-9
 
+    def test_bitwise_comparison_of_points(self):
+        z = State("finite", (np.array([0.5, -1.0, 2.0]),))
+        assert states_equal_bitwise(z, State("finite", (z.parts[0].copy(),)))
+        bumped = State("finite", (z.parts[0] + [0.0, 0.25, 0.0],))
+        assert not states_equal_bitwise(z, bumped)
+        assert max_abs_diff(z, bumped) == 0.25
+        assert not states_equal_bitwise(z, State("finite", (z.parts[0][:2],)))
+        vortex = vx.random_vortex_state(1, GRID, 4, rng_for(5))
+        assert not states_equal_bitwise(z, vortex)
+        with pytest.raises(StateError):
+            max_abs_diff(z, vortex)
+
 
 SHIPPED_FUNCTIONALS = [
     ("vortex1", lambda: vx.euler_energy(1)),

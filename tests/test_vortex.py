@@ -501,6 +501,27 @@ class TestPhantomInvariance:
             z = step(integ, rhs, z)
         assert np.array_equal(z.parts[1].values, z.parts[2].values)
 
+    @pytest.mark.parametrize("level, hamiltonian", [
+        (2, "euler_energy"), (3, "rmhd_energy"), (3, "euler_energy"),
+    ])
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_level_embeds_the_level_below(self, level, hamiltonian, seed):
+        # the original system is the singular subsystem on which the phantom
+        # field vanishes: started from (the level below's state, 0), a level
+        # steps its first rows bitwise as the level below and keeps its last at 0
+        grid = Grid2D(32, 32)
+        below = vx.random_vortex_state(level - 1, grid, 4, np.random.default_rng(seed), 0.8)
+        above = State(f"vortex{level}", (*below.parts, Field2D.zeros(grid)))
+        H = getattr(vx, hamiltonian)
+        rhs_below = vx.vortex_rhs(level - 1, H(level - 1))
+        rhs_above = vx.vortex_rhs(level, H(level))
+        integ = Integrator("rk4", 1e-2)
+        for _ in range(50):
+            below, above = step(integ, rhs_below, below), step(integ, rhs_above, above)
+        for p, q in zip(below.parts, above.parts):
+            assert np.array_equal(p.values, q.values)
+        assert np.all(above.parts[-1].values == 0.0)
+
 
 class TestEnergyConservation:
     def test_euler_energy_drift_standard_run(self):
