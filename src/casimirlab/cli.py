@@ -56,23 +56,28 @@ class SnapshotError(ConfigError):
 # snapshots: text header + little-endian float64 payload
 # ---------------------------------------------------------------------------
 
+def _snapshot_header(kind: str, grid) -> str:
+    """The header save_snapshot writes for kind on grid (a point count for point data), up to
+    its 'end' line."""
+    names, part_type = STATE_KINDS[kind]
+    if part_type is None:
+        where = f"point {grid}"
+    elif part_type is Field1D:
+        where = f"grid1d {grid.n} {float(grid.l)!r}"
+    else:
+        where = f"grid2d {grid.nx} {grid.ny} {float(grid.lx)!r} {float(grid.ly)!r}"
+    return "\n".join(("casimirlab-snapshot 1", f"kind {kind}", where, "fields " + " ".join(names)))
+
+
 def save_snapshot(path, state: State):
     """Write a state: ASCII header lines, 'end', then raw '<f8' payloads.
 
     2D payloads are row-major by y then x, matching the in-memory layout.
     """
-    names, part_type = STATE_KINDS[state.kind]
-    g = getattr(state.parts[0], "grid", None)
-    lines = ["casimirlab-snapshot 1", f"kind {state.kind}"]
-    if part_type is None:
-        lines.append(f"point {state.parts[0].size}")
-    elif part_type is Field1D:
-        lines.append(f"grid1d {g.n} {float(g.l)!r}")
-    else:
-        lines.append(f"grid2d {g.nx} {g.ny} {float(g.lx)!r} {float(g.ly)!r}")
-    lines += ["fields " + " ".join(names), "end"]
+    part_type = STATE_KINDS[state.kind][1]
+    grid = state.parts[0].grid if part_type else state.parts[0].size
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write((_snapshot_header(state.kind, grid) + "\nend\n").encode("ascii"))
         for p in state.parts:
             fh.write(np.ascontiguousarray(p.values if part_type else p, dtype="<f8").tobytes())
 
@@ -80,43 +85,46 @@ def save_snapshot(path, state: State):
 def load_snapshot(path) -> State:
     """Read a state written by save_snapshot.
 
-    Raises SnapshotError for a missing or malformed header line, an unknown
-    kind, a payload whose length differs from what the header declares, or
-    a payload holding NaN or inf.
+    The header must be exactly the one save_snapshot writes for its kind and
+    grid: a line repeated, added, dropped or reordered, or a number spelled
+    otherwise than the writer spells it ('grid1d 16 40' for 'grid1d 16 40.0'),
+    raises SnapshotError.  So do an unknown kind, a grid the grid class
+    rejects, a payload whose length differs from what the header declares,
+    and a payload holding NaN or inf.
     """
     head, sep, payload = Path(path).read_bytes().partition(b"\nend\n")
     try:
-        magic, *lines = head.decode("ascii").split("\n")
+        head = head.decode("ascii")
+        # a header of fewer lines reads as empty ones, which the comparison below rejects
+        magic, kind, where, *_ = head.split("\n") + ["", ""]
         if not sep or magic != "casimirlab-snapshot 1":
             raise ValueError("not a casimirlab snapshot")
-        meta = {key: args for key, *args in map(str.split, lines)}
-        (kind,) = meta["kind"]
+        kind = kind.removeprefix("kind ")
         if kind not in STATE_KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         names, part_type = STATE_KINDS[kind]
-        if meta["fields"] != list(names):
-            raise ValueError(f"'fields' header line does not list {' '.join(names)}")
+        # built before the header is compared, so a grid its class rejects names its rule
+        args = where.split()[1:]
         if part_type is None:
-            (n,) = meta["point"]
-            grid, shape = None, (int(n),)
+            (n,) = args
+            grid = int(n)
+        elif part_type is Field1D:
+            n, l = args
+            grid = Grid1D(int(n), float(l))
         else:
-            if part_type is Field1D:
-                n, l = meta["grid1d"]
-                grid = Grid1D(int(n), float(l))
-            else:
-                nx, ny, lx, ly = meta["grid2d"]
-                grid = Grid2D(int(nx), int(ny), float(lx), float(ly))
-            shape = grid.shape
-        expected = 8 * len(names) * math.prod(shape)
-        if len(payload) != expected:
-            raise ValueError(f"payload has {len(payload)} bytes, the header declares {expected}")
+            nx, ny, lx, ly = args
+            grid = Grid2D(int(nx), int(ny), float(lx), float(ly))
+        if head != (expected := _snapshot_header(kind, grid)):
+            raise ValueError(f"header {head!r} is not the one the writer writes, {expected!r}")
+        shape = grid.shape if part_type else (grid,)
+        size = 8 * len(names) * math.prod(shape)
+        if len(payload) != size:
+            raise ValueError(f"payload has {len(payload)} bytes, the header declares {size}")
         vals = np.frombuffer(payload, dtype="<f8").astype(float).reshape(len(names), *shape)
         if not np.isfinite(vals).all():
             raise ValueError("payload holds non-finite values")
         parts = vals if part_type is None else (part_type(grid, v) for v in vals)
         return State(kind, tuple(parts))
-    except KeyError as exc:
-        raise SnapshotError(f"snapshot {path}: missing header line {exc}") from exc
     except ValueError as exc:  # includes UnicodeDecodeError, FieldError and StateError
         raise SnapshotError(f"snapshot {path}: {exc}") from exc
 
@@ -158,7 +166,7 @@ _RULES = {
     "preset": ("a preset name", lambda v: isinstance(v, str)),
     "watch": ("a non-empty list of distinct functional names", lambda v: v is None or (
         isinstance(v, list) and all(isinstance(w, str) for w in v) and 0 < len(set(v)) == len(v))),
-    "out_dir": ("a directory path", lambda v: v is None or isinstance(v, str)),
+    "out_dir": ("a directory path", lambda v: v is None or (isinstance(v, str) and "\0" not in v)),
     "snapshot": ("true or false", lambda v: isinstance(v, bool)),
     "n_orbits": ("an even integer >= 2", lambda v: _is_int(v) and v >= 2 and v % 2 == 0),
     # the elements are tested before the set is built: a list is unhashable
@@ -196,6 +204,15 @@ def _check_section(section: dict, known, where: str):
             raise ConfigError(f"config field '{where}{key}': expected {what}, got {value!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object of a config file or a --set value; ConfigError names a key it gives twice."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        twice = next(key for key in keys if keys.count(key) > 1)
+        raise ConfigError(f"config key '{twice}' is given twice in one object")
+    return dict(pairs)
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for k, v in override.items():
@@ -208,7 +225,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def _set_dotted(cfg: dict, dotted: str, raw_value: str):
     try:
-        value = json.loads(raw_value)
+        value = json.loads(raw_value, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         value = raw_value
     node = cfg
@@ -257,9 +274,10 @@ def parse_config(
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            file_cfg = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # a directory, not UTF-8, or not JSON
-            raise ConfigError(f"config file {path}: not readable as UTF-8 JSON ({exc})") from exc
+            file_cfg = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        except (OSError, ValueError) as exc:  # a directory, not UTF-8, not JSON, a key twice
+            raise ConfigError(f"config file {path}: not readable as UTF-8 JSON with distinct "
+                              f"keys ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path}: top level must be a JSON object")
 
@@ -305,6 +323,10 @@ def parse_config(
                               f"preset {name} (available: {', '.join(names)})")
 
     out_dir = out_dir_flag or cfg["out_dir"] or os.environ.get(ENV_OUT_DIR) or Path("runs") / name
+    # run_preset makes out_dir and its parents: the nearest that exists must be a directory
+    if not next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists()).is_dir():
+        raise ConfigError(f"config field 'out_dir': {out_dir} is a file or lies under one, "
+                          f"so no directory can be made there")
     return RunConfig(**cfg | {"out_dir": str(out_dir)})
 
 

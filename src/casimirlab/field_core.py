@@ -292,16 +292,9 @@ def _inverse(grid, hat: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(hat, s=grid.shape)
 
 
-@lru_cache(maxsize=None)
-def _zero_spectrum(grid) -> np.ndarray:
-    """The exact zero spectrum of grid (read-only, shared by every zero field on it)."""
-    return _read_only(np.zeros(_workspace(grid).k2.shape, dtype=complex))
-
-
-def _spectral(grid, values: np.ndarray, *symbols: np.ndarray) -> list[np.ndarray]:
-    """irfft(symbol * rfft(values)) for each symbol, transforming values once."""
-    hat = _forward(grid, values)
-    return [_inverse(grid, symbol * hat) for symbol in symbols]
+def _spectral(grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """irfft(symbol * rfft(values)) onto grid.shape."""
+    return _inverse(grid, symbol * _forward(grid, values))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -404,7 +397,7 @@ class Field:
         spectrum are read-only, and no operation changes a field.
         """
         f = cls(grid, _read_only(np.zeros(grid.shape)))
-        object.__setattr__(f, "_hat", _zero_spectrum(grid))
+        object.__setattr__(f, "_hat", _read_only(np.zeros_like(_workspace(grid).k2, complex)))
         object.__setattr__(f, "_zero", True)
         return f
 
@@ -606,7 +599,7 @@ def l2norm(f: Field) -> float:
 def _band_limited(cls, grid, kmax: int, rng: np.random.Generator, amplitude: float):
     """Zero-mean random field on the modes with every |index| <= kmax, peak |amplitude|."""
     order = _workspace(grid).order
-    (v,) = _spectral(grid, rng.standard_normal(grid.shape), (order <= kmax) & (order > 0))
+    v = _spectral(grid, rng.standard_normal(grid.shape), (order <= kmax) & (order > 0))
     peak = np.max(np.abs(v))
     if peak > 0:
         v = v * (amplitude / peak)

@@ -7,15 +7,15 @@ response through the nonlinear Poisson equation
 
 solved for phi = Phi(rho) by Newton iteration with FFT-preconditioned
 conjugate-gradient linear steps (two FFT calls per CG iteration).  With m
-the mean density, L = k^2 + m and phi1 = L^-1(rho - m), `solve_phi` starts
-from the solution of the linearized equation, ln(m) + phi1.  The flow's
-closure starts a density with max|phi1| <= PHI1_BOUND from the next term of
-the perturbation series, ln(m) + phi1 - L^-1(m phi1^2 / 2): one chord step
+the mean density, L = k^2 + m and phi1 = L^-1(rho - m), the one closure
+rule starts a density with max|phi1| <= PHI1_BOUND from the perturbation
+series to second order, ln(m) + phi1 - L^-1(m phi1^2 / 2): one chord step
 with the Jacobian frozen at m, where the FFT preconditioner is exact.  That
-guess already meets the tolerance, so at small amplitude the flow takes no
-Newton step; a larger density starts from ln(m) + phi1.  The ion_energy
-watcher solves through the same closure, so its phi is bitwise the flow's
-for the same density.  The four ion watchers (mode amplitude, energy, mass,
+guess already meets the tolerance, so at small amplitude no Newton step is
+taken; a larger density starts from the solution of the linearized
+equation, ln(m) + phi1.  The flow, the ion_energy watcher and `solve_phi`
+all solve by this rule, so each gives bitwise the same phi for the same
+density.  The four ion watchers (mode amplitude, energy, mass,
 momentum) are array kernels on rows; `ion_diagnostics` runs them on a whole
 batch of members with one closure solve, and each Functional runs them on
 its one member, so both give the same values.  The flow is
@@ -80,11 +80,11 @@ from .field_core import (
 from .poisson import Functional, PoissonOperator, State
 
 RHO_FLOOR = 1e-6
-PHI_TOL = 1e-12  # solve_phi's default bound on max|residual|
-PHI_MAX_ITER = 25  # solve_phi's default limit on Newton steps
-# ion_flow starts a row from the second-order guess (see `_newton`) when its
-# max|phi1| is at most PHI1_BOUND.  That guess leaves a residual of about
-# (2/3) m max|phi1|^3 at most (mean density m), under PHI_TOL here for m near 1.
+PHI_TOL = 1e-12  # the closure's bound on max|residual| (solve_phi's default)
+PHI_MAX_ITER = 25  # the closure's limit on Newton steps (solve_phi's default)
+# `_newton` starts a row from the second-order guess when its max|phi1| is at
+# most PHI1_BOUND.  That guess leaves a residual of about (2/3) m max|phi1|^3
+# at most (mean density m), under PHI_TOL here for m near 1.
 # Measured on 675 densities (modes 1, 2, 5 and random kmax 2, 6 states at 25
 # amplitudes from 1e-5 to 0.5, on grids n = 128, 256, 512): the residual was at
 # most 0.26 max|phi1|^3 and met PHI_TOL at the start on every row below 1.5e-4,
@@ -202,32 +202,32 @@ def residual_floor(grid: Grid1D, k: int, amplitude: float) -> float:
     return 0.5 * sys.float_info.epsilon * (k_max * k_max) * amplitude / (1.0 + kappa * kappa)
 
 
-def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, *,
-            phi1_bound: float | None = None):
-    """Newton rows of solve_phi: phi for each row of rho (shape (m, n)) and each row's history.
+def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
+    """Newton rows of the closure: phi for each row of rho (shape (m, n)) and each row's history.
 
-    Each row starts from the first-order guess ln(m) + phi1, with m the
-    row's mean, L = k^2 + m and phi1 = L^-1(rho - m).  Given phi1_bound,
-    a row with max|phi1| <= phi1_bound starts from the second-order guess
-    ln(m) + phi1 - L^-1(m phi1^2 / 2) instead, whose residual is O(phi1^3)
-    rather than O(phi1^2); the choice is made per row, from that row alone.
-    A row whose residual is at most tol is dropped from the working set, so
-    its phi and history are bitwise those of solving that row alone.  Raises
-    NewtonError for the first row (in row order) that meets a non-finite
-    residual or is not converged after max_iter steps.
+    With m the row's mean, L = k^2 + m and phi1 = L^-1(rho - m), a row with
+    max|phi1| <= PHI1_BOUND starts from the second-order guess
+    ln(m) + phi1 - L^-1(m phi1^2 / 2), whose residual is O(phi1^3), and any
+    other row from the first-order guess ln(m) + phi1; the choice is made
+    per row, from that row alone.  A row whose residual is at most tol is
+    dropped from the working set, so its phi and history are bitwise those
+    of solving that row alone.  Raises ValueError unless rho > 0 everywhere,
+    and NewtonError for the first row (in row order) that meets a
+    non-finite residual or is not converged after max_iter steps.
     """
+    if np.min(rho) <= 0.0:
+        raise ValueError("the closure requires rho > 0 everywhere")
     k2 = workspace1d(grid).k2
     mean = np.add.reduce(rho, axis=-1, keepdims=True) / grid.n  # what rho.mean(axis=-1) computes
     lin = k2 + mean
     phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=grid.n)
     phi = np.log(mean) + phi1
-    if phi1_bound is not None:
-        near = np.abs(phi1).max(axis=-1) <= phi1_bound
-        if near.all():  # the whole arrays: no row is picked out, so nothing is gathered
-            phi -= np.fft.irfft(np.fft.rfft(0.5 * mean * phi1 ** 2) / lin, n=grid.n)
-        elif near.any():
-            quad = 0.5 * mean[near] * phi1[near] ** 2
-            phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=grid.n)
+    near = np.abs(phi1).max(axis=-1) <= PHI1_BOUND
+    if near.all():  # the whole arrays: no row is picked out, so nothing is gathered
+        phi -= np.fft.irfft(np.fft.rfft(0.5 * mean * phi1 ** 2) / lin, n=grid.n)
+    elif near.any():
+        quad = 0.5 * mean[near] * phi1[near] ** 2
+        phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=grid.n)
     histories = [[] for _ in range(rho.shape[0])]
     live = np.arange(rho.shape[0])  # the rows still iterating, in phi and rho
     out = phi  # phi0's buffer takes each row's phi once that row has converged
@@ -262,17 +262,21 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, *,
 
 
 def _closure(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
-    """The flow's phi for each row of rho (shape (m, n)): `_newton` to PHI_TOL, with PHI1_BOUND."""
-    return _newton(grid, rho, PHI_TOL, PHI_MAX_ITER, phi1_bound=PHI1_BOUND)[0]
+    """phi for each row of rho (shape (m, n)): `_newton` to PHI_TOL within PHI_MAX_ITER steps.
+
+    The flow, the ion_energy watcher and the ionacoustic1d config check solve
+    through this call; a density with min <= 0 raises ValueError.
+    """
+    return _newton(grid, rho, PHI_TOL, PHI_MAX_ITER)[0]
 
 
 def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = PHI_MAX_ITER) -> PhiSolve:
-    """Solve -d2x(phi) + exp(phi) = rho by Newton iteration.
+    """Solve -d2x(phi) + exp(phi) = rho by Newton iteration: the one-field form of `_closure`.
 
-    The initial guess is the solution of the equation linearized about the
-    mean density m, phi0 = ln(m) + irfft(rfft(rho - m) / (k^2 + m)): exact
-    for constant density, and within O((rho - m)^2) of phi otherwise, so a
-    small-amplitude density converges in one Newton step.
+    The initial guess is the perturbation series about the mean density m
+    (see `_newton`): to second order when max|phi1| <= PHI1_BOUND, which
+    then meets the default tol with no Newton step, else to first order,
+    which is exact for constant density and within O((rho - m)^2) of phi.
     Each Newton step solves with the symmetric positive definite Jacobian
     -d2x + diag(exp(phi)) by FFT-preconditioned conjugate gradients
     (`_pcg`), stopped by the forcing term max|r| <= min(0.1, res) * res,
@@ -282,18 +286,13 @@ def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = PHI_MAX_ITER) 
     raise the residual's rounding floor about twofold (to ~1e-13 at
     n = 256), too high for the contraction r1 <= 10 r0^2 to hold from
     r0 ~ 1e-7.
-    This is the one-row call of the Newton loop that `ion_flow` runs on a
-    stack of densities (`_newton`); each row of a stack started from this
-    first-order guess gets bitwise the phi this returns for it.  The flow
-    and the ion_energy watcher start a small-amplitude row from the
-    second-order guess instead (see PHI1_BOUND), so their phi there agrees
-    with this one to within the tolerance, not bitwise.
-    Raises NewtonError (carrying the last residual) if the residual is not
-    at most tol within max_iter steps.  On fine grids the float64 rounding
-    floor of the residual lies above the default tol (see `residual_floor`).
+    At the default tol and max_iter, phi is bitwise the phi the flow and
+    the ion_energy watcher use for the same density.
+    Raises ValueError unless rho > 0 everywhere, and NewtonError (carrying
+    the last residual) if the residual is not at most tol within max_iter
+    steps.  On fine grids the float64 rounding floor of the residual lies
+    above the default tol (see `residual_floor`).
     """
-    if np.min(rho.values) <= 0.0:
-        raise ValueError("solve_phi requires rho > 0 everywhere")
     if not tol > 0:
         raise ValueError("tol must be positive")
     phi, (history,) = _newton(rho.grid, rho.values[None], tol, max_iter)
@@ -323,13 +322,6 @@ def ion_operator() -> PoissonOperator:
 # their values are equal.
 
 
-def _potentials(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
-    """The flow's phi for each row of rho (one `_closure` call); ValueError unless rho > 0."""
-    if np.min(rho) <= 0.0:
-        raise ValueError("solve_phi requires rho > 0 everywhere")
-    return _closure(grid, rho)
-
-
 def _energies(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> list[float]:
     """H of each row pair (rho, V), from one closure solve and one rfft/irfft pair for dx phi.
 
@@ -337,7 +329,7 @@ def _energies(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> list[float]:
     and dx phi with ddx1's symbol, so each value is bitwise the Field one.
     A non-finite density raises NonFiniteError, as a Field of it would.
     """
-    phi = _potentials(grid, rho)
+    phi = _closure(grid, rho)
     dphi = np.fft.irfft(1j * workspace1d(grid).dk * np.fft.rfft(phi), n=grid.n)
     density = rho * v * v * 0.5 + dphi * dphi * 0.5 + (phi - 1.0) * np.exp(phi)
     if not np.isfinite(density).all():
@@ -373,9 +365,9 @@ def ion_energy() -> Functional:
     """H = int [rho V^2/2 + (dx phi)^2/2 + (phi - 1) e^phi]; grad (V^2/2 + phi, rho V).
 
     The closure response contributes exactly phi to the density gradient,
-    which the finite-difference harness verifies.  phi comes from the flow's
-    closure, so it is bitwise the phi ion_flow uses for the same density; a
-    density with min <= 0 raises ValueError, as in solve_phi.
+    which the finite-difference harness verifies.  phi comes from
+    `_closure`, so it is bitwise the phi ion_flow uses for the same density;
+    a density with min <= 0 raises ValueError.
     """
 
     def value(z: State) -> float:
@@ -384,7 +376,7 @@ def ion_energy() -> Functional:
 
     def gradient(z: State) -> State:
         rho, v = z.parts
-        phi = Field1D(rho.grid, _read_only(_potentials(rho.grid, rho.values[None])[0]))
+        phi = Field1D(rho.grid, _read_only(_closure(rho.grid, rho.values[None])[0]))
         return State("ion", (v * v * 0.5 + phi, rho * v))
 
     return Functional("ion_energy", value, gradient)
@@ -426,11 +418,8 @@ def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     The quadratic products are dealiased.  The rows (rho V, V^2, phi) of
     every member go through one stacked rfft and one stacked irfft, each
     with its own symbol (-i k mask, -i k mask / 2, -i k); the last two are
-    summed afterwards.  phi comes from the Newton rows of solve_phi, so each
-    member's flow is bitwise the flow of that member alone.  A member with
-    max|phi1| <= PHI1_BOUND starts Newton from the second-order guess (see
-    `_newton`), which at small amplitude meets PHI_TOL with no Newton step;
-    the others start from solve_phi's first-order guess.
+    summed afterwards.  phi comes from `_closure`, so each member's flow is
+    bitwise the flow of that member alone.
 
     Aborts with DensityFloorError if min(rho) < 1e-6 in any member, before
     the closure is solved for a density at or near zero.
@@ -440,7 +429,7 @@ def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise DensityFloorError(f"min(rho) = {low:.3e} below floor {RHO_FLOOR:g}")
     shape = rho.shape
     rho, v = rho.reshape(-1, grid.n), v.reshape(-1, grid.n)
-    (out,) = _spectral(grid, np.array((rho * v, v * v, _closure(grid, rho))), _flow_symbols(grid))
+    out = _spectral(grid, np.array((rho * v, v * v, _closure(grid, rho))), _flow_symbols(grid))
     out[1] += out[2]
     return out[:2].reshape((2, *shape))
 

@@ -164,6 +164,12 @@ def test_failure_at_step_0_keeps_the_initial_state(tmp_path, capsys):
         ("ionacoustic1d", ("t_end=0.5", "initial.modes=[1,1]"), "initial.modes"),
         # equal seeds start both members equal, so the pair tests no phantom invariance
         ("phantom2", ("grid.n=16", "t_end=0.1", "initial.psi_seeds=[7,7]"), "initial.psi_seeds"),
+        # a --set without '=', one that descends into a number, one whose object repeats a key
+        ("euler2d", ("t_end",), "t_end"),
+        ("euler2d", ("t_end.x=1",), "t_end.x"),
+        ("euler2d", ('grid={"n": 32, "n": 64}',), "n"),
+        # no directory can be made at a path holding a NUL byte
+        ("jacobi_check", ('out_dir="a\\u0000b"',), "out_dir"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):
@@ -191,6 +197,47 @@ def test_unreadable_config_file_exits_2_naming_it(content, tmp_path, capsys):
     assert code == 2
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_out_dir_that_is_or_lies_under_a_file_exits_2(below, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code = main(["run", "jacobi_check", "--out-dir", str(afile / below)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'out_dir'" in err and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+
+
+# config files main rejects: (file text, None for no file; what the error names)
+BAD_CONFIG_FILES = {
+    "not-found": (None, "config.json"),
+    "top-level-list": ("[1, 2]", "config.json"),
+    "no-preset": ('{"t_end": 1.0}', "'preset'"),
+    "t_end-twice": ('{"preset": "euler2d", "t_end": 1.0, "t_end": 2.0}', "'t_end'"),
+    "grid.n-twice": ('{"preset": "euler2d", "grid": {"n": 32, "n": 64}}', "'n'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
+def test_bad_config_file_exits_2_naming_it(case, tmp_path, capsys):
+    text, named = BAD_CONFIG_FILES[case]
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+    if case != "no-preset":  # run names its preset itself
+        out = tmp_path / "out"
+        assert main(["run", "euler2d", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_set_value_that_is_not_json_is_taken_as_a_string():
+    cfg = parse_config(preset="kernel_deficit", sets=("initial.xi=identity",))
+    assert cfg.initial["xi"] == "identity"
 
 
 @pytest.mark.parametrize("preset", STEPPING)
@@ -390,6 +437,32 @@ def test_infinite_domain_length_raises_snapshot_error(state, grid_line, tmp_path
     assert grid_line in lines
     path.write_bytes("\n".join(lines).encode("ascii") + sep + payload)
     with pytest.raises(SnapshotError, match="finite"):
+        load_snapshot(path)
+
+
+# header edits of a vortex1 file on the 8 x 8 grid of side 2 pi, each of which
+# the reader rejects; the respelled numbers parse to the values written
+HEADER_EDITS = {
+    "kind-repeated": lambda lines: lines[:2] + lines[1:],
+    "unknown-line": lambda lines: lines + ["colour blue"],
+    "stray-grid1d": lambda lines: lines[:3] + ["grid1d 8 6.283185307179586"] + lines[3:],
+    "size-spelled-otherwise": lambda lines: [ln.replace("grid2d 8 8", "grid2d 0_8 8")
+                                             for ln in lines],
+    "length-spelled-otherwise": lambda lines: [
+        ln.replace("8 8 6.283185307179586", "8 8 6.2831853071795862") for ln in lines],
+    "reordered": lambda lines: [lines[0], lines[1], lines[3], lines[2]],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+def test_header_other_than_the_writers_raises_snapshot_error(edit, tmp_path):
+    path = tmp_path / "state.snap"
+    save_snapshot(path, State("vortex1", (Field2D.zeros(Grid2D(8, 8)),)))
+    head, sep, payload = path.read_bytes().partition(b"\nend\n")
+    lines = HEADER_EDITS[edit](head.decode("ascii").split("\n"))
+    assert lines != head.decode("ascii").split("\n")
+    path.write_bytes("\n".join(lines).encode("ascii") + sep + payload)
+    with pytest.raises(SnapshotError):
         load_snapshot(path)
 
 

@@ -99,11 +99,18 @@ class TestSolvePhi:
             rho = Field1D.full(grid, 1.0) + random_band_limited_1d(grid, 8, rng, 0.3)
             assert ik.solve_phi(rho).residual <= 1e-12
 
-    def test_small_amplitude_takes_one_newton_step(self):
-        # the linearized initial guess leaves a residual of O(amplitude^2)
+    def test_small_amplitude_takes_no_newton_step(self):
+        # below PHI1_BOUND the second-order initial guess already meets the tolerance
         sol = ik.solve_phi(ik.acoustic_mode_state(GRID, 1, 1e-4).parts[0])
-        assert sol.iterations == 1
+        assert sol.iterations == 0
         assert sol.residual <= 1e-12
+
+    @pytest.mark.parametrize("amplitude", [1e-5, 1e-4, 0.01, 0.3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_phi_is_bitwise_the_closures(self, k, amplitude):
+        # one density, one potential: solve_phi and the flow's closure start alike
+        rho = ik.acoustic_mode_state(GRID, k, amplitude).parts[0]
+        assert np.array_equal(ik.solve_phi(rho).phi.values, ik._closure(GRID, rho.values[None])[0])
 
     def test_pcg_makes_two_fft_calls_per_iteration(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -275,13 +282,12 @@ class TestFlowGuess:
 
     def test_second_order_guess_meets_the_tolerance(self):
         rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2)])
-        phi, histories = ik._newton(GRID, rho, ik.PHI_TOL, ik.PHI_MAX_ITER,
-                                    phi1_bound=ik.PHI1_BOUND)
+        phi, histories = ik._newton(GRID, rho, ik.PHI_TOL, ik.PHI_MAX_ITER)
         for i, history in enumerate(histories):
             assert len(history) == 1 and history[0] <= ik.PHI_TOL
-            # and phi agrees with solve_phi's within the closure tolerance
+            # and phi is bitwise solve_phi's
             sol = ik.solve_phi(Field1D(GRID, rho[i]))
-            assert np.max(np.abs(phi[i] - sol.phi.values)) <= 1e-12
+            assert np.array_equal(phi[i], sol.phi.values)
 
     # from the second-order guess, each of these would take one Newton step fewer
     @pytest.mark.parametrize("z", [
@@ -312,11 +318,9 @@ class TestFlowGuess:
         rho = np.array([ik.acoustic_mode_state(GRID, 1, 1e-4).parts[0].values,
                         ik.acoustic_mode_state(GRID, 3, 5e-5).parts[0].values,
                         (Field1D.full(GRID, 1.0) + noise).values])
-        phi, histories = ik._newton(GRID, rho, ik.PHI_TOL, ik.PHI_MAX_ITER,
-                                    phi1_bound=ik.PHI1_BOUND)
+        phi, histories = ik._newton(GRID, rho, ik.PHI_TOL, ik.PHI_MAX_ITER)
         for i in range(len(rho)):
-            alone, (history,) = ik._newton(GRID, rho[i:i + 1], ik.PHI_TOL, ik.PHI_MAX_ITER,
-                                           phi1_bound=ik.PHI1_BOUND)
+            alone, (history,) = ik._newton(GRID, rho[i:i + 1], ik.PHI_TOL, ik.PHI_MAX_ITER)
             assert np.array_equal(phi[i], alone[0]) and histories[i] == history
 
     def test_energy_watcher_uses_the_flows_phi(self, monkeypatch):
