@@ -507,11 +507,16 @@ def _run_rmhd2d(cfg: RunConfig) -> RunResult:
     return _run_catalog(cfg, vx.state_ii(omega, psi))
 
 
+def _omega_draw(cfg: RunConfig):
+    """The grid, the generator seeded by cfg.seed and the vorticity drawn first from it."""
+    grid, init, rng = _grid(cfg), cfg.initial, np.random.default_rng(cfg.seed)
+    return grid, rng, random_band_limited_2d(grid, init["omega_kmax"], rng,
+                                             init["omega_amplitude"])
+
+
 def _run_phantom2(cfg: RunConfig) -> RunResult:
-    grid = _grid(cfg)
+    grid, _, omega = _omega_draw(cfg)
     init = cfg.initial
-    rng = np.random.default_rng(cfg.seed)
-    omega = random_band_limited_2d(grid, init["omega_kmax"], rng, init["omega_amplitude"])
     seeds, psi_kmax, psi_amp = init["psi_seeds"], init["psi_kmax"], init["psi_amplitude"]
     za, zb = (vx.state_ii(omega, random_band_limited_2d(grid, psi_kmax, np.random.default_rng(s), psi_amp))
               for s in seeds)
@@ -533,10 +538,8 @@ def _run_phantom2(cfg: RunConfig) -> RunResult:
 
 
 def _run_phantom3(cfg: RunConfig) -> RunResult:
-    grid = _grid(cfg)
+    grid, rng, omega = _omega_draw(cfg)
     init = cfg.initial
-    rng = np.random.default_rng(cfg.seed)
-    omega = random_band_limited_2d(grid, init["omega_kmax"], rng, init["omega_amplitude"])
     psi = random_band_limited_2d(grid, init["psi_kmax"], rng, init["psi_amplitude"])
     z0 = vx.state_iii(omega, psi, Field2D(grid, psi.values.copy()))
     H = vx.rmhd_energy(3)
@@ -578,10 +581,7 @@ def _run_kernel_deficit(cfg: RunConfig) -> RunResult:
 
 
 def _run_singular_leaf(cfg: RunConfig) -> RunResult:
-    grid = _grid(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    init = cfg.initial
-    omega = random_band_limited_2d(grid, init["omega_kmax"], rng, init["omega_amplitude"])
+    grid, _, omega = _omega_draw(cfg)
     z0 = vx.state_ii(omega, Field2D.zeros(grid))
     H = vx.rmhd_energy(2)
     leaf = vx.Functional("leaf_norm_sq", lambda z: vx.singular_leaf_indicator(z.parts[1])[0])
@@ -718,6 +718,15 @@ def _mode_series(series: dyn.DiagnosticSeries, k: int, pairs) -> dyn.DiagnosticS
                                 {f.label: series.values[f"{f.label}_k{k}"] for f, _ in pairs})
 
 
+# The wave energy E_w(0) = H(0) - L m (ln m - 1), with m = mass(0) / L, is H
+# less the energy of the mean density at rest: 7.9e-9 and 3.1e-9 of H = 6.28 for
+# modes 1 and 2 at the defaults.  max|H - H(0)| / E_w(0) reads 0 and 2.8e-7 there
+# (1 ulp of H), and 0.39 when the flow is damped by -0.01 V.  Its divisor is
+# floored at the wave energy on which _WAVE_ULPS ulps of H(0) meet the threshold,
+# since float64 resolves no smaller wave in H.
+_WAVE_DRIFT, _WAVE_ULPS = 1e-4, 4
+
+
 def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     modes = cfg.initial["modes"]
@@ -740,7 +749,7 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
         raise dyn.IntegrationError(str(exc), _mode_series(exc.series, modes[0], watch[modes[0]]),
                                    exc.step_index, exc.last_state) from exc
     series_by_mode = {k: _mode_series(series, k, watch[k]) for k in modes}
-    checks = []
+    checks, wave_checks = [], []
     extras = {"modes": {}}
     for k in modes:
         series = series_by_mode[k]
@@ -754,8 +763,12 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
         extras["modes"][str(k)] = {"measured_omega": measured, "theory_omega": theory}
         checks.append(Check(f"dispersion_rel_error_k{k}", rel, 1e-2, "<=", note))
         checks += _drift_checks(series, watch[k], suffix=f"_k{k}")
-    return RunResult(checks=checks, series=series_by_mode.pop(modes[0]), extras=extras,
-                     extra_series=series_by_mode)
+        h0, m = series.initial("ion_energy"), series.initial("mass") / grid.l
+        wave = max(h0 - grid.l * m * (math.log(m) - 1.0), _WAVE_ULPS * math.ulp(h0) / _WAVE_DRIFT)
+        wave_checks.append(Check(f"wave_energy_rel_drift_k{k}",
+                                 series.drift("ion_energy")[0] / wave, _WAVE_DRIFT, "<="))
+    return RunResult(checks=checks + wave_checks, series=series_by_mode.pop(modes[0]),
+                     extras=extras, extra_series=series_by_mode)
 
 
 def _run_kdv_soliton(cfg: RunConfig) -> RunResult:

@@ -1,14 +1,13 @@
 """Time integration and invariant-drift bookkeeping shared by all systems.
 
-Explicit classical RK4 is the workhorse; explicit midpoint is available as a
-lower-order cross-check, and 'if_rk4' dispatches to the integrating-factor
-KdV stepper.  The spatial discretization is what preserves Casimirs; the
-temporal drift of conserved functionals is controlled by the O(dt^4)
-convergence tests, not by exact conservation.
+Explicit classical RK4 is the one general scheme; 'if_rk4' dispatches to the
+integrating-factor KdV stepper.  The spatial discretization is what preserves
+Casimirs; the temporal drift of conserved functionals is controlled by the
+O(dt^4) convergence tests, not by exact conservation.
 
-A state is a ``State`` or a bare float ndarray: the RK4 and midpoint stages
-only add states and scale them by floats, so a batch of independent
-trajectories steps as one array without a wrapper per operation.  Two
+A state is a ``State`` or a bare float ndarray: the RK4 stages only add
+states and scale them by floats, so a batch of independent trajectories
+steps as one array without a wrapper per operation.  Two
 presets do so: finitedim's orbits as one (2, m) array of points, and
 ionacoustic1d's modes as one (2, m, n) array of (rho, V) rows.  Every
 operation on such a batch is member by member, so each member's trajectory
@@ -53,7 +52,7 @@ class Integrator:
     dt: float = 1e-2
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "midpoint", "if_rk4"):
+        if self.scheme not in ("rk4", "if_rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
@@ -63,26 +62,23 @@ def step(integ: Integrator, rhs: Callable | None, z: State | np.ndarray) -> Stat
     """One explicit step; raises a NumericalFailure on non-finite output.
 
     Stage sums of synthesized fields stay in spectral space (field_core.Field);
-    the output's parts are born from their values, read and checked finite
-    here once per step, so a step is a function of its input's values alone.
+    the output is checked once: a State by `State.from_values`, which reads its
+    parts' values (and checks them finite) once per step, so a step is a
+    function of its input's values alone; a bare array by one isfinite test.
     """
     dt = integ.dt
     if integ.scheme == "if_rk4":
         if z.kind != "kdv":
             raise ValueError("if_rk4 integrates the KdV system only")
         return State("kdv", (ion_kdv.kdv_if_rk4_step(z.parts[0], dt),))
-    if integ.scheme == "rk4":
-        k1 = rhs(z)
-        k2 = rhs(z + (0.5 * dt) * k1)
-        k3 = rhs(z + (0.5 * dt) * k2)
-        k4 = rhs(z + dt * k3)
-        out = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:  # midpoint
-        k1 = rhs(z)
-        out = z + dt * rhs(z + (0.5 * dt) * k1)
+    k1 = rhs(z)
+    k2 = rhs(z + (0.5 * dt) * k1)
+    k3 = rhs(z + (0.5 * dt) * k2)
+    k4 = rhs(z + dt * k3)
+    out = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if isinstance(out, State):
-        out = out.from_values()
-    if not (np.isfinite(out).all() if isinstance(out, np.ndarray) else out.all_finite()):
+        return out.from_values()
+    if not np.isfinite(out).all():
         raise BlowupError("non-finite state after step")
     return out
 
@@ -250,12 +246,9 @@ def estimate_frequency(times: Sequence[float], values: Sequence[float]) -> float
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     v = v - np.mean(v)
-    sign_change = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
-    if sign_change.size < 3:
+    i = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]  # the sample before each crossing
+    if i.size < 3:
         raise ValueError("too few zero crossings to estimate a frequency")
-    crossings = []
-    for i in sign_change:
-        frac = v[i] / (v[i] - v[i + 1])
-        crossings.append(t[i] + frac * (t[i + 1] - t[i]))
+    crossings = t[i] + v[i] / (v[i] - v[i + 1]) * (t[i + 1] - t[i])
     gaps = np.diff(crossings)
     return math.pi / float(np.mean(gaps))

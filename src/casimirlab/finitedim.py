@@ -316,8 +316,6 @@ def closedness_residual(
 
 def smoothed_step(x, eps: float):
     """Y_eps(x) = (1 + erf(x / eps)) / 2, the erf regularization of the step."""
-    if np.isscalar(x):
-        return 0.5 * (1.0 + math.erf(x / eps))
     x = np.asarray(x, dtype=float)
     return 0.5 * (1.0 + np.vectorize(math.erf)(x / eps))
 

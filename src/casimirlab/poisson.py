@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field_core import Field1D, Field2D, NonFiniteError, integrate
+from .field_core import BlowupError, Field1D, Field2D, NonFiniteError, integrate
 
 # state tag -> (the names of its components, the Field class of every
 # component, or None for one point array)
@@ -96,25 +96,21 @@ class State:
         return State(self.kind, tuple(zero for _ in self.parts))
 
     def from_values(self) -> "State":
-        """This state with every field part born from its values (Field._born_from_values).
+        """This state as a step's checked output: every field part born from its
+        values (Field._born_from_values), or a finite point checked finite.
 
         Reading a synthesized part's values checks them finite, so this raises
-        NonFiniteError on a non-finite part; no part of the result keeps a
-        synthesized spectrum.  A state with no synthesized part is itself.
+        NonFiniteError on a non-finite part, and BlowupError on a non-finite
+        point; no part of the result keeps a synthesized spectrum.  A state
+        with no synthesized part is itself.
         """
-        if self.kind == "finite" or not any(p._synthesized for p in self.parts):
+        if self.kind == "finite":
+            if not np.isfinite(self.parts[0]).all():
+                raise BlowupError("non-finite state after step")
+            return self
+        if not any(p._synthesized for p in self.parts):
             return self
         return State(self.kind, tuple(p._born_from_values() for p in self.parts))
-
-    def all_finite(self) -> bool:
-        if self.kind == "finite":
-            return bool(np.all(np.isfinite(self.parts[0])))
-        try:
-            for p in self.parts:
-                p.values  # checked finite at construction, or at a synthesized field's first read
-        except NonFiniteError:
-            return False
-        return True
 
 
 def inner(a: State, b: State) -> float:

@@ -123,7 +123,8 @@ PASSING = [
       "closedness_nu_y_eps_0.5"]),
     ("ionacoustic1d", ("grid.n=16", "dt=0.05", "t_end=14.0"),
      ["dispersion_rel_error_k1", "energy_rel_drift_k1", "mass_rel_drift_k1", "momentum_drift_k1",
-      "dispersion_rel_error_k2", "energy_rel_drift_k2", "mass_rel_drift_k2", "momentum_drift_k2"]),
+      "dispersion_rel_error_k2", "energy_rel_drift_k2", "mass_rel_drift_k2", "momentum_drift_k2",
+      "wave_energy_rel_drift_k1", "wave_energy_rel_drift_k2"]),
     ("kdv_soliton", ("grid.n=128", "t_end=0.1"),
      ["soliton_linf_error", "mass_drift", "momentum_rel_drift", "energy_rel_drift"]),
     ("kernel_deficit", (),

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from casimirlab import Field1D, Field2D, Grid1D, Grid2D, cli
 from casimirlab import dynamics as dyn
+from casimirlab import ion_kdv as ik
 from casimirlab.cli import (
     _GRID_KEYS, _RULES, MAX_GRID_POINTS, PRESETS, ConfigError, RunConfig, SnapshotError,
     load_snapshot, main, parse_config, save_snapshot,
@@ -286,6 +287,38 @@ def test_run_too_short_for_frequency_fails_check(tmp_path, capsys):
     check = {c["name"]: c for c in summary["checks"]}["dispersion_rel_error_k1"]
     assert not check["passed"]
     assert "too short" in check["note"]
+
+
+def test_damped_ion_flow_fails_the_wave_energy_check(tmp_path, monkeypatch, capsys):
+    # a -0.01 V damping takes 13% of the wave energy by t = 14, yet moves H by
+    # 1e-10 of itself, which the energy drift checks do not see
+    flow = ik.ion_flow
+
+    def damped(grid, rho, v):
+        out = flow(grid, rho, v)
+        out[1] -= 0.01 * v
+        return out
+
+    monkeypatch.setattr(ik, "ion_flow", damped)
+    code, out = run_cli(tmp_path, "ionacoustic1d", "grid.n=16", "dt=0.05", "t_end=14.0")
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"] is None
+    failed = [c["name"] for c in summary["checks"] if not c["passed"]]
+    assert failed == ["wave_energy_rel_drift_k1", "wave_energy_rel_drift_k2"]
+    assert "[FAIL] wave_energy_rel_drift_k1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("amplitude", ["1e-7", "1e-9"])
+def test_wave_below_the_float64_resolution_of_h_passes_the_wave_energy_check(amplitude, tmp_path,
+                                                                              capsys):
+    # one ulp of H is a quarter of the wave energy at 1e-7, and the wave energy
+    # computes as 0.0 at 1e-9: the check's divisor is floored at what H resolves
+    code, out = run_cli(tmp_path, "ionacoustic1d", "grid.n=16", "dt=0.05", "t_end=14.0",
+                        f"initial.amplitude={amplitude}")
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    wave = [c for c in checks if c["name"].startswith("wave_energy_rel_drift")]
+    assert len(wave) == 2 and all(c["passed"] for c in wave), wave
 
 
 def refuse_constant(token):

@@ -58,12 +58,32 @@ class TestGridsAndFields:
             Grid2D(7, 64)
         with pytest.raises(FieldError):
             Grid2D(64, 6)
+        with pytest.raises(FieldError, match="even"):
+            Grid1D(7)
         with pytest.raises(FieldError):
             Grid1D(64, -1.0)
         with pytest.raises(FieldError):
             Grid1D(16, math.inf)
         with pytest.raises(FieldError):
             Grid2D(8, 8, math.inf, 1.0)
+
+    def test_values_of_another_shape_rejected(self):
+        with pytest.raises(FieldError, match="shape"):
+            Field2D(Grid2D(8, 8), np.zeros((8, 10)))
+
+    def test_missing_attribute_raises_attribute_error(self):
+        f = Field2D.from_function(GRID, lambda X, Y: np.sin(X))
+        g = ddx(f)  # synthesized, its values unread
+        for field in (f, g):
+            with pytest.raises(AttributeError, match="no_such_attribute"):
+                field.no_such_attribute
+        assert "values" not in vars(g)  # the failed lookup computed nothing
+
+    def test_negating_a_field_born_from_values(self):
+        f = Field2D.from_function(GRID, lambda X, Y: np.sin(X) + np.cos(2 * Y))
+        neg = -f
+        assert not neg._synthesized
+        assert np.array_equal(neg.values, -f.values)
 
     def test_spacing_exact(self):
         g = Grid2D(64, 32, 4.0, 2.0)
@@ -555,14 +575,12 @@ class TestStateFinite:
     def test_non_finite_synthesized_part_is_not_finite(self):
         with np.errstate(all="ignore"):  # its sum, and so its spectrum, overflows
             lap = laplacian(Field2D.full(GRID, 1e306))
-        assert not State("vortex1", (lap,)).all_finite()
         with pytest.raises(NonFiniteError):
             State("vortex1", (lap,)).from_values()
 
     def test_finite_synthesized_part_is_finite(self):
         f = random_band_limited_2d(GRID, 6, np.random.default_rng(61))
         z = State("vortex2", (ddx(f), f))
-        assert z.all_finite()
         settled = z.from_values()
         assert not settled.parts[0]._synthesized and settled.parts[1] is f
         assert np.array_equal(settled.parts[0].values, z.parts[0].values)

@@ -68,6 +68,10 @@ def expanded_gradient(c, x, y):
 
 
 class TestCubicGradient:
+    def test_nine_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="10 coefficients"):
+            fd.cubic_functional(np.zeros(9))
+
     def test_gradient_matches_expanded_derivative(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

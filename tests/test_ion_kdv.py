@@ -8,7 +8,7 @@ import pytest
 
 from casimirlab import Field1D, Grid1D, State, ddx1, ddx2, dealias, integrate
 from casimirlab.dynamics import Integrator, estimate_frequency, run_and_record, step
-from casimirlab.field_core import random_band_limited_1d
+from casimirlab.field_core import NonFiniteError, random_band_limited_1d
 from casimirlab import ion_kdv as ik
 
 GRID = Grid1D(128)
@@ -20,6 +20,18 @@ def grid_k2(grid):
 
 
 class TestSolvePhi:
+    def test_tolerance_must_be_positive(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            ik.solve_phi(Field1D.full(GRID, 1.0), tol=0.0)
+
+    def test_non_finite_newton_residual_raises(self, monkeypatch):
+        # the first Newton update is NaN, so the residual of step 1 is not finite
+        monkeypatch.setattr(ik, "_pcg", lambda k2, e, b, atol: np.full_like(b, np.nan))
+        rho = Field1D.from_function(GRID, lambda x: 1.0 + 0.3 * np.cos(x))
+        with pytest.raises(ik.NewtonError, match="non-finite") as info:
+            ik.solve_phi(rho)
+        assert info.value.iterations == 1 and math.isnan(info.value.residual)
+
     def test_uniform_density_gives_zero_potential(self):
         sol = ik.solve_phi(Field1D.full(GRID, 1.0))
         assert sol.phi.max_abs() <= 1e-13
@@ -349,6 +361,17 @@ class TestFlowGuess:
 
 
 class TestIonSystem:
+    def test_density_must_be_positive(self):
+        rho = np.ones(GRID.n)
+        rho[5] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            ik.ion_state(Field1D(GRID, rho), Field1D.zeros(GRID))
+
+    def test_non_finite_energy_density_raises(self):
+        z = ik.ion_state(Field1D.full(GRID, 1.0), Field1D.full(GRID, 1e200))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            ik.ion_energy().value(z)
+
     def test_quiescent_equilibrium(self):
         out = ik.ion_rhs(ik.quiescent_state(GRID))
         assert out.parts[0].max_abs() <= 1e-13

@@ -81,6 +81,22 @@ class TestStates:
         with pytest.raises(StateError, match="parts"):
             State(kind, parts)
 
+    @pytest.mark.parametrize("kind, parts, message", [
+        ("vortex4", (Field2D.zeros(GRID),), "unknown state kind"),
+        ("vortex2", (Field2D.zeros(GRID),), "needs 2 parts, got 1"),
+        ("finite", (np.ones((2, 2)),), "1-d point"),
+        ("vortex2", (Field2D.zeros(GRID), Field2D.zeros(Grid2D(32, 32))), "one grid"),
+    ], ids=["unknown_kind", "part_count", "point_not_1d", "mixed_grids"])
+    def test_malformed_state_rejected(self, kind, parts, message):
+        with pytest.raises(StateError, match=message):
+            State(kind, parts)
+
+    def test_zeros_like_of_a_point(self):
+        z = State("finite", (np.array([1.5, -2.0, 0.25]),))
+        zero = z.zeros_like()
+        assert zero.kind == "finite"
+        assert np.array_equal(zero.parts[0], np.zeros(3))
+
     def test_vector_space_ops(self):
         z = vx.random_vortex_state(2, GRID, 4, rng_for(1))
         w = vx.random_vortex_state(2, GRID, 4, rng_for(2))
@@ -228,6 +244,11 @@ class TestCasimirResidual:
             Field2D.from_function(GRID, lambda X, Y: np.cos(X) + np.cos(2 * Y)),
         )
         assert casimir_residual(C, z, vx.vortex_operator(2)) > 1e-3
+
+    def test_residual_at_the_zero_state_is_relative_to_the_gradient_alone(self):
+        # C = x under the constant Jc: |J grad C| = |grad C| = 1, and ||z|| = 0
+        C = fd.cubic_functional([0, 1, 0, 0, 0, 0, 0, 0, 0, 0], "x")
+        assert casimir_residual(C, fd.finite_state(0.0, 0.0), fd.canonical_operator()) == 1.0
 
     def test_degenerate_gradient_warns(self):
         C = vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2))

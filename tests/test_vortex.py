@@ -15,7 +15,7 @@ from casimirlab import Field2D, Grid2D, bracket2d, integrate, l2norm
 from casimirlab import casimir_residual
 from casimirlab.dynamics import Integrator, run_and_record, step
 from casimirlab.field_core import random_band_limited_2d
-from casimirlab.poisson import State
+from casimirlab.poisson import State, StateError
 from casimirlab import vortex as vx
 
 GRID = Grid2D(64, 64)
@@ -400,6 +400,11 @@ def test_out_of_range_level_raises_value_error(entry, level):
         LEVEL_ENTRY_POINTS[entry](level)
 
 
+def test_rmhd_energy_needs_a_flux_function():
+    with pytest.raises(ValueError, match="flux function"):
+        vx.rmhd_energy(1)
+
+
 class TestKernelState:
     def test_commutator_vanishes_nonmonotonic(self):
         grid = Grid2D(128, 128)
@@ -425,6 +430,10 @@ class TestKernelState:
         w = vx.function_dependence_witness(z.parts[0], z.parts[1], psi_gap=0.1)
         assert w is not None
         assert w["omega_diff"] <= 1e-9 and w["psi_diff"] > 0.1
+
+    def test_dependence_witness_needs_one_grid(self):
+        with pytest.raises(StateError, match="one shared grid"):
+            vx.function_dependence_witness(Field2D.zeros(GRID), Field2D.zeros(Grid2D(32, 32)))
 
     def test_dependence_witness_absent_for_monotonic_xi(self):
         # xi = identity is monotonic: omega determines psi, no witness pair
@@ -521,6 +530,33 @@ class TestPhantomInvariance:
         for p, q in zip(below.parts, above.parts):
             assert np.array_equal(p.values, q.values)
         assert np.all(above.parts[-1].values == 0.0)
+
+    def test_original_system_is_the_limit_of_a_vanishing_flux(self):
+        # level 2 under rmhd_energy from (omega, delta psi0) tends to the level-1
+        # run from omega as delta -> 0: the Lorentz force is O(delta^2), so each
+        # halving of delta should cut the omega gap by 4 once delta is small.
+        # Measured (32^2, T = 2, dt = 0.02): gaps 1.76, 0.81, 0.28 and 0.075 for
+        # delta = 0.2, 0.1, 0.05 and 0.025, ratios 2.2, 2.9 and 3.7
+        grid = Grid2D(32, 32)
+        omega = random_band_limited_2d(grid, 4, np.random.default_rng(12), 0.8)
+        psi0 = random_band_limited_2d(grid, 4, np.random.default_rng(101), 1.0)
+        integ = Integrator("rk4", 0.02)
+
+        def omegas(level, z0, H):
+            return [z.parts[0].values for z in dyn.Trajectory(integ, vx.vortex_rhs(level, H),
+                                                                z0, 2.0)]
+
+        original = omegas(1, vx.state_i(omega), vx.euler_energy(1))
+        gaps = []
+        for delta in (0.0, 0.2, 0.1, 0.05, 0.025):
+            run = omegas(2, vx.state_ii(omega, psi0 * delta), vx.rmhd_energy(2))
+            if delta == 0.0:
+                assert all(map(np.array_equal, run, original))
+            else:
+                gaps.append(max(float(np.max(np.abs(a - b))) for a, b in zip(run, original)))
+        ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+        assert all(r >= 2.0 for r in ratios), ratios
+        assert abs(ratios[-1] - 4.0) <= 0.25 * 4.0, ratios
 
 
 class TestEnergyConservation:
