@@ -412,22 +412,21 @@ class RunResult:
 
 def _stepped(cfg: RunConfig, rhs, z0, pairs, divergence=None):
     """Step z0 to cfg.t_end by cfg.dt, sampling the functionals of the (functional,
-    Drift | None) pairs every cfg.output_every; return the run.
+    Drift | None) pairs every cfg.output_every.
 
     RK4 steps the rhs; no rhs means KdV's integrating-factor step, the one
-    scheme that takes none.  A divergence functional heads the series and is
-    also taken after every step; its maximum over the steps then comes back
-    beside the run.
+    scheme that takes none.  With no divergence functional the run is
+    drained by `dyn.run_and_record`, and its (series, final state) come
+    back.  A divergence functional heads the series and is also taken after
+    every step; then the run (a `dyn.Trajectory`) and that maximum over the
+    steps come back.
     """
     watch = [f for f, _ in pairs]
-    scheme = "rk4" if rhs is not None else "if_rk4"
-    run = dyn.Trajectory(dyn.Integrator(scheme, cfg.dt), rhs, z0, cfg.t_end,
-                         [divergence, *watch] if divergence else watch, cfg.output_every)
-    if divergence:
-        return run, max(map(divergence.value, run))
-    for _ in run:
-        pass
-    return run
+    integ = dyn.Integrator("rk4" if rhs is not None else "if_rk4", cfg.dt)
+    if divergence is None:
+        return dyn.run_and_record(integ, rhs, z0, cfg.t_end, watch, cfg.output_every)
+    run = dyn.Trajectory(integ, rhs, z0, cfg.t_end, [divergence, *watch], cfg.output_every)
+    return run, max(map(divergence.value, run))
 
 
 def _run_catalog(cfg: RunConfig, z0: State) -> RunResult:
@@ -439,9 +438,9 @@ def _run_catalog(cfg: RunConfig, z0: State) -> RunResult:
     catalog = PRESETS[cfg.preset].catalog()
     names = catalog if cfg.watch is None else cfg.watch
     rhs = vx.vortex_rhs(len(z0.parts), catalog["energy"][0])
-    run = _stepped(cfg, rhs, z0, [catalog[n] for n in names])
-    checks = _drift_checks(run.series, [p for n, p in catalog.items() if n in names])
-    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
+    series, state = _stepped(cfg, rhs, z0, [catalog[n] for n in names])
+    checks = _drift_checks(series, [p for n, p in catalog.items() if n in names])
+    return RunResult(checks=checks, series=series, snapshots={"state_final": state})
 
 
 # ---------------------------------------------------------------------------
@@ -590,20 +589,20 @@ def _run_singular_leaf(cfg: RunConfig) -> RunResult:
              (interior, Drift("interior_enstrophy_rel_drift", "rel", "<=", 1e-8,
                               note="on the leaf, the subsystem conserves its own Casimir")),
              (H, None)]
-    run = _stepped(cfg, vx.vortex_rhs(2, H), z0, pairs)
+    series, state = _stepped(cfg, vx.vortex_rhs(2, H), z0, pairs)
     res_on = vx.interior_casimir_residual(omega, vx.PROFILES["square"])
     z_off = vx.state_ii(omega, Field2D.from_function(grid, lambda X, Y: np.sin(X)))
     off_norm = l2norm(vx.apply_j2(z_off, interior.gradient(z_off)).parts[1])
     checks = [
-        Check("leaf_indicator_max", max(run.series.values[leaf.label]), 1e-20, "<=",
+        Check("leaf_indicator_max", max(series.values[leaf.label]), 1e-20, "<=",
               note="an orbit starting on the leaf psi = 0 stays on it"),
-        Check("on_leaf_at_end", float(vx.singular_leaf_indicator(run.state.parts[1])[1]), 1.0, "=="),
-        *_drift_checks(run.series, pairs),
+        Check("on_leaf_at_end", float(vx.singular_leaf_indicator(state.parts[1])[1]), 1.0, "=="),
+        *_drift_checks(series, pairs),
         Check("interior_residual_on_leaf", res_on, 1e-9, "<="),
         Check("interior_residual_off_leaf", off_norm, 1e-3, ">=",
               note="off psi = 0 the same gradient is no longer annihilated"),
     ]
-    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
+    return RunResult(checks=checks, series=series, snapshots={"state_final": state})
 
 
 _LOOPS_Y_NOTE = ("exactly 0 at the defaults: every loop orbit keeps |x| >= ~0.33 while "
@@ -743,8 +742,8 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
     batch = vx.Functional(tuple(f"{f.label}_k{k}" for k in modes for f, _ in watch[k]),
                           lambda zv: ik.ion_diagnostics(grid, zv[0], zv[1], modes))
     try:
-        series = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0,
-                          [(batch, None)]).series
+        series, _ = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0,
+                             [(batch, None)])
     except dyn.IntegrationError as exc:
         raise dyn.IntegrationError(str(exc), _mode_series(exc.series, modes[0], watch[modes[0]]),
                                    exc.step_index, exc.last_state) from exc
@@ -778,14 +777,14 @@ def _run_kdv_soliton(cfg: RunConfig) -> RunResult:
     pairs = [(ik.kdv_mass(), Drift("mass_drift", "abs", "<=", 1e-12)),
              (ik.kdv_momentum(), Drift("momentum_rel_drift", "rel", "<=", 1e-8)),
              (ik.kdv_energy(), Drift("energy_rel_drift", "rel", "<=", 1e-7))]
-    run = _stepped(cfg, None, z0, pairs)
+    series, state = _stepped(cfg, None, z0, pairs)
     exact = ik.kdv_soliton(c, x0 + c * cfg.t_end, grid)
-    err = float(np.max(np.abs(run.state.parts[0].values - exact.values)))
+    err = float(np.max(np.abs(state.parts[0].values - exact.values)))
     checks = [
         Check("soliton_linf_error", err, 1e-3, "<="),
-        *_drift_checks(run.series, pairs),
+        *_drift_checks(series, pairs),
     ]
-    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
+    return RunResult(checks=checks, series=series, snapshots={"state_final": state})
 
 
 def _run_jacobi_check(cfg: RunConfig) -> RunResult:

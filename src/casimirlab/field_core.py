@@ -51,10 +51,10 @@ Conventions
   once: 2-D FFTs per RK4 step at 64^2 are 22 at level 1, 36 at level 2
   with euler_energy, 44 with rmhd_energy and 58 at level 3.
 * A field from zeros is an exact zero: it keeps an exact zero spectrum, so
-  neither a zero test (_any) nor a spectral use scans or transforms it.
-  There is one per (class, grid), built at the first call and shared by
-  every later one, so a phantom gradient row or a bracket output with no
-  live pair allocates and scans nothing.
+  no spectral use transforms it, and a zero test (_any) reads its values as
+  it reads any field's that was born from values.  There is one per (class,
+  grid), built at the first call and shared by every later one, so a phantom
+  gradient row or a bracket output with no live pair allocates nothing.
 * Two helpers, _forward and _inverse, are the only code that picks the 1-D
   or 2-D transforms.  On a Grid2D both pass s = grid.shape, so rfft2 runs
   its two 1-D passes without first deriving s from the array's shape
@@ -319,11 +319,10 @@ class Field:
 
     grid: Grid1D | Grid2D
     values: np.ndarray
-    # not dataclass fields: the kept spectrum (see _spectrum), whether the
-    # field was synthesized from a spectrum, and the exact-zero mark of zeros
+    # not dataclass fields: the kept spectrum (see _spectrum) and whether the
+    # field was synthesized from a spectrum
     _hat = None
     _synthesized = False
-    _zero = False
 
     def __post_init__(self):
         if not isinstance(self.grid, self._grid_type):
@@ -375,10 +374,8 @@ class Field:
         return self.values
 
     def _any(self) -> bool:
-        """values.any(): False for an exact zero, else taken from the spectrum while the
-        values are unread."""
-        if self._zero:
-            return False
+        """values.any(), taken from the spectrum while the values are unread: a field
+        born from values, zeros among them, is scanned, and none is transformed."""
         values = vars(self).get("values")
         return bool((self._hat if values is None else values).any())
 
@@ -393,12 +390,11 @@ class Field:
     def zeros(cls, grid):
         """The exact zero field of grid: one per (class, grid), shared by every caller.
 
-        It keeps an exact zero spectrum and is marked zero; its values and
-        spectrum are read-only, and no operation changes a field.
+        It keeps an exact zero spectrum; its values and spectrum are
+        read-only, and no operation changes a field.
         """
         f = cls(grid, _read_only(np.zeros(grid.shape)))
         object.__setattr__(f, "_hat", _read_only(np.zeros_like(_workspace(grid).k2, complex)))
-        object.__setattr__(f, "_zero", True)
         return f
 
     @classmethod

@@ -135,6 +135,14 @@ class PhiSolve:
     history: tuple[float, ...]
 
 
+def _retire(met, live, out, x, *rows):
+    """Drop the rows marked met from a working set: out[live[met]] takes x[met], and
+    live, x and each of rows come back without those rows, in that order."""
+    out[live[met]] = x[met]
+    keep = ~met
+    return [a[keep] for a in (live, x, *rows)]
+
+
 def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float | np.ndarray) -> np.ndarray:
     """Solve (-d2x + diag(e)) x = b by conjugate gradients, stopping at max|r| <= atol.
 
@@ -146,8 +154,9 @@ def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float | np.ndarray)
     one rfft of r and one irfft of the stack (z-hat, k^2 z-hat).  At most n
     iterations.  Every reduction runs along the last axis (np.vecdot for the
     dots, which matches r @ p bitwise per row), and a row that has met its
-    bound is dropped from the working set, so each row's x is bitwise the x
-    of solving that row alone.
+    bound is dropped from the working set by `_retire`, so each row's x is
+    bitwise the x of solving that row alone; the rows still live at the end
+    are written to the output by one scatter.
     """
     shape, n = b.shape, b.shape[-1]
     e, b = e.reshape(-1, n), b.reshape(-1, n)
@@ -165,10 +174,8 @@ def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float | np.ndarray)
         if n_met == live.size:
             break
         if n_met:
-            out[live[met]] = x[met]
-            keep = ~met
-            live, atol, e, symbols = live[keep], atol[keep], e[keep], symbols[:, keep]
-            x, r, p, k2p, rz = x[keep], r[keep], p[keep], k2p[keep], rz[keep]
+            live, x, atol, e, r, p, k2p, rz = _retire(met, live, out, x, atol, e, r, p, k2p, rz)
+            symbols = symbols[:, ~met]
         ap = k2p + e * p
         alpha = rz / np.vecdot(p, ap, keepdims=True)
         x += alpha * p
@@ -178,8 +185,7 @@ def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float | np.ndarray)
         beta = rz / rz_old
         p = z + beta * p
         k2p = k2z + beta * k2p
-    if x is not out:
-        out[live] = x
+    out[live] = x
     return out.reshape(shape)
 
 
@@ -208,12 +214,15 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
     With m the row's mean, L = k^2 + m and phi1 = L^-1(rho - m), a row with
     max|phi1| <= PHI1_BOUND starts from the second-order guess
     ln(m) + phi1 - L^-1(m phi1^2 / 2), whose residual is O(phi1^3), and any
-    other row from the first-order guess ln(m) + phi1; the choice is made
-    per row, from that row alone.  A row whose residual is at most tol is
-    dropped from the working set, so its phi and history are bitwise those
-    of solving that row alone.  Raises ValueError unless rho > 0 everywhere,
-    and NewtonError for the first row (in row order) that meets a
-    non-finite residual or is not converged after max_iter steps.
+    other row from the first-order guess ln(m) + phi1: the correction is
+    formed for every row in one expression, each row's from that row alone,
+    and np.where takes it per row.  A row whose residual is at most tol is
+    dropped from the working set by `_retire`, and the rows still live at
+    the end are written to the output by one scatter, so each row's phi and
+    history are bitwise those of solving that row alone.  Raises ValueError
+    unless rho > 0 everywhere, and NewtonError for the first row (in row
+    order) that meets a non-finite residual or is not converged after
+    max_iter steps.
     """
     if np.min(rho) <= 0.0:
         raise ValueError("the closure requires rho > 0 everywhere")
@@ -222,12 +231,9 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
     lin = k2 + mean
     phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=grid.n)
     phi = np.log(mean) + phi1
-    near = np.abs(phi1).max(axis=-1) <= PHI1_BOUND
-    if near.all():  # the whole arrays: no row is picked out, so nothing is gathered
-        phi -= np.fft.irfft(np.fft.rfft(0.5 * mean * phi1 ** 2) / lin, n=grid.n)
-    elif near.any():
-        quad = 0.5 * mean[near] * phi1[near] ** 2
-        phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=grid.n)
+    near = np.abs(phi1).max(axis=-1, keepdims=True) <= PHI1_BOUND
+    correction = np.fft.irfft(np.fft.rfft(0.5 * mean * phi1 ** 2) / lin, n=grid.n)
+    phi = np.where(near, phi - correction, phi)
     histories = [[] for _ in range(rho.shape[0])]
     live = np.arange(rho.shape[0])  # the rows still iterating, in phi and rho
     out = phi  # phi0's buffer takes each row's phi once that row has converged
@@ -243,22 +249,15 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
         met = res <= tol
         n_met = np.count_nonzero(met)
         if n_met == live.size:
-            if live.size == len(out):  # no row converged earlier: phi holds every row
-                return phi, histories
-            out[live] = phi
-            return out, histories
-        if n_met:
-            out[live[met]] = phi[met]
-            keep = ~met
-            live, phi, rho, e = live[keep], phi[keep], rho[keep], e[keep]
-            residual, res = residual[keep], res[keep]
-        if it == max_iter:
             break
+        if n_met:
+            live, phi, rho, e, residual, res = _retire(met, live, out, phi, rho, e, residual, res)
+        if it == max_iter:
+            raise NewtonError(f"no convergence to {tol:g} within {max_iter} iterations",
+                              histories[live[0]][-1], max_iter)
         phi = phi + _pcg(k2, e, -residual, np.minimum(0.1, res) * res)
-    raise NewtonError(
-        f"no convergence to {tol:g} within {max_iter} iterations",
-        histories[live[0]][-1], max_iter,
-    )
+    out[live] = phi
+    return out, histories
 
 
 def _closure(grid: Grid1D, rho: np.ndarray) -> np.ndarray:

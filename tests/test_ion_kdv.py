@@ -263,6 +263,15 @@ class TestRowBatches:
         assert alone[0] == alone[1] == calls
         assert calls["rfft"] > 0
 
+    def test_closure_of_the_preset_rows_makes_three_transform_pairs(self, monkeypatch):
+        # ionacoustic1d's default rows, modes 1 and 2 at amplitude 1e-4: one
+        # rfft/irfft pair each for phi1, the second-order correction and the
+        # residual, which meets PHI_TOL, for both rows at once
+        rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2)])
+        calls = count_ffts(monkeypatch)
+        ik._closure(GRID, rho)
+        assert calls == {"rfft": 3, "irfft": 3}
+
     def test_flow_checks_the_density_floor_in_every_member(self):
         rho = np.array([np.ones(GRID.n), 1e-8 + 0.5 * (1 + np.cos(GRID.x()))])
         with pytest.raises(ik.DensityFloorError):

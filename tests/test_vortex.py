@@ -14,8 +14,8 @@ from casimirlab import ion_kdv as ik
 from casimirlab import Field2D, Grid2D, bracket2d, integrate, l2norm
 from casimirlab import casimir_residual
 from casimirlab.dynamics import Integrator, run_and_record, step
-from casimirlab.field_core import random_band_limited_2d
-from casimirlab.poisson import State, StateError
+from casimirlab.field_core import bracket_sums, random_band_limited_2d
+from casimirlab.poisson import State, StateError, inner
 from casimirlab import vortex as vx
 
 GRID = Grid2D(64, 64)
@@ -85,6 +85,58 @@ class TestOperators:
         out = vx.apply_j3(z, z.zeros_like())
         for p in out.parts:
             assert p.max_abs() == 0.0
+
+
+# level 3 with its psi2 pairs misplaced: row 1 = [z1, g0] + [z2, g2] and
+# row 2 = [z2, g0] + [z2, g1].  Antisymmetric, but no Poisson operator.
+BROKEN_J3 = (((0, 0), (1, 1), (2, 2)), ((1, 0), (2, 2)), ((2, 0), (2, 1)))
+
+
+class TestJacobiIdentity:
+    """J1-J3 satisfy the Jacobi identity, checked exactly on linear functionals.
+
+    For F_a = <a, z>, {F_b, F_c}(z) = <b, J(z) c> sums int b_t [z_s, c_r] over
+    the pairs (s, r) of each output row t, and int b [z, c] = int z [c, b], so
+    its gradient has row s = sum of [c_r, b_t] over those pairs.  Then
+    {F_a, {F_b, F_c}} = <a, J(z) grad {F_b, F_c}>.  With 2 kmax <= n // 3 each
+    bracket is the continuous one on the modes the pairing reads, so a sound
+    table's cyclic sum vanishes to rounding.
+    """
+
+    GRID = Grid2D(32, 32)
+    KMAX = 5  # 2 kmax <= n // 3
+
+    @staticmethod
+    def bracket_gradient(table, b, c):
+        """grad_z <b, J(z) c>: row s sums [c_r, b_t] over the pairs (s, r) of each row t."""
+        rows = [[(c.parts[r], b.parts[t]) for t, pairs in enumerate(table) for s2, r in pairs
+                 if s2 == s] for s in range(len(b.parts))]
+        return State(b.kind, tuple(bracket_sums(rows)))
+
+    def states(self, level, seed):
+        rng = np.random.default_rng(seed)
+        return [vx.random_vortex_state(level, self.GRID, self.KMAX, rng) for _ in range(4)]
+
+    def residual(self, level, seed):
+        """|cyclic sum of {F_a, {F_b, F_c}}| / its largest term, for the operator of vx.PAIRS[level]."""
+        J = vx.vortex_operator(level)
+        z, a, b, c = self.states(level, seed)
+        terms = [inner(x, J.apply(z, self.bracket_gradient(vx.PAIRS[level], y, w)))
+                 for x, y, w in ((a, b, c), (b, c, a), (c, a, b))]
+        return abs(math.fsum(terms)) / max(abs(t) for t in terms)
+
+    @pytest.mark.parametrize("seed", [30, 31])
+    @pytest.mark.parametrize("level", sorted(vx.PAIRS))
+    def test_levels_satisfy_jacobi(self, level, seed):
+        assert self.residual(level, seed) <= 1e-12
+
+    def test_misplaced_level3_table_is_antisymmetric_but_fails_jacobi(self, monkeypatch):
+        monkeypatch.setitem(vx.PAIRS, 3, BROKEN_J3)
+        J = vx.vortex_operator(3)
+        z, _, b, c = self.states(3, 32)
+        bc, cb = inner(b, J.apply(z, c)), inner(c, J.apply(z, b))
+        assert abs(bc + cb) <= 1e-12 * abs(bc)
+        assert self.residual(3, 32) >= 1e-2
 
 
 class TestBracketKernel:
@@ -592,3 +644,15 @@ class TestZeroTests:
         assert set(calls) == {id(f) for f in (*z.parts, *g.parts)}
         for row, values in zip(out.parts, expected):
             assert np.array_equal(row.values, values)
+
+    def test_zero_born_from_values_is_skipped(self, monkeypatch):
+        # a step's output is born from its values, so singular_leaf's psi = 0
+        # is a values-built zero after the first step, not the shared zeros
+        zero = Field2D(GRID, np.zeros(GRID.shape))
+        assert zero is not Field2D.zeros(GRID)
+        a = random_band_limited_2d(GRID, 5, np.random.default_rng(27))
+        calls = TestBracketKernel.record_transforms(monkeypatch)
+        out = bracket_sums([[(a, zero)], [(zero, a)]])
+        assert calls == []
+        for row in out:
+            assert row is Field2D.zeros(GRID) and not row.values.any()
