@@ -415,18 +415,18 @@ def _stepped(cfg: RunConfig, rhs, z0, pairs, divergence=None):
     Drift | None) pairs every cfg.output_every.
 
     RK4 steps the rhs; no rhs means KdV's integrating-factor step, the one
-    scheme that takes none.  With no divergence functional the run is
-    drained by `dyn.run_and_record`, and its (series, final state) come
-    back.  A divergence functional heads the series and is also taken after
-    every step; then the run (a `dyn.Trajectory`) and that maximum over the
-    steps come back.
+    scheme that takes none.  Returns (series, final state, max divergence).
+    With no divergence functional the run is drained by `dyn.run_and_record`
+    and the maximum is None; a divergence functional heads the series and is
+    also taken after every step, and the maximum is over the steps.
     """
     watch = [f for f, _ in pairs]
     integ = dyn.Integrator("rk4" if rhs is not None else "if_rk4", cfg.dt)
     if divergence is None:
-        return dyn.run_and_record(integ, rhs, z0, cfg.t_end, watch, cfg.output_every)
+        return (*dyn.run_and_record(integ, rhs, z0, cfg.t_end, watch, cfg.output_every), None)
     run = dyn.Trajectory(integ, rhs, z0, cfg.t_end, [divergence, *watch], cfg.output_every)
-    return run, max(map(divergence.value, run))
+    max_divergence = max(map(divergence.value, run))  # drains the run: run.state is final after
+    return run.series, run.state, max_divergence
 
 
 def _run_catalog(cfg: RunConfig, z0: State) -> RunResult:
@@ -438,7 +438,7 @@ def _run_catalog(cfg: RunConfig, z0: State) -> RunResult:
     catalog = PRESETS[cfg.preset].catalog()
     names = catalog if cfg.watch is None else cfg.watch
     rhs = vx.vortex_rhs(len(z0.parts), catalog["energy"][0])
-    series, state = _stepped(cfg, rhs, z0, [catalog[n] for n in names])
+    series, state, _ = _stepped(cfg, rhs, z0, [catalog[n] for n in names])
     checks = _drift_checks(series, [p for n, p in catalog.items() if n in names])
     return RunResult(checks=checks, series=series, snapshots={"state_final": state})
 
@@ -524,16 +524,16 @@ def _run_phantom2(cfg: RunConfig) -> RunResult:
                                lambda pair: (pair[0].parts[0] - pair[1].parts[0]).max_abs())
     energy = vx.Functional("euler_energy", lambda pair: H.value(pair[0]))
     # both trajectories step in lockstep
-    run, max_div = _stepped(cfg, vx.vortex_rhs(2, H), (za, zb), [(energy, None)], divergence)
-    za, zb = run.state
+    series, (za, zb), max_div = _stepped(cfg, vx.vortex_rhs(2, H), (za, zb), [(energy, None)],
+                                         divergence)
     identical = np.array_equal(za.parts[0].values, zb.parts[0].values)
     checks = [
         Check("omega_max_divergence", max_div, 0.0, "==",
               note="phantom field cannot influence the actual field"),
         Check("omega_bitwise_identical", float(identical), 1.0, "=="),
     ]
-    return RunResult(checks=checks, series=run.series, snapshots={"state_final": za},
-                     extras={"steps": run.n_steps, "psi_seeds": seeds})
+    return RunResult(checks=checks, series=series, snapshots={"state_final": za},
+                     extras={"steps": dyn.step_count(cfg.t_end, cfg.dt), "psi_seeds": seeds})
 
 
 def _run_phantom3(cfg: RunConfig) -> RunResult:
@@ -545,13 +545,13 @@ def _run_phantom3(cfg: RunConfig) -> RunResult:
     pairs = [(vx.make_casimir(vx.CasimirSpec("flux_pair", vx.PROFILES["identity"])),
               Drift("flux_pair_rel_drift", "rel", "<=", 1e-6)), (H, None)]
     divergence = vx.Functional("psi_pair_divergence", lambda z: (z.parts[1] - z.parts[2]).max_abs())
-    run, max_div = _stepped(cfg, vx.vortex_rhs(3, H), z0, pairs, divergence)
+    series, state, max_div = _stepped(cfg, vx.vortex_rhs(3, H), z0, pairs, divergence)
     checks = [
         Check("psi_pair_max_divergence", max_div, 0.0, "==",
               note="equal initial data evolves under one identical generator"),
-        *_drift_checks(run.series, pairs),
+        *_drift_checks(series, pairs),
     ]
-    return RunResult(checks=checks, series=run.series, snapshots={"state_final": run.state})
+    return RunResult(checks=checks, series=series, snapshots={"state_final": state})
 
 
 def _run_kernel_deficit(cfg: RunConfig) -> RunResult:
@@ -589,7 +589,7 @@ def _run_singular_leaf(cfg: RunConfig) -> RunResult:
              (interior, Drift("interior_enstrophy_rel_drift", "rel", "<=", 1e-8,
                               note="on the leaf, the subsystem conserves its own Casimir")),
              (H, None)]
-    series, state = _stepped(cfg, vx.vortex_rhs(2, H), z0, pairs)
+    series, state, _ = _stepped(cfg, vx.vortex_rhs(2, H), z0, pairs)
     res_on = vx.interior_casimir_residual(omega, vx.PROFILES["square"])
     z_off = vx.state_ii(omega, Field2D.from_function(grid, lambda X, Y: np.sin(X)))
     off_norm = l2norm(vx.apply_j2(z_off, interior.gradient(z_off)).parts[1])
@@ -742,8 +742,8 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
     batch = vx.Functional(tuple(f"{f.label}_k{k}" for k in modes for f, _ in watch[k]),
                           lambda zv: ik.ion_diagnostics(grid, zv[0], zv[1], modes))
     try:
-        series, _ = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0,
-                             [(batch, None)])
+        series, _, _ = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0,
+                                [(batch, None)])
     except dyn.IntegrationError as exc:
         raise dyn.IntegrationError(str(exc), _mode_series(exc.series, modes[0], watch[modes[0]]),
                                    exc.step_index, exc.last_state) from exc
@@ -777,7 +777,7 @@ def _run_kdv_soliton(cfg: RunConfig) -> RunResult:
     pairs = [(ik.kdv_mass(), Drift("mass_drift", "abs", "<=", 1e-12)),
              (ik.kdv_momentum(), Drift("momentum_rel_drift", "rel", "<=", 1e-8)),
              (ik.kdv_energy(), Drift("energy_rel_drift", "rel", "<=", 1e-7))]
-    series, state = _stepped(cfg, None, z0, pairs)
+    series, state, _ = _stepped(cfg, None, z0, pairs)
     exact = ik.kdv_soliton(c, x0 + c * cfg.t_end, grid)
     err = float(np.max(np.abs(state.parts[0].values - exact.values)))
     checks = [

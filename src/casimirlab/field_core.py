@@ -11,8 +11,10 @@ Conventions
   pseudo-spectrally and projected back onto the 2/3-rule mode set (Galerkin
   truncation), which makes integrate(a * [a, b]) and integrate(b * [a, b])
   exact to rounding for band-limited inputs.  One kernel, bracket_sums,
-  forms every sum of brackets: each input is transformed once and each sum
-  is projected once (the projection is linear); bracket2d is its one pair.
+  forms every sum of brackets: each input is transformed once, its
+  (dx, dy) pair is synthesized in one inverse call on a two-plane stack,
+  and each sum is projected once (the projection is linear); bracket2d is
+  its one pair.
 * invert_laplacian fixes the k = 0 mode to zero (zero-mean gauge on the
   torus); a constant shift of a stream function never changes a bracket.
 * integrate() uses compensated fixed-order summation (math.fsum), so the
@@ -38,8 +40,8 @@ Conventions
   transformed back.  States at a step boundary (a step's output, seeded
   initial data, a snapshot) carry no synthesized spectrum, so a run is the
   same whether it was stopped and reloaded or not.  With its outputs read, a
-  level-2 rmhd_energy RHS takes 14 2-D FFTs, level 3 19, a level-2
-  euler_energy RHS 12 and level 1 7.
+  level-2 rmhd_energy RHS takes 14 2-D transforms in 10 calls, level 3 19
+  in 14, a level-2 euler_energy RHS 12 in 9 and level 1 7 in 5.
 * Linear arithmetic on a synthesized field stays in spectral space: +, -,
   unary - and a scalar * give the field synthesized from the combined
   spectra whenever an operand was synthesized (an operand born from values
@@ -48,8 +50,9 @@ Conventions
   rule follows how each operand was born, never whether its values were
   read, so no bit depends on read history.  RK4's stage sums therefore
   transform nothing, and dynamics.step reads each output part's values
-  once: 2-D FFTs per RK4 step at 64^2 are 22 at level 1, 36 at level 2
-  with euler_energy, 44 with rmhd_energy and 58 at level 3.
+  once: 2-D transforms per RK4 step at 64^2 are 22 at level 1, 36 at
+  level 2 with euler_energy, 44 with rmhd_energy and 58 at level 3, made in
+  14, 24, 28 and 38 calls.
 * A field from zeros is an exact zero: it keeps an exact zero spectrum, so
   no spectral use transforms it, and a zero test (_any) reads its values as
   it reads any field's that was born from values.  There is one per (class,
@@ -61,12 +64,15 @@ Conventions
   through an ndarray: the same transforms, less overhead.  _forward also
   hands numpy a fresh output array of the spectrum's shape, so rfft2 runs
   its second (axis-0) pass in place there and allocates one array, not two;
-  every spectrum it returns is still its own array.
-* The 2-D workspace holds its symbols in the form they are applied: i kx,
-  i ky and the 2/3-rule mask as read-only complex arrays of the full rfft2
-  shape.  A derivative or a projection is then one complex multiply, with
-  no symbol built and no bool or broadcast operand cast per call, and each
-  product is bitwise the one the real broadcast forms give.  It holds both
+  every spectrum it returns is still its own array.  _inverse takes a stack
+  of spectra too, (m, ny, nx//2+1) on a Grid2D, and each plane of its
+  output is bitwise that plane's own call.
+* The 2-D workspace holds its symbols in the form they are applied: the
+  gradient symbol as one (2, ny, nx//2+1) stack (i kx, i ky) and the
+  2/3-rule mask, read-only complex arrays of the full rfft2 shape.  A
+  derivative or a projection is then one complex multiply, with no symbol
+  built and no bool or broadcast operand cast per call, and each product is
+  bitwise the one the real broadcast forms give.  It holds both
   -1/k^2 (invert_laplacian) and its negation +1/k^2 (the vortex stream
   function), so neither negates a symbol per call.  The 1-D workspace holds
   its mask as complex 1/0 too, and all its arrays read-only.
@@ -197,7 +203,8 @@ class Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class SpectralWorkspace2D:
-    """The spectral symbols of one Grid2D: read-only, each of the rfft2 shape (ny, nx//2+1).
+    """The spectral symbols of one Grid2D: read-only, each of the rfft2 shape (ny, nx//2+1)
+    or, for grad, a stack of two.
 
     The derivative symbols and the mask are held in the form they are
     applied, complex and full-shape, so applying one casts and broadcasts
@@ -205,8 +212,7 @@ class SpectralWorkspace2D:
     numpy casts k to k + 0j and True to 1 + 0j before it multiplies.
     """
 
-    idkx: np.ndarray      # i kx, the x derivative symbol (Nyquist column zeroed)
-    idky: np.ndarray      # i ky, the y derivative symbol (Nyquist row zeroed)
+    grad: np.ndarray      # (i kx, i ky) stacked, Nyquist column / row zeroed
     k2: np.ndarray        # kx^2 + ky^2
     inv_neg_k2: np.ndarray  # -1/k2 with the k = 0 entry set to 0
     inv_k2: np.ndarray    # +1/k2, the negation of inv_neg_k2 (its k = 0 entry is -0.0)
@@ -232,8 +238,8 @@ def workspace2d(grid: Grid2D) -> SpectralWorkspace2D:
     mask = (ix[None, :] <= nx // 3) & (np.abs(iy)[:, None] <= ny // 3)
     order = np.maximum(ix[None, :], np.abs(iy)[:, None])
     full = k2.shape
-    symbols = (np.broadcast_to(1j * dkx, full).copy(), np.broadcast_to(1j * dky, full).copy(),
-               k2, inv, -inv, mask.astype(complex), order)
+    grad = np.stack((np.broadcast_to(1j * dkx, full), np.broadcast_to(1j * dky, full)))
+    symbols = (grad, k2, inv, -inv, mask.astype(complex), order)
     return SpectralWorkspace2D(*(_read_only(a) for a in symbols))
 
 
@@ -286,7 +292,8 @@ def _forward(grid, values: np.ndarray) -> np.ndarray:
 
 
 def _inverse(grid, hat: np.ndarray) -> np.ndarray:
-    """The inverse of _forward: irfft or irfft2 onto grid.shape."""
+    """The inverse of _forward: irfft or irfft2 onto grid.shape, of one spectrum or of
+    each of a stack of them (on a Grid2D, shape (m, ny, nx//2+1) gives (m, ny, nx))."""
     if isinstance(grid, Grid1D):
         return np.fft.irfft(hat, n=grid.n)
     return np.fft.irfft2(hat, s=grid.shape)
@@ -469,11 +476,11 @@ def _apply(f: Field, symbol) -> Field:
 
 
 def ddx(f: Field2D) -> Field2D:
-    return _apply(f, workspace2d(f.grid).idkx)
+    return _apply(f, workspace2d(f.grid).grad[0])
 
 
 def ddy(f: Field2D) -> Field2D:
-    return _apply(f, workspace2d(f.grid).idky)
+    return _apply(f, workspace2d(f.grid).grad[1])
 
 
 def laplacian(f: Field2D) -> Field2D:
@@ -506,10 +513,11 @@ def bracket_sums(outputs) -> list[Field2D]:
     """dealias(sum of [a, b] over the (a, b) pairs of each output), one Field2D per output.
 
     Each distinct input is tested for an exact zero once, and its
-    derivatives are synthesized once from its kept spectrum, both kept for
-    the whole call; a pair with an exactly zero side is skipped
-    untransformed ([a, 0] = 0), and an output with no live pair is an exact
-    zero field.  Each output keeps its masked spectrum.
+    derivatives are synthesized once from its kept spectrum, as one (dx, dy)
+    stack from one inverse call, both kept for the whole call; a pair's two
+    products are one multiply of those stacks.  A pair with an exactly zero
+    side is skipped untransformed ([a, 0] = 0), and an output with no live
+    pair is an exact zero field.  Each output keeps its masked spectrum.
     """
     grid = outputs[0][0][0].grid
     if any(f.grid is not grid and f.grid != grid
@@ -526,11 +534,9 @@ def bracket_sums(outputs) -> list[Field2D]:
                 continue
             for f in (a, b):
                 if id(f) not in derivs:
-                    hat = f._spectrum()
-                    derivs[id(f)] = [_inverse(grid, k * hat) for k in (ws.idkx, ws.idky)]
-            (a_x, a_y), (b_x, b_y) = derivs[id(a)], derivs[id(b)]
-            p = a_y * b_x
-            p -= a_x * b_y
+                    derivs[id(f)] = _inverse(grid, ws.grad * f._spectrum())
+            q = derivs[id(a)] * derivs[id(b)][::-1]  # (a_x b_y, a_y b_x)
+            p = np.subtract(q[1], q[0])
             total = p if total is None else np.add(total, p, out=total)
         if total is None:
             out.append(Field2D.zeros(grid))

@@ -35,12 +35,14 @@ from casimirlab import (
 from casimirlab.field_core import (
     NonFiniteError,
     _forward,
+    _inverse,
     bracket_sums,
     integrate_rows,
     random_band_limited_2d,
     workspace1d,
     workspace2d,
 )
+from casimirlab import vortex as vx
 from casimirlab.poisson import State
 
 GRID = Grid2D(64, 64)
@@ -362,12 +364,16 @@ class TestKeptSpectrum:
     """A field's spectrum is rfft2(values), computed once, unless it was synthesized from one."""
 
     @staticmethod
-    def record(monkeypatch):
+    def record(monkeypatch, made=None):
+        """Patch np.fft.rfft2 and irfft2 to record the name per 2-D transform, one per plane
+        of a stacked input, and the name per call in made."""
         calls = []
         for name in ("rfft2", "irfft2"):
 
             def recorded(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-                calls.append(_name)
+                calls.extend([_name] * math.prod(np.shape(x)[:-2]))
+                if made is not None:
+                    made.append(_name)
                 return _fn(x, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recorded)
@@ -457,10 +463,13 @@ class TestLazyValues:
         a, b = (random_band_limited_2d(GRID, 6, rng) for _ in range(2))
         zero = dealias(Field2D.zeros(GRID))  # synthesized, values unread
         expect = bracket2d(a, b)
-        calls = self.record(monkeypatch)
+        made = []
+        calls = self.record(monkeypatch, made)
         out = bracket_sums([[(a, b), (zero, b)], [(a, zero)]])
-        # a's and b's derivatives and the one projection; zero is never transformed
-        assert calls.count("irfft2") == 4 and calls.count("rfft2") == 1
+        # a's and b's derivatives, one two-plane call each, and the one projection;
+        # zero is never transformed
+        assert calls.count("irfft2") == 4 and made.count("irfft2") == 2
+        assert calls.count("rfft2") == 1
         assert "values" not in vars(zero)
         assert np.array_equal(out[0].values, expect.values)
         assert not out[1].values.any()
@@ -571,6 +580,21 @@ class TestForward:
         assert not np.shares_memory(first, second) and not np.shares_memory(first, values)
 
 
+class TestInverse:
+    """_inverse of a (2, ny, nx//2+1) stack, as bracket_sums makes it: each plane of the
+    output is bitwise that plane's own call."""
+
+    @pytest.mark.parametrize("grid", [GRID, Grid2D(48, 32), Grid2D(128, 128)],
+                             ids=["64x64", "48x32", "128x128"])
+    def test_stack_planes_are_the_single_calls(self, grid):
+        hat = _forward(grid, np.random.default_rng(81).standard_normal(grid.shape))
+        stack = workspace2d(grid).grad * hat
+        out = _inverse(grid, stack)
+        assert out.shape == (2, *grid.shape)
+        for plane, plane_hat in zip(out, stack):
+            assert np.array_equal(plane.view(np.uint64), _inverse(grid, plane_hat).view(np.uint64))
+
+
 class TestStateFinite:
     def test_non_finite_synthesized_part_is_not_finite(self):
         with np.errstate(all="ignore"):  # its sum, and so its spectrum, overflows
@@ -665,3 +689,29 @@ class TestBitwiseAgainstRealSymbols:
         hat = np.fft.rfft2(p)
         hat *= mask
         self.assert_bitwise(bracket2d(a, b), hat)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["64x64", "48x32"])
+    @pytest.mark.parametrize("kind", ["band_limited", "full_spectrum"])
+    def test_bracket_sums(self, grid, kind):
+        # the level-3 rows: z_1, z_2 and g_0 sit in several pairs, and g_2 is an exact zero
+        dkx, dky, mask = self.real_symbols(grid)
+        z = [self.field(grid, kind, 73 + s) for s in range(3)]
+        g = [self.field(grid, kind, 76), self.field(grid, kind, 77), Field2D.zeros(grid)]
+        rows = [[(z[s], g[r]) for s, r in pairs] for pairs in vx.PAIRS[3]]
+
+        def d(f, k):  # one irfft2 per derivative
+            return np.fft.irfft2(1j * k * np.fft.rfft2(f.values), s=grid.shape)
+
+        for out, pairs in zip(bracket_sums(rows), rows):
+            total = None
+            for a, b in pairs:
+                if not (a.values.any() and b.values.any()):
+                    continue
+                p = d(a, dky) * d(b, dkx)
+                p -= d(a, dkx) * d(b, dky)
+                total = p if total is None else np.add(total, p, out=total)
+            hat = np.fft.rfft2(total)
+            hat *= mask
+            self.assert_bitwise(out, hat)
+            assert np.array_equal(out.values.view(np.uint64),
+                                  np.fft.irfft2(hat, s=grid.shape).view(np.uint64))

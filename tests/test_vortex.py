@@ -143,17 +143,25 @@ class TestBracketKernel:
     """bracket_sums: one transform per distinct live field, one projection per output."""
 
     @staticmethod
-    def record_transforms(monkeypatch):
-        """Patch np.fft.rfft2 and irfft2 to record (name, copy of the input) per call."""
+    def record_transforms(monkeypatch, made=None):
+        """Patch np.fft.rfft2 and irfft2 to record (name, copy of the input plane) per 2-D
+        transform, one per plane of a stacked input, and the name per call in made."""
         calls = []
         for name in ("rfft2", "irfft2"):
 
             def recorded(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-                calls.append((_name, np.array(x)))
+                copy = np.array(x)
+                calls.extend((_name, plane) for plane in copy.reshape(-1, *copy.shape[-2:]))
+                if made is not None:
+                    made.append(_name)
                 return _fn(x, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recorded)
         return calls
+
+    # the irfft2/rfft2 calls that make each count of 2-D transforms below: each bracket
+    # input's (dx, dy) pair is one irfft2 call on a two-plane stack
+    CALLS = {7: 5, 12: 9, 14: 10, 19: 14, 22: 14, 36: 24, 44: 28, 58: 38}
 
     @pytest.mark.parametrize(
         "level, hamiltonian, transforms",
@@ -163,10 +171,11 @@ class TestBracketKernel:
     def test_transforms_per_rhs(self, monkeypatch, level, hamiltonian, transforms):
         z = vx.random_vortex_state(level, GRID, 5, np.random.default_rng(20))
         rhs = vx.vortex_rhs(level, hamiltonian(level))
-        calls = self.record_transforms(monkeypatch)
+        made = []
+        calls = self.record_transforms(monkeypatch, made)
         for row in rhs(z).parts:
             row.values
-        assert len(calls) == transforms
+        assert len(calls) == transforms and len(made) == self.CALLS[transforms]
 
     @pytest.mark.parametrize(
         "level, hamiltonian, transforms",
@@ -179,9 +188,10 @@ class TestBracketKernel:
         # RHS makes its bracket work only
         z = vx.random_vortex_state(level, GRID, 5, np.random.default_rng(20))
         rhs = vx.vortex_rhs(level, hamiltonian(level))
-        calls = self.record_transforms(monkeypatch)
+        made = []
+        calls = self.record_transforms(monkeypatch, made)
         step(Integrator("rk4", 0.01), rhs, z)
-        assert len(calls) == transforms
+        assert len(calls) == transforms and len(made) == self.CALLS[transforms]
 
     @pytest.mark.parametrize("level", sorted(vx.PAIRS))
     def test_step_output_carries_no_synthesized_spectrum(self, level):
