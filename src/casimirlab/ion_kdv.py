@@ -10,12 +10,16 @@ conjugate-gradient linear steps (two FFT calls per CG iteration).  With m
 the mean density, L = k^2 + m and phi1 = L^-1(rho - m), the one closure
 rule starts a density with max|phi1| <= PHI1_BOUND from the perturbation
 series to second order, ln(m) + phi1 - L^-1(m phi1^2 / 2): one chord step
-with the Jacobian frozen at m, where the FFT preconditioner is exact.  That
-guess already meets the tolerance, so at small amplitude no Newton step is
-taken; a larger density starts from the solution of the linearized
-equation, ln(m) + phi1.  The flow, the ion_energy watcher and `solve_phi`
-all solve by this rule, so each gives bitwise the same phi for the same
-density.  The four ion watchers (mode amplitude, energy, mass,
+with the Jacobian frozen at m, where the FFT preconditioner is exact; a
+larger density starts from the solution of the linearized equation,
+ln(m) + phi1.  The flow, the ion_energy watcher and `solve_phi` all solve
+by this rule, so each gives bitwise the same phi for the same density.
+The flow, the watcher and the ionacoustic1d config check (`_closure`)
+accept a second-order start without evaluating its residual when an
+a-priori bound on that residual (`_start`) is at most an eighth of the
+tolerance, so at small amplitude they take no Newton step and compute no
+residual; `solve_phi` alone evaluates the start's residual, which it
+reports.  The four ion watchers (mode amplitude, energy, mass,
 momentum) are array kernels on rows; `ion_diagnostics` runs them on a whole
 batch of members with one closure solve, and each Functional runs them on
 its one member, so both give the same values.  The flow is
@@ -82,9 +86,12 @@ from .poisson import Functional, PoissonOperator, State
 RHO_FLOOR = 1e-6
 PHI_TOL = 1e-12  # the closure's bound on max|residual| (solve_phi's default)
 PHI_MAX_ITER = 25  # the closure's limit on Newton steps (solve_phi's default)
-# `_newton` starts a row from the second-order guess when its max|phi1| is at
+# `_start` starts a row from the second-order guess when its max|phi1| is at
 # most PHI1_BOUND.  That guess leaves a residual of about (2/3) m max|phi1|^3
-# at most (mean density m), under PHI_TOL here for m near 1.
+# at most (mean density m), under PHI_TOL here for m near 1, and `_start`
+# bounds it a priori: `_closure` accepts the start by that bound when it is at
+# most PHI_TOL / 8 (5.9e-14 on the ionacoustic1d rows, modes 1 and 2 at
+# amplitude 1e-4), and only `solve_phi` evaluates the start's residual.
 # Measured on 675 densities (modes 1, 2, 5 and random kmax 2, 6 states at 25
 # amplitudes from 1e-5 to 0.5, on grids n = 128, 256, 512): the residual was at
 # most 0.26 max|phi1|^3 and met PHI_TOL at the start on every row below 1.5e-4,
@@ -185,7 +192,8 @@ def _pcg(k2: np.ndarray, e: np.ndarray, b: np.ndarray, atol: float | np.ndarray)
         beta = rz / rz_old
         p = z + beta * p
         k2p = k2z + beta * k2p
-    out[live] = x
+    if x is not out:  # else no row retired and x is out
+        out[live] = x
     return out.reshape(shape)
 
 
@@ -208,35 +216,70 @@ def residual_floor(grid: Grid1D, k: int, amplitude: float) -> float:
     return 0.5 * sys.float_info.epsilon * (k_max * k_max) * amplitude / (1.0 + kappa * kappa)
 
 
-def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
-    """Newton rows of the closure: phi for each row of rho (shape (m, n)) and each row's history.
+def _start(k2: np.ndarray, rho: np.ndarray):
+    """Each row's Newton start (rho of shape (m, n)) and an a-priori bound on its residual.
 
     With m the row's mean, L = k^2 + m and phi1 = L^-1(rho - m), a row with
-    max|phi1| <= PHI1_BOUND starts from the second-order guess
-    ln(m) + phi1 - L^-1(m phi1^2 / 2), whose residual is O(phi1^3), and any
-    other row from the first-order guess ln(m) + phi1: the correction is
-    formed for every row in one expression, each row's from that row alone,
-    and np.where takes it per row.  A row whose residual is at most tol is
-    dropped from the working set by `_retire`, and the rows still live at
-    the end are written to the output by one scatter, so each row's phi and
-    history are bitwise those of solving that row alone.  Raises ValueError
-    unless rho > 0 everywhere, and NewtonError for the first row (in row
-    order) that meets a non-finite residual or is not converged after
-    max_iter steps.
+    a = max|phi1| <= PHI1_BOUND starts from the second-order guess
+    ln(m) + phi1 - c(x), c = L^-1(m phi1^2 / 2), and any other row from the
+    first-order guess ln(m) + phi1; the correction c is formed for the
+    second-order rows only, each row's from that row alone.  On
+    u = phi1 - c the residual is m (e^u - 1 - u - phi1^2 / 2) exactly, so
+    with c = max|c(x)| and d = a + c it is at most
+    m (a c + c^2 / 2 + e^d d^3 / 6) in exact arithmetic.  Rounding phi
+    errs by eps |phi| per point, which -d2x amplifies by up to k_max^2
+    (see `residual_floor`), and exp(phi) by eps e^phi: the bound adds
+    eps (8 k_max^2 M + 2 m e^M), with M = |ln m| + d >= max|phi| and
+    m e^M = max(m^2, 1) e^d.  Each row's bound is Python float arithmetic,
+    as in `residual_floor`: an overflow makes it inf or NaN, not an error.
+    A row on the first-order guess has the bound inf.
+    """
+    n = rho.shape[-1]
+    mean = np.add.reduce(rho, axis=-1, keepdims=True) / n  # what rho.mean(axis=-1) computes
+    lin = k2 + mean
+    phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=n)
+    phi = np.log(mean) + phi1
+    a = np.abs(phi1).max(axis=-1, keepdims=True)
+    near = a[:, 0] <= PHI1_BOUND  # a NaN row is not near: it takes the first-order guess
+    bound = np.full(len(rho), np.inf)
+    if near.any():
+        rows = slice(None) if near.all() else near
+        m, a = mean[rows], a[rows]
+        correction = np.fft.irfft(np.fft.rfft(0.5 * m * phi1[rows] ** 2) / lin[rows], n=n)
+        phi[rows] -= correction
+        c = np.abs(correction).max(axis=-1, keepdims=True)
+        bound[rows] = [m * (c * (a + 0.5 * c) + math.exp(d) * d ** 3 / 6) + math.ulp(1.0) * (
+            8 * float(k2[-1]) * (abs(math.log(m)) + d) + 2 * max(m * m, 1.0) * math.exp(d))
+            for m, a, c, d in np.concatenate((m, a, c, a + c), axis=1).tolist()]
+    return phi, bound
+
+
+def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, certify: bool = False):
+    """Newton rows of the closure: phi for each row of rho (shape (m, n)) and each row's history.
+
+    Each row starts from `_start`.  With certify, a row whose a-priori bound
+    is at most tol / 8 is accepted at its start without its residual being
+    computed, the decision the residual would make, and its history stays
+    empty; a NaN bound is not <= tol / 8, so it never certifies.  A row
+    whose residual is at most tol is dropped from the working set by
+    `_retire`, and the rows still live at the end are written to the output
+    by one scatter, so each row's phi and history are bitwise those of
+    solving that row alone.  Raises ValueError unless rho > 0 everywhere,
+    and NewtonError for the first row (in row order) that meets a
+    non-finite residual or is not converged after max_iter steps.
     """
     if np.min(rho) <= 0.0:
         raise ValueError("the closure requires rho > 0 everywhere")
     k2 = workspace1d(grid).k2
-    mean = np.add.reduce(rho, axis=-1, keepdims=True) / grid.n  # what rho.mean(axis=-1) computes
-    lin = k2 + mean
-    phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=grid.n)
-    phi = np.log(mean) + phi1
-    near = np.abs(phi1).max(axis=-1, keepdims=True) <= PHI1_BOUND
-    correction = np.fft.irfft(np.fft.rfft(0.5 * mean * phi1 ** 2) / lin, n=grid.n)
-    phi = np.where(near, phi - correction, phi)
+    phi, bound = _start(k2, rho)
     histories = [[] for _ in range(rho.shape[0])]
     live = np.arange(rho.shape[0])  # the rows still iterating, in phi and rho
     out = phi  # phi0's buffer takes each row's phi once that row has converged
+    if certify:  # a NaN bound is not <= tol / 8, so it never certifies
+        met = bound <= tol / 8
+        if met.all():
+            return out, histories
+        live, phi, rho = _retire(met, live, out, phi, rho)
     for it in range(max_iter + 1):
         neg_d2 = np.fft.irfft(k2 * np.fft.rfft(phi.astype(np.longdouble)), n=grid.n)
         e = np.exp(phi)
@@ -256,7 +299,8 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int):
             raise NewtonError(f"no convergence to {tol:g} within {max_iter} iterations",
                               histories[live[0]][-1], max_iter)
         phi = phi + _pcg(k2, e, -residual, np.minimum(0.1, res) * res)
-    out[live] = phi
+    if phi is not out:  # else no row retired and phi is out
+        out[live] = phi
     return out, histories
 
 
@@ -264,18 +308,25 @@ def _closure(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
     """phi for each row of rho (shape (m, n)): `_newton` to PHI_TOL within PHI_MAX_ITER steps.
 
     The flow, the ion_energy watcher and the ionacoustic1d config check solve
-    through this call; a density with min <= 0 raises ValueError.
+    through this call.  It certifies: a row whose start is certified by its
+    a-priori bound (`_start`, at most PHI_TOL / 8) is taken without its
+    residual being computed, and phi is bitwise `solve_phi`'s, which
+    evaluates that residual.  A density with min <= 0 raises ValueError; one
+    holding a NaN is never certified and raises NewtonError at its residual.
     """
-    return _newton(grid, rho, PHI_TOL, PHI_MAX_ITER)[0]
+    return _newton(grid, rho, PHI_TOL, PHI_MAX_ITER, certify=True)[0]
 
 
 def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = PHI_MAX_ITER) -> PhiSolve:
     """Solve -d2x(phi) + exp(phi) = rho by Newton iteration: the one-field form of `_closure`.
 
     The initial guess is the perturbation series about the mean density m
-    (see `_newton`): to second order when max|phi1| <= PHI1_BOUND, which
-    then meets the default tol with no Newton step, else to first order,
-    which is exact for constant density and within O((rho - m)^2) of phi.
+    (see `_start`): to second order when max|phi1| <= PHI1_BOUND, else to
+    first order, which is exact for constant density and within
+    O((rho - m)^2) of phi.  `_closure` accepts a second-order start by an
+    a-priori bound on its residual; solve_phi alone evaluates that residual,
+    so the residual, history and iteration count it reports are the true
+    ones.
     Each Newton step solves with the symmetric positive definite Jacobian
     -d2x + diag(exp(phi)) by FFT-preconditioned conjugate gradients
     (`_pcg`), stopped by the forcing term max|r| <= min(0.1, res) * res,

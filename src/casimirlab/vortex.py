@@ -243,9 +243,11 @@ CASIMIR_FAMILIES = {
 class CasimirSpec:
     """A Casimir family plus its profile; level may widen where legal.
 
-    'enstrophy' on level >= 2 and 'flux' on level 3 are valid functionals
-    but not Casimirs there; they are used exactly that way by the
-    non-conservation witnesses.
+    'enstrophy' on level >= 2 and 'cross_helicity' on level 3 are valid
+    functionals but not Casimirs there; each is a Casimir on the leaf where
+    the rows it does not reach vanish (psi = 0 for enstrophy on level 2,
+    psi2 = 0 for cross helicity on level 3), and the non-conservation
+    witnesses use them exactly that way.
     """
 
     family: str

@@ -263,14 +263,15 @@ class TestRowBatches:
         assert alone[0] == alone[1] == calls
         assert calls["rfft"] > 0
 
-    def test_closure_of_the_preset_rows_makes_three_transform_pairs(self, monkeypatch):
+    def test_closure_of_the_preset_rows_makes_two_transform_pairs(self, monkeypatch):
         # ionacoustic1d's default rows, modes 1 and 2 at amplitude 1e-4: one
-        # rfft/irfft pair each for phi1, the second-order correction and the
-        # residual, which meets PHI_TOL, for both rows at once
+        # rfft/irfft pair each for phi1 and the second-order correction, for
+        # both rows at once; the start's a-priori bound certifies both rows,
+        # so no residual is computed
         rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2)])
         calls = count_ffts(monkeypatch)
         ik._closure(GRID, rho)
-        assert calls == {"rfft": 3, "irfft": 3}
+        assert calls == {"rfft": 2, "irfft": 2}
 
     def test_flow_checks_the_density_floor_in_every_member(self):
         rho = np.array([np.ones(GRID.n), 1e-8 + 0.5 * (1 + np.cos(GRID.x()))])
@@ -367,6 +368,63 @@ class TestFlowGuess:
             dphi = ddx1(flow_phi)
             internal = Field1D(GRID, (phi[j] - 1.0) * np.exp(phi[j]))
             assert H.value(s) == integrate(rho * v * v * 0.5 + dphi * dphi * 0.5 + internal)
+
+
+class TestStartCertificate:
+    """The closure accepts a second-order start by an a-priori bound on its residual."""
+
+    @pytest.mark.parametrize("n", [128, 512, 2048])
+    def test_bound_lies_above_the_start_residual(self, n):
+        # seeded densities m + a f on domains from 1e-9 to 20, scaled so that
+        # max|phi1| spans 1e-8 to PHI1_BOUND (a < 0.95 m keeps rho positive)
+        rng = np.random.default_rng(n)
+        rows = certified = 0
+        for length in (1e-9, 1e-5, 0.1, 1.0, L, 20.0):
+            grid = Grid1D(n, length)
+            k2 = ik.workspace1d(grid).k2
+            rho = []
+            for target in (1e-8, 1e-6, 1e-5, 5e-5, ik.PHI1_BOUND):
+                for kmax in (1, 6, n // 3):
+                    f = random_band_limited_1d(grid, kmax, rng, 1.0).values
+                    f = f / np.abs(f).max()
+                    m = 10.0 ** rng.uniform(-1.0, 1.0) if kmax == 6 else 1.0
+                    phi1 = np.fft.irfft(np.fft.rfft(f) / (k2 + m), n=n)
+                    rho.append(m + min(target / np.abs(phi1).max(), 0.95 * m) * f)
+            rho = np.array(rho)
+            _, bound = ik._start(k2, rho)
+            _, histories = ik._newton(grid, rho, np.inf, 0)
+            residual = np.array([h[0] for h in histories])
+            near = np.isfinite(bound)
+            assert np.all(bound[near] >= residual[near])
+            rows += np.count_nonzero(near)
+            certified += np.count_nonzero(bound <= ik.PHI_TOL / 8)
+        assert rows >= 80 and certified >= 10  # of 90 rows
+
+    def test_density_holding_a_nan_raises(self):
+        rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2)])
+        rho[1, 5] = np.nan
+        for rows in (rho, rho[1:]):
+            # NaN arithmetic flags invalid values on the way; the error is the point
+            with np.errstate(invalid="ignore"), pytest.raises(ik.NewtonError, match="non-finite"):
+                ik._closure(GRID, rows)
+
+    def test_nan_bound_does_not_certify(self, monkeypatch):
+        # a NaN bound falls through to the residual: one more transform pair
+        rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2)])
+        start = ik._start
+        monkeypatch.setattr(ik, "_start", lambda k2, r: (start(k2, r)[0], np.full(len(r), np.nan)))
+        calls = count_ffts(monkeypatch)
+        ik._closure(GRID, rho)
+        assert calls == {"rfft": 3, "irfft": 3}
+
+    def test_certified_rows_beside_a_solved_row_keep_their_bits(self):
+        rho = np.array([ik.acoustic_mode_state(GRID, 1, 1e-4).parts[0].values,
+                        ik.random_ion_state(GRID, 6, np.random.default_rng(19), 0.3).parts[0].values,
+                        ik.acoustic_mode_state(GRID, 2, 1e-4).parts[0].values])
+        _, bound = ik._start(ik.workspace1d(GRID).k2, rho)
+        assert list(bound <= ik.PHI_TOL / 8) == [True, False, True]
+        phi = ik._closure(GRID, rho)
+        assert np.array_equal(phi, ik._newton(GRID, rho, ik.PHI_TOL, ik.PHI_MAX_ITER)[0])
 
 
 class TestIonSystem:

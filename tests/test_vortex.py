@@ -527,6 +527,17 @@ class TestSingularLeaf:
         assert vx.interior_casimir_residual(omega, vx.PROFILES["square"]) == 0.0
         assert vx.interior_casimir_residual(omega, vx.PROFILES["quartic"]) <= 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cross_helicity_is_a_j3_casimir_on_the_leaf_psi2_zero_only(self, seed):
+        # J3's row 2 is [psi2, g(psi)]: it vanishes on the leaf psi2 = 0, where J3
+        # restricts to J2, whose Casimir cross helicity is
+        z = vx.random_vortex_state(3, GRID, 6, np.random.default_rng(seed))
+        C = vx.make_casimir(vx.CasimirSpec("cross_helicity", vx.PROFILES["cube"], level=3))
+        J3 = vx.vortex_operator(3)
+        leaf = vx.state_iii(z.parts[0], z.parts[1], Field2D.zeros(GRID))
+        assert casimir_residual(C, z, J3) >= 1e-2
+        assert casimir_residual(C, leaf, J3) <= 1e-12
+
     def test_interior_gradient_not_annihilated_off_leaf(self):
         rng = np.random.default_rng(12)
         omega = random_band_limited_2d(GRID, 6, rng)
