@@ -358,16 +358,6 @@ class Field:
         object.__setattr__(f, "_synthesized", True)
         return f
 
-    def _born_from_values(self):
-        """This field as one born from its values: a synthesized field's values are
-        read (and so checked finite) and its spectrum is dropped."""
-        if not self._synthesized:
-            return self
-        f = object.__new__(type(self))
-        object.__setattr__(f, "grid", self.grid)
-        object.__setattr__(f, "values", self.values)
-        return f
-
     def __getattr__(self, name):
         # reached only for the values of a synthesized field that no one has read yet
         if name != "values" or self._hat is None:

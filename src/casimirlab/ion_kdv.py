@@ -6,23 +6,25 @@ response through the nonlinear Poisson equation
     -d2x(phi) = rho - exp(phi),
 
 solved for phi = Phi(rho) by Newton iteration with FFT-preconditioned
-conjugate-gradient linear steps (two FFT calls per CG iteration).  With m
-the mean density, L = k^2 + m and phi1 = L^-1(rho - m), the one closure
-rule starts a density with max|phi1| <= PHI1_BOUND from the perturbation
-series to second order, ln(m) + phi1 - L^-1(m phi1^2 / 2): one chord step
-with the Jacobian frozen at m, where the FFT preconditioner is exact; a
-larger density starts from the solution of the linearized equation,
-ln(m) + phi1.  The flow, the ion_energy watcher and `solve_phi` all solve
-by this rule, so each gives bitwise the same phi for the same density.
-The flow, the watcher and the ionacoustic1d config check (`_closure`)
-accept a second-order start without evaluating its residual when an
-a-priori bound on that residual (`_start`) is at most an eighth of the
-tolerance, so at small amplitude they take no Newton step and compute no
-residual; `solve_phi` alone evaluates the start's residual, which it
-reports.  The four ion watchers (mode amplitude, energy, mass,
-momentum) are array kernels on rows; `ion_diagnostics` runs them on a whole
-batch of members with one closure solve, and each Functional runs them on
-its one member, so both give the same values.  The flow is
+conjugate-gradient linear steps (two FFT calls per CG iteration).
+
+The closure rule.  With m the mean density, L = k^2 + m and
+phi1 = L^-1(rho - m), every density starts from the perturbation series to
+second order, ln(m) + phi1 - L^-1(m phi1^2 / 2): one chord step with the
+Jacobian frozen at m, where the FFT preconditioner is exact.  `_start`
+bounds that start's residual a priori; the flow, the ion_energy watcher and
+the ionacoustic1d config check (`_closure`) accept a start whose bound is at
+most an eighth of the tolerance without evaluating its residual, so at small
+amplitude they take no Newton step and compute no residual.  A start the
+bound does not certify (its bound too large, NaN or overflowing) takes
+Newton steps until its residual meets the tolerance.  `solve_phi` alone
+evaluates the start's residual, which it reports.  All of them solve by this
+one rule, so each gives bitwise the same phi for the same density.
+
+The four ion watchers (mode amplitude, energy, mass, momentum) are array
+kernels on rows; `ion_diagnostics` runs them on a whole batch of members
+with one closure solve, and each Functional runs them on its one member, so
+both give the same values.  The flow is
 
     d(rho)/dt = -dx(V rho),      dV/dt = -dx(phi + V^2/2),
 
@@ -86,22 +88,6 @@ from .poisson import Functional, PoissonOperator, State
 RHO_FLOOR = 1e-6
 PHI_TOL = 1e-12  # the closure's bound on max|residual| (solve_phi's default)
 PHI_MAX_ITER = 25  # the closure's limit on Newton steps (solve_phi's default)
-# `_start` starts a row from the second-order guess when its max|phi1| is at
-# most PHI1_BOUND.  That guess leaves a residual of about (2/3) m max|phi1|^3
-# at most (mean density m), under PHI_TOL here for m near 1, and `_start`
-# bounds it a priori: `_closure` accepts the start by that bound when it is at
-# most PHI_TOL / 8 (5.9e-14 on the ionacoustic1d rows, modes 1 and 2 at
-# amplitude 1e-4), and only `solve_phi` evaluates the start's residual.
-# Measured on 675 densities (modes 1, 2, 5 and random kmax 2, 6 states at 25
-# amplitudes from 1e-5 to 0.5, on grids n = 128, 256, 512): the residual was at
-# most 0.26 max|phi1|^3 and met PHI_TOL at the start on every row below 1.5e-4,
-# on 14 of 17 rows in [1.5e-4, 2e-4) and on none above 3e-4.  A row that misses
-# takes its Newton step anyway, and from a smaller residual the forcing term asks
-# CG for more iterations: with every row on the second-order guess, one ion_rhs
-# at n = 128 took 0.55x its time from the first-order guess on rows that met
-# PHI_TOL at the start, but 1.21x to 1.27x on 10 of the 24 rows measured above
-# 1e-4 (max|phi1| up to 0.25): those where it left the Newton step count unchanged.
-PHI1_BOUND = 1e-4
 
 
 class NewtonError(NumericalFailure):
@@ -217,57 +203,53 @@ def residual_floor(grid: Grid1D, k: int, amplitude: float) -> float:
 
 
 def _start(k2: np.ndarray, rho: np.ndarray):
-    """Each row's Newton start (rho of shape (m, n)) and an a-priori bound on its residual.
+    """Each row's Newton start (rho of shape (m, n)), by the closure rule of the module
+    docstring, and an a-priori bound on its residual.
 
-    With m the row's mean, L = k^2 + m and phi1 = L^-1(rho - m), a row with
-    a = max|phi1| <= PHI1_BOUND starts from the second-order guess
-    ln(m) + phi1 - c(x), c = L^-1(m phi1^2 / 2), and any other row from the
-    first-order guess ln(m) + phi1; the correction c is formed for the
-    second-order rows only, each row's from that row alone.  On
-    u = phi1 - c the residual is m (e^u - 1 - u - phi1^2 / 2) exactly, so
-    with c = max|c(x)| and d = a + c it is at most
-    m (a c + c^2 / 2 + e^d d^3 / 6) in exact arithmetic.  Rounding phi
-    errs by eps |phi| per point, which -d2x amplifies by up to k_max^2
-    (see `residual_floor`), and exp(phi) by eps e^phi: the bound adds
-    eps (8 k_max^2 M + 2 m e^M), with M = |ln m| + d >= max|phi| and
-    m e^M = max(m^2, 1) e^d.  Each row's bound is Python float arithmetic,
-    as in `residual_floor`: an overflow makes it inf or NaN, not an error.
-    A row on the first-order guess has the bound inf.
+    Each row's start and bound come from that row alone.  On
+    u = phi1 - c(x), c(x) = L^-1(m phi1^2 / 2), the residual is
+    m (e^u - 1 - u - phi1^2 / 2) exactly, so with a = max|phi1|,
+    c = max|c(x)| and d = a + c it is at most m (a c + c^2 / 2 + e^d d^3 / 6)
+    in exact arithmetic.  Rounding phi errs by eps |phi| per point, which
+    -d2x amplifies by up to k_max^2 (see `residual_floor`), and exp(phi) by
+    eps e^phi: the bound adds eps (8 k_max^2 M + 2 m e^M), with
+    M = |ln m| + d >= max|phi| and m e^M = max(m^2, 1) e^d.  Each row's
+    bound is Python float arithmetic, as in `residual_floor`: where it
+    overflows it is inf (e^d beyond the float range is taken as inf) or
+    NaN, not an error, and certifies nothing.
     """
     n = rho.shape[-1]
     mean = np.add.reduce(rho, axis=-1, keepdims=True) / n  # what rho.mean(axis=-1) computes
     lin = k2 + mean
     phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=n)
-    phi = np.log(mean) + phi1
+    correction = np.fft.irfft(np.fft.rfft(0.5 * mean * phi1 ** 2) / lin, n=n)
     a = np.abs(phi1).max(axis=-1, keepdims=True)
-    near = a[:, 0] <= PHI1_BOUND  # a NaN row is not near: it takes the first-order guess
-    bound = np.full(len(rho), np.inf)
-    if near.any():
-        rows = slice(None) if near.all() else near
-        m, a = mean[rows], a[rows]
-        correction = np.fft.irfft(np.fft.rfft(0.5 * m * phi1[rows] ** 2) / lin[rows], n=n)
-        phi[rows] -= correction
-        c = np.abs(correction).max(axis=-1, keepdims=True)
-        bound[rows] = [m * (c * (a + 0.5 * c) + math.exp(d) * d ** 3 / 6) + math.ulp(1.0) * (
-            8 * float(k2[-1]) * (abs(math.log(m)) + d) + 2 * max(m * m, 1.0) * math.exp(d))
-            for m, a, c, d in np.concatenate((m, a, c, a + c), axis=1).tolist()]
-    return phi, bound
+    c = np.abs(correction).max(axis=-1, keepdims=True)
+    k2_max, bound = float(k2[-1]), []
+    for m, a, c, d in np.concatenate((mean, a, c, a + c), axis=1).tolist():
+        e_d = math.exp(d) if d <= math.log(sys.float_info.max) else math.inf  # exp would raise
+        bound.append(m * (c * (a + 0.5 * c) + e_d * d ** 3 / 6) + math.ulp(1.0) * (
+            8 * k2_max * (abs(math.log(m)) + d) + 2 * max(m * m, 1.0) * e_d))
+    return np.log(mean) + phi1 - correction, np.array(bound)
 
 
 def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, certify: bool = False):
     """Newton rows of the closure: phi for each row of rho (shape (m, n)) and each row's history.
 
-    Each row starts from `_start`.  With certify, a row whose a-priori bound
-    is at most tol / 8 is accepted at its start without its residual being
-    computed, the decision the residual would make, and its history stays
-    empty; a NaN bound is not <= tol / 8, so it never certifies.  A row
-    whose residual is at most tol is dropped from the working set by
-    `_retire`, and the rows still live at the end are written to the output
-    by one scatter, so each row's phi and history are bitwise those of
-    solving that row alone.  Raises ValueError unless rho > 0 everywhere,
-    and NewtonError for the first row (in row order) that meets a
-    non-finite residual or is not converged after max_iter steps.
+    Each row starts by the closure rule of the module docstring (`_start`).
+    With certify, a row whose a-priori bound is at most tol / 8 is accepted
+    at its start without its residual being computed, the decision the
+    residual would make, and its history stays empty.  A row whose residual
+    is at most tol is dropped from the working set by `_retire`, and the
+    rows still live at the end are written to the output by one scatter, so
+    each row's phi and history are bitwise those of solving that row alone.
+    Raises NewtonError if rho holds a NaN or an infinity, before any
+    transform; ValueError unless rho > 0 everywhere; and NewtonError for the
+    first row (in row order) that meets a non-finite residual or is not
+    converged after max_iter steps.
     """
+    if not np.isfinite(rho).all():
+        raise NewtonError("non-finite density", math.nan, 0)
     if np.min(rho) <= 0.0:
         raise ValueError("the closure requires rho > 0 everywhere")
     k2 = workspace1d(grid).k2
@@ -308,11 +290,11 @@ def _closure(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
     """phi for each row of rho (shape (m, n)): `_newton` to PHI_TOL within PHI_MAX_ITER steps.
 
     The flow, the ion_energy watcher and the ionacoustic1d config check solve
-    through this call.  It certifies: a row whose start is certified by its
-    a-priori bound (`_start`, at most PHI_TOL / 8) is taken without its
-    residual being computed, and phi is bitwise `solve_phi`'s, which
-    evaluates that residual.  A density with min <= 0 raises ValueError; one
-    holding a NaN is never certified and raises NewtonError at its residual.
+    through this call.  It certifies a start by its a-priori bound, as the
+    closure rule of the module docstring says, and phi is bitwise
+    `solve_phi`'s, which evaluates that start's residual.  A density holding
+    a NaN or an infinity raises NewtonError, and one with min <= 0 raises
+    ValueError.
     """
     return _newton(grid, rho, PHI_TOL, PHI_MAX_ITER, certify=True)[0]
 
@@ -320,13 +302,10 @@ def _closure(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
 def solve_phi(rho: Field1D, tol: float = PHI_TOL, max_iter: int = PHI_MAX_ITER) -> PhiSolve:
     """Solve -d2x(phi) + exp(phi) = rho by Newton iteration: the one-field form of `_closure`.
 
-    The initial guess is the perturbation series about the mean density m
-    (see `_start`): to second order when max|phi1| <= PHI1_BOUND, else to
-    first order, which is exact for constant density and within
-    O((rho - m)^2) of phi.  `_closure` accepts a second-order start by an
-    a-priori bound on its residual; solve_phi alone evaluates that residual,
-    so the residual, history and iteration count it reports are the true
-    ones.
+    It solves by the closure rule of the module docstring, but evaluates
+    the start's residual where `_closure` accepts a certified start by its
+    bound, so the residual, history and iteration count it reports are the
+    true ones.
     Each Newton step solves with the symmetric positive definite Jacobian
     -d2x + diag(exp(phi)) by FFT-preconditioned conjugate gradients
     (`_pcg`), stopped by the forcing term max|r| <= min(0.1, res) * res,
@@ -472,14 +451,17 @@ def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     bitwise the flow of that member alone.
 
     Aborts with DensityFloorError if min(rho) < 1e-6 in any member, before
-    the closure is solved for a density at or near zero.
+    the closure is solved for a density at or near zero.  The closure is
+    solved before any other arithmetic on rho, so a density holding a NaN or
+    an infinity raises its NewtonError and no numpy warning.
     """
     low = float(np.min(rho))
     if low < RHO_FLOOR:
         raise DensityFloorError(f"min(rho) = {low:.3e} below floor {RHO_FLOOR:g}")
     shape = rho.shape
     rho, v = rho.reshape(-1, grid.n), v.reshape(-1, grid.n)
-    out = _spectral(grid, np.array((rho * v, v * v, _closure(grid, rho))), _flow_symbols(grid))
+    phi = _closure(grid, rho)
+    out = _spectral(grid, np.array((rho * v, v * v, phi)), _flow_symbols(grid))
     out[1] += out[2]
     return out[:2].reshape((2, *shape))
 

@@ -96,8 +96,9 @@ class State:
         return State(self.kind, tuple(zero for _ in self.parts))
 
     def from_values(self) -> "State":
-        """This state as a step's checked output: every field part born from its
-        values (Field._born_from_values), or a finite point checked finite.
+        """This state as a step's checked output: every synthesized field part
+        rebuilt by the Field constructor from its values, or a finite point
+        checked finite.
 
         Reading a synthesized part's values checks them finite, so this raises
         NonFiniteError on a non-finite part, and BlowupError on a non-finite
@@ -110,7 +111,8 @@ class State:
             return self
         if not any(p._synthesized for p in self.parts):
             return self
-        return State(self.kind, tuple(p._born_from_values() for p in self.parts))
+        return State(self.kind, tuple(type(p)(p.grid, p.values) if p._synthesized else p
+                                      for p in self.parts))
 
 
 def inner(a: State, b: State) -> float:

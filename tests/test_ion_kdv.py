@@ -2,6 +2,7 @@
 fluid Hamiltonian system with its Casimirs, dispersion, and the soliton."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestSolvePhi:
             assert ik.solve_phi(rho).residual <= 1e-12
 
     def test_small_amplitude_takes_no_newton_step(self):
-        # below PHI1_BOUND the second-order initial guess already meets the tolerance
+        # at this amplitude the closure's start already meets the tolerance
         sol = ik.solve_phi(ik.acoustic_mode_state(GRID, 1, 1e-4).parts[0])
         assert sol.iterations == 0
         assert sol.residual <= 1e-12
@@ -293,7 +294,7 @@ def count_pcg(monkeypatch):
 
 
 class TestFlowGuess:
-    """The flow starts a row from the second-order guess only below PHI1_BOUND."""
+    """The flow starts every row by the closure rule, as solve_phi does."""
 
     def test_small_amplitude_modes_take_no_newton_step(self, monkeypatch):
         calls = count_pcg(monkeypatch)
@@ -311,7 +312,8 @@ class TestFlowGuess:
             sol = ik.solve_phi(Field1D(GRID, rho[i]))
             assert np.array_equal(phi[i], sol.phi.values)
 
-    # from the second-order guess, each of these would take one Newton step fewer
+    # the bound does not certify these starts: each takes one Newton step, in the
+    # flow as in solve_phi
     @pytest.mark.parametrize("z", [
         ik.random_ion_state(GRID, 6, np.random.default_rng(12), 0.3),
         ik.acoustic_mode_state(GRID, 1, 0.01),
@@ -376,14 +378,14 @@ class TestStartCertificate:
     @pytest.mark.parametrize("n", [128, 512, 2048])
     def test_bound_lies_above_the_start_residual(self, n):
         # seeded densities m + a f on domains from 1e-9 to 20, scaled so that
-        # max|phi1| spans 1e-8 to PHI1_BOUND (a < 0.95 m keeps rho positive)
+        # max|phi1| spans 1e-8 to 0.5 (a < 0.95 m keeps rho positive)
         rng = np.random.default_rng(n)
         rows = certified = 0
         for length in (1e-9, 1e-5, 0.1, 1.0, L, 20.0):
             grid = Grid1D(n, length)
             k2 = ik.workspace1d(grid).k2
             rho = []
-            for target in (1e-8, 1e-6, 1e-5, 5e-5, ik.PHI1_BOUND):
+            for target in (1e-8, 1e-6, 1e-5, 5e-5, 1e-4, 1e-2, 0.5):
                 for kmax in (1, 6, n // 3):
                     f = random_band_limited_1d(grid, kmax, rng, 1.0).values
                     f = f / np.abs(f).max()
@@ -394,11 +396,10 @@ class TestStartCertificate:
             _, bound = ik._start(k2, rho)
             _, histories = ik._newton(grid, rho, np.inf, 0)
             residual = np.array([h[0] for h in histories])
-            near = np.isfinite(bound)
-            assert np.all(bound[near] >= residual[near])
-            rows += np.count_nonzero(near)
+            assert np.all(np.isfinite(bound)) and np.all(bound >= residual)
+            rows += len(rho)
             certified += np.count_nonzero(bound <= ik.PHI_TOL / 8)
-        assert rows >= 80 and certified >= 10  # of 90 rows
+        assert rows == 126 and certified >= 10
 
     def test_density_holding_a_nan_raises(self):
         rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2)])
@@ -407,6 +408,31 @@ class TestStartCertificate:
             # NaN arithmetic flags invalid values on the way; the error is the point
             with np.errstate(invalid="ignore"), pytest.raises(ik.NewtonError, match="non-finite"):
                 ik._closure(GRID, rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_is_rejected_before_numpy_warns(self, bad):
+        # under the suite's error::RuntimeWarning filter and no np.errstate: a
+        # warning from arithmetic on the density would escape in place of the error
+        rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2)])
+        rho[1, 5] = bad
+        v = np.zeros_like(rho)
+        with pytest.raises(ik.NewtonError, match="non-finite"):
+            ik._closure(GRID, rho)
+        with pytest.raises(ik.NewtonError, match="non-finite"):
+            ik.ion_diagnostics(GRID, rho, v, (1, 2))
+        # -inf is below the flow's density floor, which it checks first
+        with pytest.raises(ik.DensityFloorError if bad < 0 else ik.NewtonError):
+            ik.ion_flow(GRID, rho, v)
+
+    def test_overflowing_bound_leaves_the_start_uncertified(self):
+        # max|phi1| + max|L^-1(m phi1^2 / 2)| is about 8.1e3, so e^d overflows:
+        # the bound is inf, and nothing is raised or warned
+        rho = np.full((1, GRID.n), 1e-8)
+        rho[0, 5] = 1e8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, bound = ik._start(ik.workspace1d(GRID).k2, rho)
+        assert bound.tolist() == [math.inf]
 
     def test_nan_bound_does_not_certify(self, monkeypatch):
         # a NaN bound falls through to the residual: one more transform pair
@@ -666,7 +692,7 @@ class TestBatchDiagnostics:
         assert got == field_watch_values(z, self.MODES)
 
     def test_mixed_batch_equals_each_member_alone(self):
-        # the middle member is above PHI1_BOUND: it takes Newton steps, the others none
+        # the middle member's start is not certified: it takes Newton steps, the others none
         members = [ik.acoustic_mode_state(GRID, 1, 1e-4),
                    ik.random_ion_state(GRID, 6, np.random.default_rng(19), 0.3),
                    ik.acoustic_mode_state(GRID, 3, 1e-4)]
@@ -706,18 +732,15 @@ class TestBatchDiagnostics:
             ik.ion_diagnostics(GRID, rho, np.zeros_like(rho), (1, 2))
 
     def test_second_order_guess_of_a_whole_stack_is_the_indexed_one(self):
-        # every row below the bound: the guess on the whole arrays is bitwise the
-        # guess on the rows picked out by the mask
+        # the closure's certified start of a whole stack is bitwise the guess
+        # ln m + phi1 - L^-1(m phi1^2 / 2) formed here on every row at once
         rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2, 5)])
         k2 = ik.workspace1d(GRID).k2
         mean = np.add.reduce(rho, axis=-1, keepdims=True) / GRID.n
         lin = k2 + mean
         phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=GRID.n)
         phi = np.log(mean) + phi1
-        near = np.abs(phi1).max(axis=-1) <= ik.PHI1_BOUND
-        assert near.all()
-        quad = 0.5 * mean[near] * phi1[near] ** 2
-        phi[near] -= np.fft.irfft(np.fft.rfft(quad) / lin[near], n=GRID.n)
+        phi -= np.fft.irfft(np.fft.rfft(0.5 * mean * phi1 ** 2) / lin, n=GRID.n)
         assert np.array_equal(ik._closure(GRID, rho), phi)
 
 
