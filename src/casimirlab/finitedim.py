@@ -127,15 +127,22 @@ def _polynomial(rows: np.ndarray):
     The six terms are summed along axis 0, which adds left to right, so each
     entry rounds exactly as the expanded derivative written out term by term.
     The factors are gathered with take, the same rows as p[_FACTORS] for less
-    per-call overhead.
+    per-call overhead: _FACTORS holds only 0 and 1, so mode="wrap" gathers
+    what the default mode does, without the buffered copy the default mode
+    makes of an out array.  The gathered factors and the terms are written
+    into scratch allocated here, once, and overwritten by every call; each
+    call returns a fresh sum.
     """
     const, coeff = rows[0], rows[1:]
+    f = np.empty((8, *rows.shape[2:]))
+    t = np.empty(coeff.shape)
+    linear, quadratic, first, second = f[:5, None], f[5:, None], t[0], t[2:]
 
     def evaluate(p):
-        f = p.take(_FACTORS, axis=0)
-        t = coeff * f[:5, None]  # the rows of x, y, x^2, xy, y^2 times x, y, x, x, y
-        t[2:] *= f[5:, None]  # ... and the quadratic ones times x, y, y
-        t[0] += const  # const + x term, as addition commutes exactly
+        p.take(_FACTORS, axis=0, out=f, mode="wrap")
+        np.multiply(coeff, linear, out=t)  # the rows of x, y, x^2, xy, y^2 times x, y, x, x, y
+        np.multiply(second, quadratic, out=second)  # ... and the quadratic ones times x, y, y
+        np.add(first, const, out=first)  # const + x term, as addition commutes exactly
         return np.add.reduce(t, axis=0)
 
     return evaluate

@@ -246,7 +246,8 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, certify: b
     Raises NewtonError if rho holds a NaN or an infinity, before any
     transform; ValueError unless rho > 0 everywhere; and NewtonError for the
     first row (in row order) that meets a non-finite residual or is not
-    converged after max_iter steps.
+    converged after max_iter steps.  An exp(phi) that overflows makes its
+    residual non-finite, so it raises that NewtonError, not a numpy warning.
     """
     if not np.isfinite(rho).all():
         raise NewtonError("non-finite density", math.nan, 0)
@@ -264,8 +265,9 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, certify: b
         live, phi, rho = _retire(met, live, out, phi, rho)
     for it in range(max_iter + 1):
         neg_d2 = np.fft.irfft(k2 * np.fft.rfft(phi.astype(np.longdouble)), n=grid.n)
-        e = np.exp(phi)
-        residual = (neg_d2 - rho + e).astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
+            e = np.exp(phi)
+            residual = (neg_d2 - rho + e).astype(np.float64)
         res = np.abs(residual).max(axis=-1)
         for i, r in zip(live.tolist(), res.tolist()):
             if not math.isfinite(r):
@@ -593,7 +595,8 @@ def kdv_invariants(w: Field1D) -> tuple[float, float, float]:
 
 @lru_cache(maxsize=None)
 def _if_factors(grid: Grid1D, dt: float):
-    """The step's constants: e^(i k^3 dt/2), e^(i k^3 dt), 2 e^(i k^3 dt/2), -3i k mask, workspace.
+    """The step's constants: e^(i k^3 dt/2), e^(i k^3 dt), 2 e^(i k^3 dt/2), -3i k mask, workspace;
+    then its scratch: seven spectra and one grid row, written by every step.
 
     The mask is folded into the nonlinear symbol: it is 1 + 0j or 0, so
     (-3i k mask) X equals -3i k (X mask) entry by entry.  Only the sign of an
@@ -604,22 +607,47 @@ def _if_factors(grid: Grid1D, dt: float):
     ws = workspace1d(grid)
     lk = 1j * ws.k**3  # (-d3x w)-hat = +i k^3 w-hat
     half = np.exp(lk * (dt / 2.0))
-    return half, half * half, 2.0 * half, _read_only(-3j * ws.k * ws.mask), ws
+    spectra = [np.empty(grid.n // 2 + 1, complex) for _ in range(7)]
+    return (half, half * half, 2.0 * half, _read_only(-3j * ws.k * ws.mask), ws,
+            *spectra, np.empty(grid.n))
 
 
 def kdv_if_rk4_step(w: Field1D, dt: float) -> Field1D:
-    """One integrating-factor RK4 step: exact linear propagator, RK4 nonlinearity."""
-    half, full, two_half, symbol, ws = _if_factors(w.grid, dt)
+    """One integrating-factor RK4 step: exact linear propagator, RK4 nonlinearity.
 
-    def nonlin(what: np.ndarray) -> np.ndarray:
-        wv = np.fft.irfft(what, n=w.grid.n)
-        return symbol * np.fft.rfft(wv * wv)
+    Every intermediate is written into the scratch kept with `_if_factors`,
+    so a step allocates only its output, which is fresh; the scratch is
+    overwritten by the next step on the same grid and dt, so two threads must
+    not step on one grid and dt at once.
+    """
+    n = w.grid.n
+    half, full, two_half, symbol, ws, v, full_v, t, a, b, c, d, wv = _if_factors(w.grid, dt)
 
-    v = np.fft.rfft(w.values) * ws.mask
-    full_v = full * v
-    a = dt * nonlin(v)
-    b = dt * nonlin(half * (v + 0.5 * a))
-    c = dt * nonlin(half * v + 0.5 * b)
-    d = dt * nonlin(full_v + half * c)
-    v_new = full_v + (full * a + two_half * (b + c) + d) / 6.0
-    return Field1D(w.grid, _read_only(np.fft.irfft(v_new, n=w.grid.n)))
+    def nonlin(what: np.ndarray, out: np.ndarray) -> None:  # out = dt (symbol rfft(irfft(what)^2))
+        np.fft.irfft(what, n=n, out=wv)
+        np.multiply(wv, wv, out=wv)
+        np.fft.rfft(wv, out=out)
+        np.multiply(symbol, out, out=out)
+        np.multiply(dt, out, out=out)
+
+    # Each line is the expression in its comment, with every product's
+    # operands in that order: a complex a * b and b * a can differ in their
+    # last bit (numpy's SIMD complex loops), so X *= s would change the step's
+    # bits where s * X does not.  Sums and products by a real scalar commute
+    # exactly.
+    np.multiply(np.fft.rfft(w.values, out=v), ws.mask, out=v)  # v = rfft(w) * mask
+    np.multiply(full, v, out=full_v)  # full_v = full * v
+    nonlin(v, a)  # a = dt N(v)
+    np.multiply(0.5, a, out=t)
+    np.add(v, t, out=t)
+    nonlin(np.multiply(half, t, out=t), b)  # b = dt N(half * (v + 0.5 * a))
+    np.multiply(half, v, out=t)
+    np.add(t, np.multiply(0.5, b, out=d), out=t)
+    nonlin(t, c)  # c = dt N(half * v + 0.5 * b)
+    np.add(full_v, np.multiply(half, c, out=t), out=t)
+    nonlin(t, d)  # d = dt N(full_v + half * c)
+    np.multiply(full, a, out=a)
+    np.multiply(two_half, np.add(b, c, out=b), out=b)
+    np.add(np.add(a, b, out=a), d, out=a)
+    np.add(full_v, np.divide(a, 6.0, out=a), out=a)  # full_v + (full a + two_half (b + c) + d) / 6
+    return Field1D(w.grid, _read_only(np.fft.irfft(a, n=n)))

@@ -179,6 +179,26 @@ class TestBitwiseFlow:
             assert np.array_equal(got, expect)
 
 
+class TestPolynomialScratch:
+    """_polynomial keeps its intermediates in scratch of its own; its results are fresh."""
+
+    def test_alternating_polynomials_evaluate_as_each_alone(self):
+        rng = np.random.default_rng(17)
+        for m in (None, 50):
+            rows = [fd._cubic_rows(rng.uniform(-1, 1, 10 if m is None else (10, m)))
+                    for _ in range(2)]
+            points = [rng.uniform(-2, 2, 2 if m is None else (2, m)) for _ in range(3)]
+            polys = [fd._polynomial(r) for r in rows]
+            got = [[poly(p) for poly in polys] for p in points]
+            kept = [[g.copy() for g in row] for row in got]
+            for j, r in enumerate(rows):
+                alone = fd._polynomial(r)
+                for i, p in enumerate(points):
+                    assert np.array_equal(got[i][j], alone(p))
+            assert all(np.array_equal(g, k) for row, krow in zip(got, kept)
+                       for g, k in zip(row, krow))
+
+
 class TestKernelBasis:
     def test_unit_mass(self):
         xs = np.linspace(-2, 2, 4001)

@@ -424,6 +424,21 @@ class TestStartCertificate:
         with pytest.raises(ik.DensityFloorError if bad < 0 else ik.NewtonError):
             ik.ion_flow(GRID, rho, v)
 
+    @pytest.mark.parametrize("n, step", [(64, 1), (256, 2)])
+    def test_overflowing_exp_raises_the_steps_newton_error(self, n, step):
+        # one spike of 1e6 over 1e-2 is not certified, and exp(phi) overflows at
+        # Newton step `step`; under the suite's error::RuntimeWarning filter and
+        # no np.errstate, a numpy warning would escape in place of the error
+        grid = Grid1D(n)
+        rho = np.full((1, n), 1e-2)
+        rho[0, 5] = 1e6
+        with pytest.raises(ik.NewtonError, match="non-finite Newton residual") as flow:
+            ik.ion_flow(grid, rho, np.zeros_like(rho))
+        with pytest.raises(ik.NewtonError, match="non-finite Newton residual") as solve:
+            ik.solve_phi(Field1D(grid, rho[0]))
+        for err in (flow, solve):
+            assert err.value.iterations == step and err.value.residual == math.inf
+
     def test_overflowing_bound_leaves_the_start_uncertified(self):
         # max|phi1| + max|L^-1(m phi1^2 / 2)| is about 8.1e3, so e^d overflows:
         # the bound is inf, and nothing is raised or warned
@@ -633,6 +648,46 @@ class TestSoliton:
         x_peak = grid.x()[i] + grid.dx * (num / den if den != 0 else 0.0)
         speed = (x_peak - 10.0) / t_end
         assert abs(speed - c) <= 0.01 * c
+
+
+class TestStepScratch:
+    """kdv_if_rk4_step keeps its intermediates in scratch per grid and dt; its outputs are fresh."""
+
+    @pytest.mark.parametrize("step_alone", [ik.kdv_if_rk4_step, old_if_rk4_step])
+    def test_alternating_fields_step_as_each_alone(self, step_alone):
+        # one grid and one dt: both fields step through the same kept scratch;
+        # the oracle, old_if_rk4_step, keeps nothing between calls
+        grid = Grid1D(256, 40.0)
+        start = (ik.kdv_soliton(1.0, 10.0, grid), ik.kdv_soliton(0.5, 25.0, grid))
+        alone = []
+        for w in start:
+            for _ in range(50):
+                w = step_alone(w, 1e-3)
+            alone.append(w.values)
+        u, w = start
+        for _ in range(50):
+            u = ik.kdv_if_rk4_step(u, 1e-3)
+            w = ik.kdv_if_rk4_step(w, 1e-3)
+        assert np.array_equal(u.values, alone[0]) and np.array_equal(w.values, alone[1])
+
+    def test_a_stepped_field_keeps_its_values_after_later_steps(self):
+        grid = Grid1D(256, 40.0)
+        first = w = ik.kdv_if_rk4_step(ik.kdv_soliton(1.0, 10.0, grid), 1e-3)
+        kept = first.values.copy()
+        for _ in range(5):
+            w = ik.kdv_if_rk4_step(w, 1e-3)
+        assert np.array_equal(first.values, kept) and not np.array_equal(w.values, kept)
+        scratch = ik._if_factors(grid, 1e-3)[5:]
+        assert not any(np.shares_memory(first.values, s) for s in scratch)
+
+    def test_one_step_makes_five_rfft_and_five_irfft_calls(self, monkeypatch):
+        # the step's rfft, one irfft/rfft pair per stage, and the output's irfft
+        grid = Grid1D(512, 40.0)
+        w = ik.kdv_soliton(1.0, 10.0, grid)
+        ik.kdv_if_rk4_step(w, 1e-3)  # builds the step's constants and scratch
+        calls = count_ffts(monkeypatch)
+        ik.kdv_if_rk4_step(w, 1e-3)
+        assert calls == {"rfft": 5, "irfft": 5}
 
 
 def count_closures(monkeypatch):
