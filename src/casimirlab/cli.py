@@ -37,7 +37,7 @@ from . import finitedim as fd
 from . import ion_kdv as ik
 from . import vortex as vx
 from .field_core import (
-    Field1D, Field2D, Grid1D, Grid2D, NumericalFailure, l2norm, random_band_limited_2d,
+    Field1D, Field2D, Grid1D, Grid2D, NumericalFailure, l2norm, random_band_limited_2d, wavenumber,
 )
 from .poisson import STATE_KINDS, State, casimir_residual, jacobi_residual
 
@@ -147,10 +147,12 @@ _SIZES = ("n", "nx", "ny")  # the grid keys that count points
 # What a config value must be, as (description, test), by key.  Every key of
 # every preset's defaults has a rule here.
 _POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
+# kx and ky are mode numbers: a whole number of periods fits the box only for an integer
 _MODE_LIST = (
-    "a list of [kx, ky, amplitude, phase] entries",
+    "a list of [kx, ky, amplitude, phase] entries with integer mode numbers kx, ky",
     lambda v: isinstance(v, list)
-    and all(isinstance(m, list) and len(m) == 4 and all(map(_is_number, m)) for m in v),
+    and all(isinstance(m, list) and len(m) == 4 and all(map(_is_number, m))
+            and all(isinstance(k, int) or k.is_integer() for k in m[:2]) for m in v),
 )
 _RULES = {
     **dict.fromkeys(("grid", "initial"), ("an object", lambda v: isinstance(v, dict))),
@@ -489,9 +491,9 @@ def _run_euler2d(cfg: RunConfig) -> RunResult:
     grid = _grid(cfg)
     init = cfg.initial
     if init["kind"] == "taylor_green":
-        amp = init["amplitude"]
+        amp, kx, ky = init["amplitude"], wavenumber(1, grid.lx), wavenumber(1, grid.ly)
         omega = Field2D.from_function(
-            grid, lambda X, Y: amp * (np.sin(X) * np.sin(Y) + 0.5 * np.cos(2 * X))
+            grid, lambda X, Y: amp * (np.sin(kx * X) * np.sin(ky * Y) + 0.5 * np.cos(2 * kx * X))
         )
     else:
         rng = np.random.default_rng(cfg.seed)
@@ -591,7 +593,8 @@ def _run_singular_leaf(cfg: RunConfig) -> RunResult:
              (H, None)]
     series, state, _ = _stepped(cfg, vx.vortex_rhs(2, H), z0, pairs)
     res_on = vx.interior_casimir_residual(omega, vx.PROFILES["square"])
-    z_off = vx.state_ii(omega, Field2D.from_function(grid, lambda X, Y: np.sin(X)))
+    kx = wavenumber(1, grid.lx)
+    z_off = vx.state_ii(omega, Field2D.from_function(grid, lambda X, Y: np.sin(kx * X)))
     off_norm = l2norm(vx.apply_j2(z_off, interior.gradient(z_off)).parts[1])
     checks = [
         Check("leaf_indicator_max", max(series.values[leaf.label]), 1e-20, "<=",
@@ -745,14 +748,17 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
         series, _, _ = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0,
                                 [(batch, None)])
     except dyn.IntegrationError as exc:
+        # the partial CSV and state_last_finite follow the first listed mode; a bare State,
+        # since the last finite density may lie at or below zero, which ion_state rejects
+        first = State("ion", tuple(Field1D(grid, part[0]) for part in exc.last_state))
         raise dyn.IntegrationError(str(exc), _mode_series(exc.series, modes[0], watch[modes[0]]),
-                                   exc.step_index, exc.last_state) from exc
+                                   exc.step_index, first) from exc
     series_by_mode = {k: _mode_series(series, k, watch[k]) for k in modes}
     checks, wave_checks = [], []
     extras = {"modes": {}}
     for k in modes:
         series = series_by_mode[k]
-        theory = ik.acoustic_dispersion(float(k))
+        theory = ik.acoustic_dispersion(wavenumber(k, grid.l))
         try:
             measured = dyn.estimate_frequency(series.times, series.values[watch[k][0][0].label])
         except ValueError as exc:
@@ -946,7 +952,7 @@ def run_preset(cfg: RunConfig) -> int:
         failure = {"step": exc.step_index, "message": str(exc)}
         # a lockstep pair's CSV and state_final follow its first member
         last = exc.last_state[0] if isinstance(exc.last_state, tuple) else exc.last_state
-        if isinstance(last, State):  # a bare-array batch has no snapshot format
+        if isinstance(last, State):  # finitedim's bare point batch has no snapshot format
             save_snapshot(out_dir / "state_last_finite.snap", last)
     except (NumericalFailure, MemoryError) as exc:
         result = RunResult()

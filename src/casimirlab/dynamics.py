@@ -65,8 +65,13 @@ def step(integ: Integrator, rhs: Callable | None, z: State | np.ndarray) -> Stat
     the output is checked once: a State by `State.from_values`, which reads its
     parts' values (and checks them finite) once per step, so a step is a
     function of its input's values alone; a bare array by one isfinite test.
+    rk4 steps the given rhs and if_rk4 takes none (it steps KdV's own flow);
+    a scheme given the other raises ValueError.
     """
     dt = integ.dt
+    if (rhs is None) != (integ.scheme == "if_rk4"):
+        needs = "no rhs" if rhs is not None else "an rhs"
+        raise ValueError(f"scheme {integ.scheme!r} takes {needs}")
     if integ.scheme == "if_rk4":
         if z.kind != "kdv":
             raise ValueError("if_rk4 integrates the KdV system only")

@@ -17,11 +17,14 @@ Conventions
   its one pair.
 * invert_laplacian fixes the k = 0 mode to zero (zero-mean gauge on the
   torus); a constant shift of a stream function never changes a bracket.
+* wavenumber(k, length) = (2 pi / length) k is the one map from a mode
+  number k to its wavenumber on a periodic axis of that length: the
+  workspaces' symbols, the ion probes and every seeded mode are built from
+  it, so a mode list names the same modes on any box.
 * integrate() uses compensated fixed-order summation (math.fsum), so the
   value is the correctly rounded sum of the samples: repeated runs are
-  bit-identical.  fsum is fed the samples as Python floats, a chunk of 512
-  at a time through one iterator, which it reads faster than a numpy row's
-  boxed scalars; the sum is the same.
+  bit-identical.  fsum is fed each row as one list of Python floats, which
+  it reads faster than a numpy row's boxed scalars; the sum is the same.
 * One field class, Field, serves both grids: its values have the shape
   grid.shape, are finite, and are read-only.  A writeable input array is
   copied, so no caller can change a field's values afterwards; a read-only
@@ -83,7 +86,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -201,6 +203,12 @@ class Grid1D:
 # ---------------------------------------------------------------------------
 
 
+def wavenumber(k, length: float):
+    """The wavenumber (2 pi / length) k of mode number k (a number or an array) on a
+    periodic axis of that length; at length 2 pi it is k itself, bit for bit."""
+    return (TWO_PI / length) * k
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralWorkspace2D:
     """The spectral symbols of one Grid2D: read-only, each of the rfft2 shape (ny, nx//2+1)
@@ -225,8 +233,8 @@ def workspace2d(grid: Grid2D) -> SpectralWorkspace2D:
     nx, ny = grid.nx, grid.ny
     ix = np.arange(nx // 2 + 1)                       # rfft mode indices
     iy = np.rint(np.fft.fftfreq(ny) * ny).astype(int)
-    kx = (TWO_PI / grid.lx) * ix[None, :]
-    ky = (TWO_PI / grid.ly) * iy[:, None].astype(float)
+    kx = wavenumber(ix[None, :], grid.lx)
+    ky = wavenumber(iy[:, None], grid.ly)
     dkx = kx.copy()
     dkx[0, -1] = 0.0                                  # Nyquist has no odd derivative
     dky = ky.copy()
@@ -264,7 +272,7 @@ class SpectralWorkspace1D:
 def workspace1d(grid: Grid1D) -> SpectralWorkspace1D:
     n = grid.n
     ix = np.arange(n // 2 + 1)
-    k = (TWO_PI / grid.l) * ix.astype(float)
+    k = wavenumber(ix, grid.l)
     dk = k.copy()
     dk[-1] = 0.0
     mask = (ix <= n // 3).astype(complex)
@@ -559,24 +567,9 @@ def integrate_rows(grid, rows: np.ndarray) -> list[float]:
     Raises NonFiniteError if a sum overflows.
     """
     try:
-        return [_fsum(row) * grid.cell for row in rows.reshape(len(rows), -1)]
+        return [math.fsum(row.tolist()) * grid.cell for row in rows.reshape(len(rows), -1)]
     except OverflowError as exc:
         raise NonFiniteError(f"integral overflows: {exc}") from None
-
-
-# samples handed to fsum as Python floats at a time: a whole 64^2 row as one
-# list raised the peak resident memory of a vortex run by about 0.12 MiB
-_FSUM_CHUNK = 512
-
-
-def _fsum(row: np.ndarray) -> float:
-    """math.fsum(row), fed Python floats a chunk at a time through one iterator.
-
-    fsum reads Python floats faster than a numpy row's boxed scalars; it is
-    still one fsum over the same doubles in the same order, so the same sum.
-    """
-    chunks = (row[i:i + _FSUM_CHUNK].tolist() for i in range(0, row.size, _FSUM_CHUNK))
-    return math.fsum(chain.from_iterable(chunks))
 
 
 def l2norm(f: Field) -> float:

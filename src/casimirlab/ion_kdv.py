@@ -81,6 +81,7 @@ from .field_core import (
     integrate,
     integrate_rows,
     random_band_limited_1d,
+    wavenumber,
     workspace1d,
 )
 from .poisson import Functional, PoissonOperator, State
@@ -197,8 +198,8 @@ def residual_floor(grid: Grid1D, k: int, amplitude: float) -> float:
     squares overflow to inf and the bound is inf or NaN, which the caller
     must reject as not <= its tolerance.
     """
-    k_max = math.pi * grid.n / grid.l
-    kappa = 2.0 * math.pi * k / grid.l
+    k_max = wavenumber(grid.n // 2, grid.l)
+    kappa = wavenumber(k, grid.l)
     return 0.5 * sys.float_info.epsilon * (k_max * k_max) * amplitude / (1.0 + kappa * kappa)
 
 
@@ -361,7 +362,7 @@ def _energies(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> list[float]:
     A non-finite density raises NonFiniteError, as a Field of it would.
     """
     phi = _closure(grid, rho)
-    dphi = np.fft.irfft(1j * workspace1d(grid).dk * np.fft.rfft(phi), n=grid.n)
+    dphi = _spectral(grid, phi, 1j * workspace1d(grid).dk)
     density = rho * v * v * 0.5 + dphi * dphi * 0.5 + (phi - 1.0) * np.exp(phi)
     if not np.isfinite(density).all():
         raise NonFiniteError("field contains non-finite values")
@@ -369,9 +370,10 @@ def _energies(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> list[float]:
 
 
 def _probes(grid: Grid1D, modes: tuple[int, ...]) -> np.ndarray:
-    """cos(k x) for each k of modes, shape (len(modes), n)."""
+    """cos(kappa x) for each mode number k of modes, kappa = wavenumber(k, l), shape
+    (len(modes), n)."""
     x = grid.x()
-    return np.array([np.cos(2.0 * math.pi * k / grid.l * x) for k in modes])
+    return np.array([np.cos(wavenumber(k, grid.l) * x) for k in modes])
 
 
 def _mode_amplitudes(grid: Grid1D, rho: np.ndarray, modes: tuple[int, ...]) -> list[float]:
@@ -488,15 +490,15 @@ def random_ion_state(
 
 
 def acoustic_mode_state(grid: Grid1D, k: int, amplitude: float) -> State:
-    """rho = 1 + a cos(k x), V = 0: a standing acoustic mode of wavenumber k."""
-    x = grid.x()
-    kk = 2.0 * math.pi * k / grid.l
-    rho = Field1D(grid, 1.0 + amplitude * np.cos(kk * x))
+    """rho = 1 + a cos(kappa x), V = 0: the standing acoustic mode of mode number k,
+    its cosine the one `_probes` gives the mode's amplitude watcher."""
+    rho = Field1D(grid, 1.0 + amplitude * _probes(grid, (k,))[0])
     return ion_state(rho, Field1D.zeros(grid))
 
 
 def acoustic_dispersion(k: float) -> float:
-    """Linear-theory frequency k / sqrt(1 + k^2) of the Boltzmann-closed fluid."""
+    """Linear-theory frequency k / sqrt(1 + k^2) of the Boltzmann-closed fluid, for the
+    wavenumber k (`field_core.wavenumber` of a mode number)."""
     return k / math.sqrt(1.0 + k * k)
 
 

@@ -252,22 +252,17 @@ def jacobi_residual(
         raise StateError("jacobi_residual is defined for finite-dimensional states only")
     point = z.parts[0]
 
-    def bracket(A: Functional, B: Functional, p: np.ndarray) -> float:
-        s = State("finite", (p,))
-        return inner(A.gradient(s), J.apply(s, B.gradient(s)))
-
-    def fd_grad(A: Functional, B: Functional, p: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(p)
-        for i in range(p.size):
-            e = np.zeros_like(p)
+    def fd_grad(A: Functional, B: Functional) -> np.ndarray:
+        g = np.zeros_like(point)
+        for i in range(point.size):
+            e = np.zeros_like(point)
             e[i] = step
-            g[i] = (bracket(A, B, p + e) - bracket(A, B, p - e)) / (2.0 * step)
+            g[i] = (eval_poisson_bracket(A, B, State("finite", (point + e,)), J)
+                    - eval_poisson_bracket(A, B, State("finite", (point - e,)), J)) / (2.0 * step)
         return g
 
     def term(A: Functional, B: Functional, C: Functional) -> float:
-        inner_grad = State("finite", (fd_grad(B, C, point),))
-        s = State("finite", (point,))
-        return inner(A.gradient(s), J.apply(s, inner_grad))
+        return inner(A.gradient(z), J.apply(z, State("finite", (fd_grad(B, C),))))
 
     total = term(F, G, H) + term(G, H, F) + term(H, F, G)
     if not math.isfinite(total):

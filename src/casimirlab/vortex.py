@@ -61,6 +61,7 @@ from .field_core import (
     l2norm,
     laplacian,
     random_band_limited_2d,
+    wavenumber,
     workspace2d,
 )
 from .poisson import Functional, PoissonOperator, State, StateError, hamiltonian_rhs
@@ -358,9 +359,11 @@ def random_vortex_state(
 
 
 def field_from_modes(grid: Grid2D, modes) -> Field2D:
-    """Sum of cosine modes; each mode is (kx, ky, amplitude, phase)."""
+    """Sum of cosine modes amplitude cos(kappa_x x + kappa_y y + phase); each mode is
+    (kx, ky, amplitude, phase), with integer mode numbers kx, ky and kappa_x =
+    wavenumber(kx, lx), kappa_y = wavenumber(ky, ly), so every mode is periodic on the box."""
     X, Y = grid.meshgrid()
     v = np.zeros(grid.shape)
     for kx, ky, amp, phase in modes:
-        v += amp * np.cos(kx * X + ky * Y + phase)
+        v += amp * np.cos(wavenumber(kx, grid.lx) * X + wavenumber(ky, grid.ly) * Y + phase)
     return Field2D(grid, v)

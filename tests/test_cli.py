@@ -156,6 +156,19 @@ class TestRunPreset:
         summary = json.loads((out / "summary.json").read_text())
         return code, out, summary
 
+    # a mode list names integer mode numbers on any box: every seeded mode, probe and
+    # dispersion theory reads one wavenumber map, (2 pi / l) k
+    @pytest.mark.parametrize("preset, sets", [
+        ("ionacoustic1d", ("grid.n=16", "grid.l=20.0", "dt=0.05", "t_end=60.0")),
+        ("rmhd2d", ("grid.n=16", "grid.l=10.0", "t_end=0.2")),
+        ("kernel_deficit", ("grid.n=32", "grid.lx=10.0", "grid.ly=8.0")),
+        ("euler2d", ("grid.n=16", "grid.l=10.0", "t_end=1.0", 'initial.kind="taylor_green"')),
+        ("singular_leaf", ("grid.n=16", "grid.l=10.0", "t_end=0.5")),
+    ])
+    def test_preset_passes_on_a_box_other_than_2pi(self, preset, sets, tmp_path):
+        code, _, summary = self.run(preset, tmp_path, *sets)
+        assert code == 0, [c for c in summary["checks"] if not c["passed"]]
+
     def test_kdv_soliton_short(self, tmp_path):
         code, out, summary = self.run("kdv_soliton", tmp_path, "t_end=0.5", "output_every=0.1")
         assert code == 0 and summary["pass"]

@@ -62,3 +62,15 @@ def test_every_backticked_module_name_exists():
         if obj is None:
             missing.append(name)
     assert len(checked) >= 10 and missing == []
+
+
+def test_library_sketch_runs_as_written(capsys):
+    text = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    sketch = text.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(sketch, "README.md: Library sketch", "exec"), names)
+    series = names["series"]
+    # the sketch prints the (absolute, relative) drifts of the Hamiltonian and the enstrophy
+    energy, enstrophy = series.drift("euler_energy"), series.drift("enstrophy[square]")
+    assert capsys.readouterr().out == f"{energy} {enstrophy}\n"
+    assert energy[1] <= 1e-8 and enstrophy[1] <= 1e-8

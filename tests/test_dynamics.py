@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from casimirlab import Grid2D
+from casimirlab import Field1D, Grid1D, Grid2D
 from casimirlab.dynamics import (
     BlowupError,
     DiagnosticSeries,
@@ -47,6 +47,14 @@ class TestStep:
         z = vx.random_vortex_state(1, GRID, 4, rng)
         with pytest.raises(ValueError):
             step(Integrator("if_rk4", 1e-2), None, z)
+
+    def test_scheme_and_rhs_must_agree(self):
+        # if_rk4 steps KdV's own flow and takes no rhs; rk4 needs one
+        z = State("kdv", (Field1D.zeros(Grid1D(16)),))
+        with pytest.raises(ValueError, match="takes no rhs"):
+            step(Integrator("if_rk4", 1e-2), lambda s: s.zeros_like(), z)
+        with pytest.raises(ValueError, match="takes an rhs"):
+            step(Integrator("rk4", 1e-2), None, z)
 
     def test_nan_detected(self):
         z = State("finite", (np.array([1.0, 0.0]),))

@@ -88,9 +88,11 @@ def check_failure_record(root, preset, sets, where):
     assert float(rows[-1].split(",")[0]) <= failure["step"] * summary["config"]["dt"]
 
 
-# the kind of State each preset steps; finitedim and ionacoustic1d step bare arrays
+# the kind of State each preset writes as its last finite state; finitedim steps a
+# bare point batch and writes none, and ionacoustic1d writes its first listed mode
 STATE_KIND = {"euler2d": "vortex1", "rmhd2d": "vortex2", "phantom2": "vortex2",
-              "phantom3": "vortex3", "singular_leaf": "vortex2", "kdv_soliton": "kdv"}
+              "phantom3": "vortex3", "singular_leaf": "vortex2", "kdv_soliton": "kdv",
+              "ionacoustic1d": "ion"}
 
 
 @pytest.mark.parametrize("preset", STEPPING)
@@ -134,6 +136,8 @@ def test_failure_at_step_0_keeps_the_initial_state(tmp_path, capsys):
         ("kdv_soliton", ("initial.x0=Infinity",), "initial.x0"),
         ("kdv_soliton", ("initial.x0=NaN",), "initial.x0"),
         ("rmhd2d", ("initial.psi_modes=[[1,0,NaN,0.0]]",), "initial.psi_modes"),
+        # a non-integer mode number is periodic on no box
+        ("rmhd2d", ("initial.psi_modes=[[1.5,0,1.0,0.0]]",), "initial.psi_modes"),
         ("euler2d", ("initial.amplitude=Infinity",), "initial.amplitude"),
         # 0.015 is one and a half steps of dt = 0.01
         ("euler2d", ("output_every=0.015",), "output_every"),

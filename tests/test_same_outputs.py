@@ -66,3 +66,29 @@ def test_a_preset_reads_identical_against_its_own_revision(tmp_path):
     # the working tree is left alone: no run directory, no bytecode
     assert sorted(p.name for p in tmp_path.iterdir()) == [".git", "src"]
     assert not list((tmp_path / "src").rglob("__pycache__"))
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="--against reads the revision with git")
+def test_a_case_runs_on_both_sides_and_a_changed_exit_status_is_named(tmp_path):
+    shutil.copytree(REPO / "src" / "casimirlab", tmp_path / "src" / "casimirlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "first"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+    case = ["--presets", "jacobi_check", "--case", "jacobi_check initial.step=1e-300"]
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), "--against", "HEAD", *case],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["same     case1-jacobi_check/diagnostics.csv",
+                                        "same     case1-jacobi_check/summary.json",
+                                        "same     jacobi_check/diagnostics.csv",
+                                        "same     jacobi_check/summary.json",
+                                        "all 4 files identical"]
+    # the case fails only its broken-operator check, which now passes: its exit status changes
+    cli = tmp_path / "src" / "casimirlab" / "cli.py"
+    cli.write_text(cli.read_text().replace('"jacobi_broken_so3", r_bad, 1e-3,',
+                                           '"jacobi_broken_so3", r_bad, 0.0,'))
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), "--against", "HEAD", *case],
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "DIFFERS  case1-jacobi_check exit status  (1 -> 0)" in done.stdout.splitlines()

@@ -1,17 +1,21 @@
 """Run presets on the working tree and on a git revision, and compare what they write.
 
-    python3 tools/same_outputs.py --against REF [--presets NAME ...] [ROOT]
+    python3 tools/same_outputs.py --against REF [--presets NAME ...]
+                                  [--case "PRESET KEY=VALUE ..."]... [ROOT]
 
 ROOT is the repository root (default: the parent of this file's directory).
 REF is read through `git archive` into a temporary directory, and every run
 writes into that directory with bytecode writing off, so the working tree is
 left alone.  Each preset (default: every preset of the working tree) runs at
 its defaults on both sides, with snapshot=true on the presets whose defaults
-take a snapshot.  Every file a run writes is compared byte for byte, except
-summary.json, which is compared as JSON with `wall_time_s` and
-`config.out_dir` left out; a preset whose exit status differs is reported
-too.  One line per file; the exit status is 0 when everything is identical,
-otherwise 1, and the first difference is named.  Standard library only.
+take a snapshot.  Each --case runs one more config on both sides, into
+case<i>-<preset>: the preset, then the --set overrides as given, separated
+by whitespace (so a value holds none), such as a forced-failure config.
+Every file a run writes is compared byte for byte, except summary.json,
+which is compared as JSON with `wall_time_s` and `config.out_dir` left out;
+a run whose exit status differs is reported too.  One line per file; the
+exit status is 0 when everything is identical, otherwise 1, and the first
+difference is named.  Standard library only.
 """
 
 from __future__ import annotations
@@ -56,15 +60,18 @@ def takes_snapshot(tree: Path, cwd: Path) -> dict[str, bool]:
     return json.loads(done.stdout)
 
 
-def run_presets(tree: Path, presets: list[str], out: Path) -> dict[str, int]:
-    """Run each preset of the tree at its defaults into out/<preset>; its exit status by name."""
+def run_presets(tree: Path, presets: list[str], cases: list[str], out: Path) -> dict[str, int]:
+    """Run each preset of the tree at its defaults into out/<preset>, and each case into
+    out/case<i>-<preset>; the exit status of each by its directory name."""
     out.mkdir(parents=True)
     snapshot = takes_snapshot(tree, out)
+    runs = {name: [name] + (["snapshot=true"] if snapshot.get(name) else []) for name in presets}
+    runs |= {f"case{i}-{case.split()[0]}": case.split() for i, case in enumerate(cases, 1)}
     status = {}
-    for name in presets:
-        args = ["-m", "casimirlab", "run", name, "--out-dir", str(out / name)]
-        if snapshot.get(name):
-            args += ["--set", "snapshot=true"]
+    for name, (preset, *sets) in runs.items():
+        args = ["-m", "casimirlab", "run", preset, "--out-dir", str(out / name)]
+        for item in sets:
+            args += ["--set", item]
         status[name] = _python(tree, args, out).returncode
     return status
 
@@ -101,18 +108,22 @@ def main(argv: list[str]) -> int:
                         help="repository root (default: the checkout holding this file)")
     parser.add_argument("--against", metavar="REF", required=True, help="git revision to compare")
     parser.add_argument("--presets", nargs="+", metavar="NAME", help="default: every preset")
+    parser.add_argument("--case", action="append", default=[], metavar='"PRESET KEY=VALUE ..."',
+                        help="one more config to run on both sides (repeatable)")
     args = parser.parse_args(argv[1:])
     root = args.root.resolve()
+    if any(not case.split() for case in args.case):
+        parser.error("--case needs a preset name")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         ref_tree = tmp / "ref"
         archive(root, args.against, ref_tree)
         presets = args.presets or list(takes_snapshot(root, tmp))
-        status = {side: run_presets(tree, presets, tmp / side)
+        status = {side: run_presets(tree, presets, args.case, tmp / side)
                   for side, tree in (("before", ref_tree), ("after", root))}
         rows = compare(tmp / "before", tmp / "after")
-    rows += [(f"{name} exit status", f"{status['before'][name]} -> {status['after'][name]}")
-             for name in presets if status["before"][name] != status["after"][name]]
+    rows += [(f"{name} exit status", f"{code} -> {status['after'][name]}")
+             for name, code in status["before"].items() if code != status["after"][name]]
     for name, diff in rows:
         print(f"{'same' if diff is None else 'DIFFERS':8s} {name}" + (f"  ({diff})" if diff else ""))
     first = next((name for name, diff in rows if diff is not None), None)
