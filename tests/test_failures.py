@@ -136,8 +136,6 @@ def test_failure_at_step_0_keeps_the_initial_state(tmp_path, capsys):
         ("kdv_soliton", ("initial.x0=Infinity",), "initial.x0"),
         ("kdv_soliton", ("initial.x0=NaN",), "initial.x0"),
         ("rmhd2d", ("initial.psi_modes=[[1,0,NaN,0.0]]",), "initial.psi_modes"),
-        # a non-integer mode number is periodic on no box
-        ("rmhd2d", ("initial.psi_modes=[[1.5,0,1.0,0.0]]",), "initial.psi_modes"),
         ("euler2d", ("initial.amplitude=Infinity",), "initial.amplitude"),
         # 0.015 is one and a half steps of dt = 0.01
         ("euler2d", ("output_every=0.015",), "output_every"),
@@ -175,6 +173,8 @@ def test_failure_at_step_0_keeps_the_initial_state(tmp_path, capsys):
         ("euler2d", ('grid={"n": 32, "n": 64}',), "n"),
         # no directory can be made at a path holding a NUL byte
         ("jacobi_check", ('out_dir="a\\u0000b"',), "out_dir"),
+        # a non-integer mode number is periodic on no box
+        ("rmhd2d", ("initial.psi_modes=[[1.5,0,1.0,0.0]]",), "initial.psi_modes"),
     ],
 )
 def test_config_mistake_exits_2_naming_field(preset, sets, field, tmp_path, capsys):
