@@ -12,9 +12,17 @@ Conventions
   truncation), which makes integrate(a * [a, b]) and integrate(b * [a, b])
   exact to rounding for band-limited inputs.  One kernel, bracket_sums,
   forms every sum of brackets: each input is transformed once, its
-  (dx, dy) pair is synthesized in one inverse call on a two-plane stack,
-  and each sum is projected once (the projection is linear); bracket2d is
-  its one pair.
+  (dx, dy) pair is synthesized in one inverse on a two-plane stack, and
+  each sum is projected once (the projection is linear); bracket2d is its
+  one pair.  The kernel writes its whole working set (the symbol products,
+  the y-pass, one derivative stack per live input, the pair products and
+  each sum) into a BracketScratch kept with the grid's workspace2d entry,
+  so a call allocates only its outputs' spectra (a warmed level-3 call at
+  64^2 peaks at those three): about 0.6 MiB of 64-68 KiB temporaries freed
+  per call would make the C allocator trim the heap and fault it back in.
+  The scratch is overwritten by every call on its grid, so two threads
+  must not run brackets on one grid at once, the same caveat as the KdV
+  step's.
 * invert_laplacian fixes the k = 0 mode to zero (zero-mean gauge on the
   torus); a constant shift of a stream function never changes a bracket.
 * wavenumber(k, length) = (2 pi / length) k is the one map from a mode
@@ -43,8 +51,9 @@ Conventions
   transformed back.  States at a step boundary (a step's output, seeded
   initial data, a snapshot) carry no synthesized spectrum, so a run is the
   same whether it was stopped and reloaded or not.  With its outputs read, a
-  level-2 rmhd_energy RHS takes 14 2-D transforms in 10 calls, level 3 19
-  in 14, a level-2 euler_energy RHS 12 in 9 and level 1 7 in 5.
+  level-2 rmhd_energy RHS takes 14 2-D transforms in 10 _forward/_inverse
+  calls, level 3 19 in 14, a level-2 euler_energy RHS 12 in 9 and level 1
+  7 in 5.
 * Linear arithmetic on a synthesized field stays in spectral space: +, -,
   unary - and a scalar * give the field synthesized from the combined
   spectra whenever an operand was synthesized (an operand born from values
@@ -55,7 +64,7 @@ Conventions
   transform nothing, and dynamics.step reads each output part's values
   once: 2-D transforms per RK4 step at 64^2 are 22 at level 1, 36 at
   level 2 with euler_energy, 44 with rmhd_energy and 58 at level 3, made in
-  14, 24, 28 and 38 calls.
+  14, 24, 28 and 38 _forward/_inverse calls.
 * A field from zeros is an exact zero: it keeps an exact zero spectrum, so
   no spectral use transforms it, and a zero test (_any) reads its values as
   it reads any field's that was born from values.  There is one per (class,
@@ -69,7 +78,13 @@ Conventions
   its second (axis-0) pass in place there and allocates one array, not two;
   every spectrum it returns is still its own array.  _inverse takes a stack
   of spectra too, (m, ny, nx//2+1) on a Grid2D, and each plane of its
-  output is bitwise that plane's own call.
+  output is bitwise that plane's own call.  Given kept buffers (out, mid),
+  as bracket_sums gives them, it makes irfft2's own two calls, ifft along y
+  into mid and irfft along x into out, bitwise irfft2 with nothing
+  allocated: np.fft.irfft2 itself ignores out on numpy 2.4.6 (it calls
+  irfftn with out=None), so handing it out would leave out unwritten.  A
+  derivative stack is thus one ifft and one irfft call, still counted as
+  one _inverse call of two 2-D transforms; a field's values are one irfft2.
 * The 2-D workspace holds its symbols in the form they are applied: the
   gradient symbol as one (2, ny, nx//2+1) stack (i kx, i ky) and the
   2/3-rule mask, read-only complex arrays of the full rfft2 shape.  A
@@ -226,6 +241,31 @@ class SpectralWorkspace2D:
     inv_k2: np.ndarray    # +1/k2, the negation of inv_neg_k2 (its k = 0 entry is -0.0)
     mask: np.ndarray      # 2/3-rule dealiasing mask, complex: 1 keeps a mode, 0 drops it
     order: np.ndarray     # max(|ix|, |iy|), the largest mode index of each mode
+    scratch: BracketScratch  # bracket_sums' working set, the one writeable part
+
+
+class BracketScratch:
+    """bracket_sums' working set on one grid, overwritten by every call on that grid.
+
+    The grad x spectrum product and its y-pass, each (2, ny, nx//2+1); a
+    pair's two products, (2, ny, nx); an output's sum, (ny, nx); and a pool
+    of (2, ny, nx) derivative stacks, one per live input of a call, which
+    grows to the largest call.
+    """
+
+    def __init__(self, grid: Grid2D):
+        half = (2, grid.ny, grid.nx // 2 + 1)
+        self.spectra = np.empty(half, complex)
+        self.mid = np.empty(half, complex)
+        self.products = np.empty((2, *grid.shape))
+        self.total = np.empty(grid.shape)
+        self.stacks = []
+
+    def stack(self, k: int) -> np.ndarray:
+        """The pool's k-th derivative stack; k is at most the pool's length."""
+        if k == len(self.stacks):
+            self.stacks.append(np.empty_like(self.products))
+        return self.stacks[k]
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +288,7 @@ def workspace2d(grid: Grid2D) -> SpectralWorkspace2D:
     full = k2.shape
     grad = np.stack((np.broadcast_to(1j * dkx, full), np.broadcast_to(1j * dky, full)))
     symbols = (grad, k2, inv, -inv, mask.astype(complex), order)
-    return SpectralWorkspace2D(*(_read_only(a) for a in symbols))
+    return SpectralWorkspace2D(*(_read_only(a) for a in symbols), BracketScratch(grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,12 +339,22 @@ def _forward(grid, values: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(values, s=grid.shape, out=out)
 
 
-def _inverse(grid, hat: np.ndarray) -> np.ndarray:
+def _inverse(grid, hat: np.ndarray, out=None, mid=None) -> np.ndarray:
     """The inverse of _forward: irfft or irfft2 onto grid.shape, of one spectrum or of
-    each of a stack of them (on a Grid2D, shape (m, ny, nx//2+1) gives (m, ny, nx))."""
+    each of a stack of them (on a Grid2D, shape (m, ny, nx//2+1) gives (m, ny, nx)).
+
+    Given out on a Grid2D, it makes irfft2's own two calls, the y-pass ifft
+    into mid (of hat's shape; a fresh array when mid is None) and the x-pass
+    irfft into out, and returns out: the same bits.  np.fft.irfft2 itself
+    ignores out on numpy 2.4.6 (it calls irfftn with out=None), so out must
+    go to the two passes.
+    """
     if isinstance(grid, Grid1D):
-        return np.fft.irfft(hat, n=grid.n)
-    return np.fft.irfft2(hat, s=grid.shape)
+        return np.fft.irfft(hat, n=grid.n, out=out)
+    if out is None:
+        return np.fft.irfft2(hat, s=grid.shape)
+    mid = np.fft.ifft(hat, grid.ny, axis=-2, out=mid)
+    return np.fft.irfft(mid, grid.nx, axis=-1, out=out)
 
 
 def _spectral(grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -513,15 +563,21 @@ def bracket_sums(outputs) -> list[Field2D]:
     Each distinct input is tested for an exact zero once, and its
     derivatives are synthesized once from its kept spectrum, as one (dx, dy)
     stack from one inverse call, both kept for the whole call; a pair's two
-    products are one multiply of those stacks.  A pair with an exactly zero
+    products are one multiply per plane of those stacks.  A pair with an exactly zero
     side is skipped untransformed ([a, 0] = 0), and an output with no live
     pair is an exact zero field.  Each output keeps its masked spectrum.
+
+    Every intermediate is written into the grid's BracketScratch (kept with
+    its workspace2d entry), so a call allocates only its outputs' spectra,
+    which are fresh; the scratch is overwritten by the next call on the same
+    grid, so two threads must not run brackets on one grid at once.
     """
     grid = outputs[0][0][0].grid
     if any(f.grid is not grid and f.grid != grid
            for pairs in outputs for pair in pairs for f in pair):
         raise GridMismatchError("bracket2d requires one shared grid")
     ws, live, derivs, out = workspace2d(grid), {}, {}, []
+    s = ws.scratch
     for pairs in outputs:
         total = None
         for a, b in pairs:
@@ -530,12 +586,22 @@ def bracket_sums(outputs) -> list[Field2D]:
                     live[id(f)] = f._any()
             if not (live[id(a)] and live[id(b)]):
                 continue
+            # plane by plane: a broadcast or reversed operand would make numpy buffer the
+            # whole stack in a fresh temporary
             for f in (a, b):
                 if id(f) not in derivs:
-                    derivs[id(f)] = _inverse(grid, ws.grad * f._spectrum())
-            q = derivs[id(a)] * derivs[id(b)][::-1]  # (a_x b_y, a_y b_x)
-            p = np.subtract(q[1], q[0])
-            total = p if total is None else np.add(total, p, out=total)
+                    hat = f._spectrum()
+                    for k in (0, 1):
+                        np.multiply(ws.grad[k], hat, out=s.spectra[k])
+                    derivs[id(f)] = _inverse(grid, s.spectra, out=s.stack(len(derivs)), mid=s.mid)
+            (ax, ay), (bx, by), q = derivs[id(a)], derivs[id(b)], s.products
+            np.multiply(ax, by, out=q[0])
+            np.multiply(ay, bx, out=q[1])
+            # the sum adds each pair's q[1] - q[0] = a_y b_x - a_x b_y in pair order
+            if total is None:
+                total = np.subtract(q[1], q[0], out=s.total)
+            else:
+                np.add(total, np.subtract(q[1], q[0], out=q[1]), out=total)
         if total is None:
             out.append(Field2D.zeros(grid))
             continue

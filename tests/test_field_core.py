@@ -32,6 +32,7 @@ from casimirlab import (
     l2norm,
     laplacian,
 )
+from casimirlab import field_core
 from casimirlab.field_core import (
     NonFiniteError,
     _forward,
@@ -365,18 +366,20 @@ class TestKeptSpectrum:
 
     @staticmethod
     def record(monkeypatch, made=None):
-        """Patch np.fft.rfft2 and irfft2 to record the name per 2-D transform, one per plane
-        of a stacked input, and the name per call in made."""
+        """Patch field_core._forward and _inverse, the package's one transform seam, to record
+        "rfft2" or "irfft2" per 2-D transform, one per plane of a stacked input, and the name
+        per call in made."""
         calls = []
-        for name in ("rfft2", "irfft2"):
+        for helper, name in (("_forward", "rfft2"), ("_inverse", "irfft2")):
 
-            def recorded(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-                calls.extend([_name] * math.prod(np.shape(x)[:-2]))
-                if made is not None:
-                    made.append(_name)
-                return _fn(x, *args, **kwargs)
+            def recorded(grid, x, *args, _name=name, _fn=getattr(field_core, helper), **kwargs):
+                if isinstance(grid, Grid2D):
+                    calls.extend([_name] * math.prod(np.shape(x)[:-2]))
+                    if made is not None:
+                        made.append(_name)
+                return _fn(grid, x, *args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, recorded)
+            monkeypatch.setattr(field_core, helper, recorded)
         return calls
 
     def test_one_forward_transform_per_field(self, monkeypatch):
@@ -593,6 +596,69 @@ class TestInverse:
         assert out.shape == (2, *grid.shape)
         for plane, plane_hat in zip(out, stack):
             assert np.array_equal(plane.view(np.uint64), _inverse(grid, plane_hat).view(np.uint64))
+
+    @pytest.mark.parametrize("grid", [GRID, Grid2D(48, 32, lx=10, ly=8)], ids=["64x64", "48x32"])
+    @pytest.mark.parametrize("planes", [(), (2,)], ids=["plane", "stack"])
+    def test_kept_buffers_give_irfft2_bitwise(self, grid, planes):
+        # out goes to irfft2's own two passes: np.fft.irfft2 would ignore it
+        hat = _forward(grid, np.random.default_rng(82).standard_normal((*planes, *grid.shape)))
+        out, mid = np.empty((*planes, *grid.shape)), np.empty_like(hat)
+        expect = np.fft.irfft2(hat, s=grid.shape).view(np.uint64)
+        assert _inverse(grid, hat, out=out, mid=mid) is out
+        assert np.array_equal(out.view(np.uint64), expect)
+        fresh = np.empty_like(out)
+        assert np.array_equal(_inverse(grid, hat, out=fresh).view(np.uint64), expect)
+
+
+class TestBracketScratch:
+    """bracket_sums writes its working set into the scratch kept with its grid's workspace:
+    every output is the allocating kernel's, bit for bit, and none shares the scratch."""
+
+    GRIDS = (GRID, Grid2D(48, 32, lx=10, ly=8))
+
+    @staticmethod
+    def rows(grid, seed):
+        """Three outputs over four inputs and an exact zero, as a level-3 apply makes them."""
+        rng = np.random.default_rng(seed)
+        a, b, c, d = (random_band_limited_2d(grid, 6, rng) for _ in range(4))
+        zero = Field2D.zeros(grid)
+        return [[(a, b), (c, d), (a, zero)], [(c, b)], [(d, a), (b, c)]]
+
+    @staticmethod
+    def oracle(rows):
+        """The allocating kernel: one irfft2 per derivative, fresh arrays throughout."""
+        grid = rows[0][0][0].grid
+        ws, out = workspace2d(grid), []
+        for pairs in rows:
+            total = None
+            for a, b in pairs:
+                if a._any() and b._any():
+                    ax, ay = (np.fft.irfft2(g * a._spectrum(), s=grid.shape) for g in ws.grad)
+                    bx, by = (np.fft.irfft2(g * b._spectrum(), s=grid.shape) for g in ws.grad)
+                    p = ay * bx - ax * by
+                    total = p if total is None else total + p
+            out.append(np.fft.irfft2(np.fft.rfft2(total) * ws.mask, s=grid.shape))
+        return out
+
+    def test_alternating_grids_match_each_grid_alone_and_the_oracle(self):
+        rows = [self.rows(grid, 90 + i) for i, grid in enumerate(self.GRIDS)]
+        alone = [[bracket_sums(r) for _ in range(2)] for r in rows]
+        alternating = [bracket_sums(r) for _ in range(2) for r in rows]
+        for i, r in enumerate(rows):
+            expect = [v.view(np.uint64) for v in self.oracle(r)]
+            for got in (*alone[i], alternating[i], alternating[i + 2]):
+                assert all(np.array_equal(g.values.view(np.uint64), e)
+                           for g, e in zip(got, expect))
+
+    def test_outputs_share_no_memory_with_the_scratch(self):
+        for grid in self.GRIDS:
+            out = bracket_sums(self.rows(grid, 95))
+            s = workspace2d(grid).scratch
+            kept = (s.spectra, s.mid, s.products, s.total, *s.stacks)
+            assert len(s.stacks) >= 4  # one per live input of the largest call so far
+            for f in out:
+                for a in (f._spectrum(), f.values):
+                    assert not any(np.shares_memory(a, k) for k in kept)
 
 
 class TestStateFinite:

@@ -3,12 +3,14 @@ kernel states, singular-leaf diagnostics and phantom-field invariance."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from casimirlab import cli
 from casimirlab import dynamics as dyn
+from casimirlab import field_core
 from casimirlab import finitedim as fd
 from casimirlab import ion_kdv as ik
 from casimirlab import Field2D, Grid2D, bracket2d, integrate, l2norm
@@ -144,19 +146,20 @@ class TestBracketKernel:
 
     @staticmethod
     def record_transforms(monkeypatch, made=None):
-        """Patch np.fft.rfft2 and irfft2 to record (name, copy of the input plane) per 2-D
-        transform, one per plane of a stacked input, and the name per call in made."""
+        """Patch field_core._forward and _inverse, the package's one transform seam, to record
+        ("rfft2" or "irfft2", copy of the input plane) per 2-D transform, one per plane of a
+        stacked input, and the name per call in made."""
         calls = []
-        for name in ("rfft2", "irfft2"):
+        for helper, name in (("_forward", "rfft2"), ("_inverse", "irfft2")):
 
-            def recorded(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            def recorded(grid, x, *args, _name=name, _fn=getattr(field_core, helper), **kwargs):
                 copy = np.array(x)
                 calls.extend((_name, plane) for plane in copy.reshape(-1, *copy.shape[-2:]))
                 if made is not None:
                     made.append(_name)
-                return _fn(x, *args, **kwargs)
+                return _fn(grid, x, *args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, recorded)
+            monkeypatch.setattr(field_core, helper, recorded)
         return calls
 
     # the irfft2/rfft2 calls that make each count of 2-D transforms below: each bracket
@@ -200,6 +203,24 @@ class TestBracketKernel:
         for p in out.parts:
             assert not p._synthesized and "_hat" not in vars(p)
             assert not p.values.flags.writeable
+
+    def test_warmed_call_allocates_only_its_outputs(self):
+        # the working set lives in the grid's kept scratch, so a warmed level-3 call's traced
+        # peak is its three output spectra plus at most one (64, 33) complex plane; fresh
+        # temporaries would add about 0.6 MiB per call, and the allocator's trim with them
+        z = vx.random_vortex_state(3, GRID, 5, np.random.default_rng(20))
+        g = vx.rmhd_energy(3).gradient(z)
+        rows = [[(z.parts[s], g.parts[r]) for s, r in pairs] for pairs in vx.PAIRS[3]]
+        bracket_sums(rows)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = bracket_sums(rows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        plane = out[0]._spectrum().nbytes
+        assert plane == 64 * 33 * 16 and peak <= (len(out) + 1) * plane
 
     def test_tables_follow_the_extension_rule(self):
         # row 0 sums [z_s, g_s]; row s >= 1 is [z_s, g_0]
