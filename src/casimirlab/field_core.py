@@ -78,13 +78,11 @@ Conventions
   its second (axis-0) pass in place there and allocates one array, not two;
   every spectrum it returns is still its own array.  _inverse takes a stack
   of spectra too, (m, ny, nx//2+1) on a Grid2D, and each plane of its
-  output is bitwise that plane's own call.  Given kept buffers (out, mid),
-  as bracket_sums gives them, it makes irfft2's own two calls, ifft along y
-  into mid and irfft along x into out, bitwise irfft2 with nothing
-  allocated: np.fft.irfft2 itself ignores out on numpy 2.4.6 (it calls
-  irfftn with out=None), so handing it out would leave out unwritten.  A
-  derivative stack is thus one ifft and one irfft call, still counted as
-  one _inverse call of two 2-D transforms; a field's values are one irfft2.
+  output is bitwise that plane's own call.  On a Grid2D it makes irfft2's
+  own two calls, ifft along y and irfft along x, into kept buffers when
+  bracket_sums hands them over: the bits of irfft2, which on numpy 2.4.6
+  ignores an out argument.  One _inverse call still counts as one 2-D
+  transform per plane.
 * The 2-D workspace holds its symbols in the form they are applied: the
   gradient symbol as one (2, ny, nx//2+1) stack (i kx, i ky) and the
   2/3-rule mask, read-only complex arrays of the full rfft2 shape.  A
@@ -343,16 +341,12 @@ def _inverse(grid, hat: np.ndarray, out=None, mid=None) -> np.ndarray:
     """The inverse of _forward: irfft or irfft2 onto grid.shape, of one spectrum or of
     each of a stack of them (on a Grid2D, shape (m, ny, nx//2+1) gives (m, ny, nx)).
 
-    Given out on a Grid2D, it makes irfft2's own two calls, the y-pass ifft
-    into mid (of hat's shape; a fresh array when mid is None) and the x-pass
-    irfft into out, and returns out: the same bits.  np.fft.irfft2 itself
-    ignores out on numpy 2.4.6 (it calls irfftn with out=None), so out must
-    go to the two passes.
+    On a Grid2D it makes irfft2's own two calls, the y-pass ifft into mid and
+    the x-pass irfft into out (each fresh when None), so kept buffers give
+    irfft2's bits; np.fft.irfft2 would ignore out on numpy 2.4.6.
     """
     if isinstance(grid, Grid1D):
-        return np.fft.irfft(hat, n=grid.n, out=out)
-    if out is None:
-        return np.fft.irfft2(hat, s=grid.shape)
+        return np.fft.irfft(hat, n=grid.n)
     mid = np.fft.ifft(hat, grid.ny, axis=-2, out=mid)
     return np.fft.irfft(mid, grid.nx, axis=-1, out=out)
 
