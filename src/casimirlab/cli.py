@@ -936,14 +936,16 @@ def run_preset(cfg: RunConfig) -> int:
     This is the one place where a numerical failure, or a failed allocation
     (MemoryError), becomes a failure record.  One inside the time loop keeps
     the partial series and names its step; one outside it (at setup, or in a
-    preset without a series) has step null.
+    preset without a series) has step null.  An artifact that cannot be
+    written (an OSError) is named in the record too, and the others are
+    still written, summary.json last.
     The runner runs with numpy's floating-point warnings off: the finiteness
     checks report a blow-up, so the warnings would only repeat it on stderr.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    failure = None
+    failure = last = None
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             result = PRESETS[cfg.preset].runner(cfg)
@@ -952,24 +954,35 @@ def run_preset(cfg: RunConfig) -> int:
         failure = {"step": exc.step_index, "message": str(exc)}
         # a lockstep pair's CSV and state_final follow its first member
         last = exc.last_state[0] if isinstance(exc.last_state, tuple) else exc.last_state
-        if isinstance(last, State):  # finitedim's bare point batch has no snapshot format
-            save_snapshot(out_dir / "state_last_finite.snap", last)
     except (NumericalFailure, MemoryError) as exc:
         result = RunResult()
         failure = {"step": None, "message": f"{dyn.failure_name(exc)}: {exc}"}
     wall = time.perf_counter() - t0
 
+    unwritten = []
+
+    def write(name, writer, *args):
+        try:
+            writer(out_dir / name, *args)
+        except OSError as exc:
+            unwritten.append(f"cannot write {name}: {exc}")
+
+    if isinstance(last, State):  # finitedim's bare point batch has no snapshot format
+        write("state_last_finite.snap", save_snapshot, last)
     if result.series is not None:
-        result.series.to_csv(out_dir / "diagnostics.csv")
+        write("diagnostics.csv", result.series.to_csv)
     elif result.rows:
         keys = list(dict.fromkeys(k for row in result.rows for k in row))
-        dyn.write_csv(out_dir / "diagnostics.csv", keys,
-                      ([row.get(k, "") for k in keys] for row in result.rows))
+        write("diagnostics.csv", dyn.write_csv, keys,
+              ([row.get(k, "") for k in keys] for row in result.rows))
     for k, extra in result.extra_series.items():
-        extra.to_csv(out_dir / f"diagnostics_k{k}.csv")
+        write(f"diagnostics_k{k}.csv", extra.to_csv)
     if cfg.snapshot:
         for name, state in result.snapshots.items():
-            save_snapshot(out_dir / f"{name}.snap", state)
+            write(f"{name}.snap", save_snapshot, state)
+    if unwritten:  # a run failure keeps its step and message, and names the files after it
+        failure = failure or {"step": None, "message": ""}
+        failure["message"] = "; ".join(filter(None, (failure["message"], *unwritten)))
 
     functionals = {}
     series = result.series
@@ -999,7 +1012,7 @@ def run_preset(cfg: RunConfig) -> int:
         note = f"  ({c.note})" if c.note else ""
         print(f"[{status}] {c.name}: {c.value:.6g} {c.op} {c.threshold:g}{note}")
     if failure is not None:
-        print(f"[FAIL] run aborted: {failure['message']}")
+        print(f"[FAIL] {failure['message']}")
     print(f"artifacts in {out_dir}  wall {wall:.2f}s  overall: {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 

@@ -16,13 +16,10 @@ Conventions
   each sum is projected once (the projection is linear); bracket2d is its
   one pair.  The kernel writes its whole working set (the symbol products,
   the y-pass, one derivative stack per live input, the pair products and
-  each sum) into a BracketScratch kept with the grid's workspace2d entry,
-  so a call allocates only its outputs' spectra (a warmed level-3 call at
-  64^2 peaks at those three): about 0.6 MiB of 64-68 KiB temporaries freed
-  per call would make the C allocator trim the heap and fault it back in.
-  The scratch is overwritten by every call on its grid, so two threads
-  must not run brackets on one grid at once, the same caveat as the KdV
-  step's.
+  each sum) into a BracketScratch kept in the grid's Workspace, so a call
+  allocates only its outputs' spectra (a warmed level-3 call at 64^2 peaks
+  at those three): about 0.6 MiB of 64-68 KiB temporaries freed per call
+  would make the C allocator trim the heap and fault it back in.
 * invert_laplacian fixes the k = 0 mode to zero (zero-mean gauge on the
   torus); a constant shift of a stream function never changes a bracket.
 * wavenumber(k, length) = (2 pi / length) k is the one map from a mode
@@ -67,9 +64,9 @@ Conventions
   14, 24, 28 and 38 _forward/_inverse calls.
 * A field from zeros is an exact zero: it keeps an exact zero spectrum, so
   no spectral use transforms it, and a zero test (_any) reads its values as
-  it reads any field's that was born from values.  There is one per (class,
-  grid), built at the first call and shared by every later one, so a phantom
-  gradient row or a bracket output with no live pair allocates nothing.
+  it reads any field's that was born from values.  There is one per grid,
+  kept in its Workspace and shared by every caller, so a phantom gradient
+  row or a bracket output with no live pair allocates nothing.
 * Two helpers, _forward and _inverse, are the only code that picks the 1-D
   or 2-D transforms.  On a Grid2D both pass s = grid.shape, so rfft2 runs
   its two 1-D passes without first deriving s from the array's shape
@@ -83,15 +80,17 @@ Conventions
   bracket_sums hands them over: the bits of irfft2, which on numpy 2.4.6
   ignores an out argument.  One _inverse call still counts as one 2-D
   transform per plane.
-* The 2-D workspace holds its symbols in the form they are applied: the
-  gradient symbol as one (2, ny, nx//2+1) stack (i kx, i ky) and the
-  2/3-rule mask, read-only complex arrays of the full rfft2 shape.  A
-  derivative or a projection is then one complex multiply, with no symbol
-  built and no bool or broadcast operand cast per call, and each product is
-  bitwise the one the real broadcast forms give.  It holds both
-  -1/k^2 (invert_laplacian) and its negation +1/k^2 (the vortex stream
-  function), so neither negates a symbol per call.  The 1-D workspace holds
-  its mask as complex 1/0 too, and all its arrays read-only.
+* Each grid has one Workspace (`workspace(grid)`), kept for the MAX_GRIDS
+  grids used last, which holds all the state kept per grid.  A 2-D one holds
+  its symbols in the form they are applied: the gradient symbol as one
+  (2, ny, nx//2+1) stack (i kx, i ky) and the 2/3-rule mask, read-only
+  complex arrays of the full rfft2 shape.  A derivative or a projection is
+  then one complex multiply, with no symbol built and no bool or broadcast
+  operand cast per call, and each product is bitwise the one the real
+  broadcast forms give.  It holds both -1/k^2 (invert_laplacian) and its
+  negation +1/k^2 (the vortex stream function), so neither negates a symbol
+  per call.  A 1-D one holds its mask as complex 1/0 too, and all its
+  arrays read-only.
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ class Grid1D:
 
 
 # ---------------------------------------------------------------------------
-# spectral workspaces (wavenumbers, dealiasing masks)
+# per-grid workspaces (wavenumbers, dealiasing masks, kept scratch)
 # ---------------------------------------------------------------------------
 
 
@@ -222,24 +221,70 @@ def wavenumber(k, length: float):
     return (TWO_PI / length) * k
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralWorkspace2D:
-    """The spectral symbols of one Grid2D: read-only, each of the rfft2 shape (ny, nx//2+1)
-    or, for grad, a stack of two.
+MAX_GRIDS = 4  # workspaces kept at once: a sweep over grids keeps at most this many
 
-    The derivative symbols and the mask are held in the form they are
-    applied, complex and full-shape, so applying one casts and broadcasts
-    nothing.  The products are bitwise those of the real broadcast forms:
-    numpy casts k to k + 0j and True to 1 + 0j before it multiplies.
+
+class Workspace:
+    """Everything kept for one grid: its spectral symbols, bracket_sums' scratch, its one
+    zero field, and the entries ion_kdv builds on it (`kept`).
+
+    `workspace(grid)` keeps one per grid for the MAX_GRIDS grids used last
+    and rebuilds an evicted one at its next use, bit for bit.  Every caller
+    takes its reference at the start of a call and every output is a fresh
+    array, so an eviction costs only the rebuild.  The scratch (2-D) and
+    the KdV step's entry are overwritten by every bracket or step on their
+    grid, so two threads must not bracket or step on one grid at once.
+
+    The symbols are read-only arrays of the rfft shape, (n//2+1,) on a
+    Grid1D and (ny, nx//2+1) on a Grid2D, held in the form they are applied:
+    the mask is complex and, in 2-D, every symbol is full-shape, so applying
+    one casts and broadcasts nothing.  The products are bitwise those of the
+    real broadcast forms: numpy casts k to k + 0j and True to 1 + 0j before
+    it multiplies, and a symbol may fold the mask in (KdV's -3i k mask).
     """
 
-    grad: np.ndarray      # (i kx, i ky) stacked, Nyquist column / row zeroed
-    k2: np.ndarray        # kx^2 + ky^2
-    inv_neg_k2: np.ndarray  # -1/k2 with the k = 0 entry set to 0
-    inv_k2: np.ndarray    # +1/k2, the negation of inv_neg_k2 (its k = 0 entry is -0.0)
-    mask: np.ndarray      # 2/3-rule dealiasing mask, complex: 1 keeps a mode, 0 drops it
-    order: np.ndarray     # max(|ix|, |iy|), the largest mode index of each mode
-    scratch: BracketScratch  # bracket_sums' working set, the one writeable part
+    def __init__(self, grid: Grid1D | Grid2D):
+        self.grid = grid
+        if isinstance(grid, Grid1D):
+            ix = np.arange(grid.n // 2 + 1)                   # rfft mode indices
+            self.k = _read_only(wavenumber(ix, grid.l))       # physical wavenumbers
+            dk = self.k.copy()
+            dk[-1] = 0.0                                      # Nyquist has no odd derivative
+            self.dk, k2, mask, order = _read_only(dk), self.k**2, ix <= grid.n // 3, ix
+            self.scratch, field = None, Field1D
+        else:
+            nx, ny = grid.nx, grid.ny
+            ix = np.arange(nx // 2 + 1)                       # rfft mode indices
+            iy = np.rint(np.fft.fftfreq(ny) * ny).astype(int)
+            kx = wavenumber(ix[None, :], grid.lx)
+            ky = wavenumber(iy[:, None], grid.ly)
+            dkx = kx.copy()
+            dkx[0, -1] = 0.0                                  # Nyquist has no odd derivative
+            dky = ky.copy()
+            dky[ny // 2, 0] = 0.0
+            k2 = kx**2 + ky**2
+            inv = np.zeros_like(k2)
+            nz = k2 > 0
+            inv[nz] = -1.0 / k2[nz]
+            mask = (ix[None, :] <= nx // 3) & (np.abs(iy)[:, None] <= ny // 3)
+            order = np.maximum(ix[None, :], np.abs(iy)[:, None])
+            full = k2.shape
+            grad = np.stack((np.broadcast_to(1j * dkx, full), np.broadcast_to(1j * dky, full)))
+            # (i kx, i ky) stacked; -1/k^2 with 0 at k = 0; its negation +1/k^2 (-0.0 at k = 0)
+            self.grad, self.inv_neg_k2, self.inv_k2 = (_read_only(a) for a in (grad, inv, -inv))
+            self.scratch, field = BracketScratch(grid), Field2D  # bracket_sums' working set
+        # k^2; the 2/3-rule mask, complex: 1 keeps a mode, 0 drops it; each mode's largest index
+        self.k2, self.mask, self.order = (_read_only(a) for a in (k2, mask.astype(complex), order))
+        self.zero = field(grid, _read_only(np.zeros(grid.shape)))  # see Field.zeros
+        object.__setattr__(self.zero, "_hat", _read_only(np.zeros_like(k2, complex)))
+        self.entries = {}  # what kept() keeps, by builder
+
+    def kept(self, build, *args):
+        """build(self, *args), kept here for these args: a call with other args rebuilds it,
+        so each builder keeps one entry per grid (the KdV step's factors: one dt)."""
+        if self.entries.get(build, (None,))[0] != args:
+            self.entries[build] = (args, build(self, *args))
+        return self.entries[build][1]
 
 
 class BracketScratch:
@@ -266,59 +311,10 @@ class BracketScratch:
         return self.stacks[k]
 
 
-@lru_cache(maxsize=None)
-def workspace2d(grid: Grid2D) -> SpectralWorkspace2D:
-    nx, ny = grid.nx, grid.ny
-    ix = np.arange(nx // 2 + 1)                       # rfft mode indices
-    iy = np.rint(np.fft.fftfreq(ny) * ny).astype(int)
-    kx = wavenumber(ix[None, :], grid.lx)
-    ky = wavenumber(iy[:, None], grid.ly)
-    dkx = kx.copy()
-    dkx[0, -1] = 0.0                                  # Nyquist has no odd derivative
-    dky = ky.copy()
-    dky[ny // 2, 0] = 0.0
-    k2 = kx**2 + ky**2
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = -1.0 / k2[nz]
-    mask = (ix[None, :] <= nx // 3) & (np.abs(iy)[:, None] <= ny // 3)
-    order = np.maximum(ix[None, :], np.abs(iy)[:, None])
-    full = k2.shape
-    grad = np.stack((np.broadcast_to(1j * dkx, full), np.broadcast_to(1j * dky, full)))
-    symbols = (grad, k2, inv, -inv, mask.astype(complex), order)
-    return SpectralWorkspace2D(*(_read_only(a) for a in symbols), BracketScratch(grid))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralWorkspace1D:
-    """The spectral symbols of one Grid1D: read-only, each of the rfft shape (n//2+1,).
-
-    The mask is complex, as in the 2-D workspace, so a projection casts no
-    bool operand, and a symbol may fold it in (KdV's -3i k mask): numpy
-    casts True to 1 + 0j before it multiplies, so the products are bitwise
-    those of a bool mask.
-    """
-
-    k: np.ndarray         # physical wavenumbers, rfft layout
-    dk: np.ndarray        # Nyquist zeroed
-    k2: np.ndarray        # k^2
-    mask: np.ndarray      # 2/3-rule dealiasing mask, complex: 1 keeps a mode, 0 drops it
-    order: np.ndarray     # mode indices
-
-
-@lru_cache(maxsize=None)
-def workspace1d(grid: Grid1D) -> SpectralWorkspace1D:
-    n = grid.n
-    ix = np.arange(n // 2 + 1)
-    k = wavenumber(ix, grid.l)
-    dk = k.copy()
-    dk[-1] = 0.0
-    mask = (ix <= n // 3).astype(complex)
-    return SpectralWorkspace1D(*(_read_only(a) for a in (k, dk, k**2, mask, ix)))
-
-
-def _workspace(grid):
-    return workspace1d(grid) if isinstance(grid, Grid1D) else workspace2d(grid)
+@lru_cache(maxsize=MAX_GRIDS)
+def workspace(grid: Grid1D | Grid2D) -> Workspace:
+    """The grid's Workspace, kept while grid is among the MAX_GRIDS grids used last."""
+    return Workspace(grid)
 
 
 def _forward(grid, values: np.ndarray) -> np.ndarray:
@@ -435,16 +431,15 @@ class Field:
         return self._hat
 
     @classmethod
-    @lru_cache(maxsize=None)
     def zeros(cls, grid):
-        """The exact zero field of grid: one per (class, grid), shared by every caller.
+        """The exact zero field of grid: the one its workspace keeps, shared by every caller.
 
         It keeps an exact zero spectrum; its values and spectrum are
-        read-only, and no operation changes a field.
+        read-only, and no operation changes a field.  A class that cannot
+        live on grid raises the FieldError its constructor raises.
         """
-        f = cls(grid, _read_only(np.zeros(grid.shape)))
-        object.__setattr__(f, "_hat", _read_only(np.zeros_like(_workspace(grid).k2, complex)))
-        return f
+        zero = workspace(grid).zero
+        return zero if type(zero) is cls else cls(grid, zero.values)
 
     @classmethod
     def full(cls, grid, value: float):
@@ -518,37 +513,37 @@ def _apply(f: Field, symbol) -> Field:
 
 
 def ddx(f: Field2D) -> Field2D:
-    return _apply(f, workspace2d(f.grid).grad[0])
+    return _apply(f, workspace(f.grid).grad[0])
 
 
 def ddy(f: Field2D) -> Field2D:
-    return _apply(f, workspace2d(f.grid).grad[1])
+    return _apply(f, workspace(f.grid).grad[1])
 
 
 def laplacian(f: Field2D) -> Field2D:
-    return _apply(f, -workspace2d(f.grid).k2)
+    return _apply(f, -workspace(f.grid).k2)
 
 
 def invert_laplacian(f: Field2D) -> Field2D:
     """Solve lap(u) = f - mean(f) with mean(u) = 0 (zero-mean gauge)."""
-    return _apply(f, workspace2d(f.grid).inv_neg_k2)
+    return _apply(f, workspace(f.grid).inv_neg_k2)
 
 
 def ddx1(f: Field1D) -> Field1D:
-    return _apply(f, 1j * workspace1d(f.grid).dk)
+    return _apply(f, 1j * workspace(f.grid).dk)
 
 
 def ddx2(f: Field1D) -> Field1D:
-    return _apply(f, -workspace1d(f.grid).k2)
+    return _apply(f, -workspace(f.grid).k2)
 
 
 def ddx3(f: Field1D) -> Field1D:
-    return _apply(f, -1j * workspace1d(f.grid).dk ** 3)
+    return _apply(f, -1j * workspace(f.grid).dk ** 3)
 
 
 def dealias(f: Field) -> Field:
     """Project onto the 2/3-rule mode set (modes with |k| > n/3 zeroed)."""
-    return _apply(f, _workspace(f.grid).mask)
+    return _apply(f, workspace(f.grid).mask)
 
 
 def bracket_sums(outputs) -> list[Field2D]:
@@ -561,16 +556,15 @@ def bracket_sums(outputs) -> list[Field2D]:
     side is skipped untransformed ([a, 0] = 0), and an output with no live
     pair is an exact zero field.  Each output keeps its masked spectrum.
 
-    Every intermediate is written into the grid's BracketScratch (kept with
-    its workspace2d entry), so a call allocates only its outputs' spectra,
-    which are fresh; the scratch is overwritten by the next call on the same
-    grid, so two threads must not run brackets on one grid at once.
+    Every intermediate is written into the grid's BracketScratch (kept in
+    its Workspace), so a call allocates only its outputs' spectra, which are
+    fresh.
     """
     grid = outputs[0][0][0].grid
     if any(f.grid is not grid and f.grid != grid
            for pairs in outputs for pair in pairs for f in pair):
         raise GridMismatchError("bracket2d requires one shared grid")
-    ws, live, derivs, out = workspace2d(grid), {}, {}, []
+    ws, live, derivs, out = workspace(grid), {}, {}, []
     s = ws.scratch
     for pairs in outputs:
         total = None
@@ -597,7 +591,7 @@ def bracket_sums(outputs) -> list[Field2D]:
             else:
                 np.add(total, np.subtract(q[1], q[0], out=q[1]), out=total)
         if total is None:
-            out.append(Field2D.zeros(grid))
+            out.append(ws.zero)
             continue
         hat = _forward(grid, total)
         hat *= ws.mask  # one projection of the sum: still the Galerkin truncation
@@ -643,7 +637,7 @@ def l2norm(f: Field) -> float:
 
 def _band_limited(cls, grid, kmax: int, rng: np.random.Generator, amplitude: float):
     """Zero-mean random field on the modes with every |index| <= kmax, peak |amplitude|."""
-    order = _workspace(grid).order
+    order = workspace(grid).order
     v = _spectral(grid, rng.standard_normal(grid.shape), (order <= kmax) & (order > 0))
     peak = np.max(np.abs(v))
     if peak > 0:

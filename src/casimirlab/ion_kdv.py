@@ -63,7 +63,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +71,7 @@ from .field_core import (
     Grid1D,
     NonFiniteError,
     NumericalFailure,
+    Workspace,
     _read_only,
     _spectral,
     dealias,
@@ -82,7 +82,7 @@ from .field_core import (
     integrate_rows,
     random_band_limited_1d,
     wavenumber,
-    workspace1d,
+    workspace,
 )
 from .poisson import Functional, PoissonOperator, State
 
@@ -254,7 +254,7 @@ def _newton(grid: Grid1D, rho: np.ndarray, tol: float, max_iter: int, certify: b
         raise NewtonError("non-finite density", math.nan, 0)
     if np.min(rho) <= 0.0:
         raise ValueError("the closure requires rho > 0 everywhere")
-    k2 = workspace1d(grid).k2
+    k2 = workspace(grid).k2
     phi, bound = _start(k2, rho)
     histories = [[] for _ in range(rho.shape[0])]
     live = np.arange(rho.shape[0])  # the rows still iterating, in phi and rho
@@ -362,7 +362,7 @@ def _energies(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> list[float]:
     A non-finite density raises NonFiniteError, as a Field of it would.
     """
     phi = _closure(grid, rho)
-    dphi = _spectral(grid, phi, 1j * workspace1d(grid).dk)
+    dphi = _spectral(grid, phi, 1j * workspace(grid).dk)
     density = rho * v * v * 0.5 + dphi * dphi * 0.5 + (phi - 1.0) * np.exp(phi)
     if not np.isfinite(density).all():
         raise NonFiniteError("field contains non-finite values")
@@ -437,10 +437,8 @@ def momentum() -> Functional:
     return Functional("momentum", value, gradient)
 
 
-@lru_cache(maxsize=None)
-def _flow_symbols(grid: Grid1D) -> np.ndarray:
+def _flow_symbols(ws: Workspace) -> np.ndarray:
     """ion_flow's symbols (-i k mask, -i k mask / 2, -i k), shape (3, 1, n // 2 + 1), read-only."""
-    ws = workspace1d(grid)
     minus_dx = -1j * ws.dk
     return _read_only(np.array((minus_dx * ws.mask, 0.5 * minus_dx * ws.mask, minus_dx))[:, None])
 
@@ -465,7 +463,7 @@ def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     shape = rho.shape
     rho, v = rho.reshape(-1, grid.n), v.reshape(-1, grid.n)
     phi = _closure(grid, rho)
-    out = _spectral(grid, np.array((rho * v, v * v, phi)), _flow_symbols(grid))
+    out = _spectral(grid, np.array((rho * v, v * v, phi)), workspace(grid).kept(_flow_symbols))
     out[1] += out[2]
     return out[:2].reshape((2, *shape))
 
@@ -595,35 +593,32 @@ def kdv_invariants(w: Field1D) -> tuple[float, float, float]:
     return kdv_mass()(z), kdv_momentum()(z), kdv_energy()(z)
 
 
-@lru_cache(maxsize=None)
-def _if_factors(grid: Grid1D, dt: float):
-    """The step's constants: e^(i k^3 dt/2), e^(i k^3 dt), 2 e^(i k^3 dt/2), -3i k mask, workspace;
+def _if_factors(ws: Workspace, dt: float):
+    """The step's constants: e^(i k^3 dt/2), e^(i k^3 dt), 2 e^(i k^3 dt/2), -3i k mask;
     then its scratch: seven spectra and one grid row, written by every step.
 
-    The mask is folded into the nonlinear symbol: it is 1 + 0j or 0, so
+    The step keeps them in its grid's workspace for one dt at a time.  The
+    mask is folded into the nonlinear symbol: it is 1 + 0j or 0, so
     (-3i k mask) X equals -3i k (X mask) entry by entry.  Only the sign of an
     exact zero can differ (at k = 0 and on the dropped modes), and the step's
     output values are bitwise those of the unfolded form.  dt is not folded
     in: dt (s X) is not bitwise (dt s) X.
     """
-    ws = workspace1d(grid)
     lk = 1j * ws.k**3  # (-d3x w)-hat = +i k^3 w-hat
     half = np.exp(lk * (dt / 2.0))
-    spectra = [np.empty(grid.n // 2 + 1, complex) for _ in range(7)]
-    return (half, half * half, 2.0 * half, _read_only(-3j * ws.k * ws.mask), ws,
-            *spectra, np.empty(grid.n))
+    spectra = [np.empty(ws.grid.n // 2 + 1, complex) for _ in range(7)]
+    return (half, half * half, 2.0 * half, _read_only(-3j * ws.k * ws.mask),
+            *spectra, np.empty(ws.grid.n))
 
 
 def kdv_if_rk4_step(w: Field1D, dt: float) -> Field1D:
     """One integrating-factor RK4 step: exact linear propagator, RK4 nonlinearity.
 
     Every intermediate is written into the scratch kept with `_if_factors`,
-    so a step allocates only its output, which is fresh; the scratch is
-    overwritten by the next step on the same grid and dt, so two threads must
-    not step on one grid and dt at once.
+    so a step allocates only its output, which is fresh.
     """
-    n = w.grid.n
-    half, full, two_half, symbol, ws, v, full_v, t, a, b, c, d, wv = _if_factors(w.grid, dt)
+    n, ws = w.grid.n, workspace(w.grid)
+    half, full, two_half, symbol, v, full_v, t, a, b, c, d, wv = ws.kept(_if_factors, dt)
 
     def nonlin(what: np.ndarray, out: np.ndarray) -> None:  # out = dt (symbol rfft(irfft(what)^2))
         np.fft.irfft(what, n=n, out=wv)

@@ -62,7 +62,7 @@ from .field_core import (
     laplacian,
     random_band_limited_2d,
     wavenumber,
-    workspace2d,
+    workspace,
 )
 from .poisson import Functional, PoissonOperator, State, StateError, hamiltonian_rhs
 
@@ -89,7 +89,7 @@ def state_iii(omega: Field2D, psi: Field2D, psi2: Field2D) -> State:
 
 def stream_function(omega: Field2D) -> Field2D:
     """phi with omega = -lap(phi), zero-mean gauge: the symbol +1/k^2 on omega's spectrum."""
-    return _apply(omega, workspace2d(omega.grid).inv_k2)
+    return _apply(omega, workspace(omega.grid).inv_k2)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def rmhd_energy(level: int = 2) -> Functional:
 
     def gradient(z: State) -> State:
         omega, psi = z.parts[0], z.parts[1]
-        current = _apply(psi, workspace2d(psi.grid).k2)  # -lap(psi): the symbol +k^2
+        current = _apply(psi, workspace(psi.grid).k2)  # -lap(psi): the symbol +k^2
         rows = {0: stream_function(omega), 1: current}
         return _gradient(level, omega.grid, rows)
 

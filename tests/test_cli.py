@@ -252,6 +252,26 @@ class TestRunPreset:
         header = (out / "diagnostics.csv").read_text().split("\n")[0]
         assert header == "t,mode_cos_1,ion_energy,mass,momentum"
 
+    # an artifact path that is a directory: the run exits 1 and summary.json names the file;
+    # a numerical failure keeps its step and message, and its other artifacts are written
+    @pytest.mark.parametrize("sets, step", [
+        (("t_end=0.1",), None),
+        (("grid.n=8", "dt=0.5", "t_end=50.0", "initial.amplitude=50"), int),
+    ], ids=["completed", "blowup"])
+    def test_an_unwritable_artifact_is_a_failure_record(self, sets, step, tmp_path):
+        (tmp_path / "euler2d" / "diagnostics.csv").mkdir(parents=True)
+        code, out, summary = self.run("euler2d", tmp_path, *sets)
+        assert code == 1 and summary["pass"] is False
+        failure = summary["failure"]
+        *found, unwritten = failure["message"].split("; ")
+        assert unwritten.startswith("cannot write diagnostics.csv: ")
+        if step is None:
+            assert failure["step"] is None and found == []
+        else:
+            assert isinstance(failure["step"], int) and len(found) == 1
+            assert f" at step {failure['step']} " in found[0]
+            assert (out / "state_last_finite.snap").is_file()
+
 
 class TestSnapshots:
     def test_round_trip_2d(self, tmp_path):

@@ -5,7 +5,9 @@ precision targets; a second-order central-difference oracle provides an
 independent consistency check with its own known truncation error.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,15 +35,17 @@ from casimirlab import (
     laplacian,
 )
 from casimirlab import field_core
+from casimirlab import ion_kdv as ik
+from casimirlab.dynamics import Integrator, step
 from casimirlab.field_core import (
+    MAX_GRIDS,
     NonFiniteError,
     _forward,
     _inverse,
     bracket_sums,
     integrate_rows,
     random_band_limited_2d,
-    workspace1d,
-    workspace2d,
+    workspace,
 )
 from casimirlab import vortex as vx
 from casimirlab.poisson import State
@@ -120,6 +124,8 @@ class TestGridsAndFields:
             Field1D(Grid2D(8, 8), np.ones((8, 8)))
         with pytest.raises(FieldError, match="Field2D"):
             Field2D(Grid1D(8), np.ones(8))
+        with pytest.raises(FieldError, match="Field2D cannot live on a Grid1D"):
+            Field2D.zeros(Grid1D(8))
 
     def test_values_are_read_only(self):
         a = Field2D.from_function(GRID, lambda X, Y: np.sin(X))
@@ -219,7 +225,7 @@ class TestTransformsAndDealiasing:
         assert np.max(np.abs(v - w)) <= 1e-13 * np.max(np.abs(v))
 
     def test_mask_cuts_high_modes(self):
-        ws = workspace2d(GRID)
+        ws = workspace(GRID)
         ix = np.arange(GRID.nx // 2 + 1)
         iy = np.rint(np.fft.fftfreq(GRID.ny) * GRID.ny).astype(int)
         high = (ix[None, :] > GRID.nx // 3) | (np.abs(iy)[:, None] > GRID.ny // 3)
@@ -238,7 +244,7 @@ class TestTransformsAndDealiasing:
         assert np.max(np.abs(dealias(f).values - f.values)) <= 1e-12
 
     def test_1d_mask(self):
-        ws = workspace1d(Grid1D(256))
+        ws = workspace(Grid1D(256))
         assert ws.mask[: 256 // 3 + 1].all() and not ws.mask[256 // 3 + 1 :].any()
 
 
@@ -591,7 +597,7 @@ class TestInverse:
                              ids=["64x64", "48x32", "128x128"])
     def test_stack_planes_are_the_single_calls(self, grid):
         hat = _forward(grid, np.random.default_rng(81).standard_normal(grid.shape))
-        stack = workspace2d(grid).grad * hat
+        stack = workspace(grid).grad * hat
         out = _inverse(grid, stack)
         assert out.shape == (2, *grid.shape)
         for plane, plane_hat in zip(out, stack):
@@ -628,7 +634,7 @@ class TestBracketScratch:
     def oracle(rows):
         """The allocating kernel: one irfft2 per derivative, fresh arrays throughout."""
         grid = rows[0][0][0].grid
-        ws, out = workspace2d(grid), []
+        ws, out = workspace(grid), []
         for pairs in rows:
             total = None
             for a, b in pairs:
@@ -653,12 +659,81 @@ class TestBracketScratch:
     def test_outputs_share_no_memory_with_the_scratch(self):
         for grid in self.GRIDS:
             out = bracket_sums(self.rows(grid, 95))
-            s = workspace2d(grid).scratch
+            s = workspace(grid).scratch
             kept = (s.spectra, s.mid, s.products, s.total, *s.stacks)
             assert len(s.stacks) >= 4  # one per live input of the largest call so far
             for f in out:
                 for a in (f._spectrum(), f.values):
                     assert not any(np.shares_memory(a, k) for k in kept)
+
+
+class TestWorkspace:
+    """One workspace per grid, kept for the MAX_GRIDS grids used last: a sweep over grids or
+    over KdV time steps keeps a bounded amount, and a rebuilt workspace gives the same bits."""
+
+    @staticmethod
+    def level3_rhs(grid):
+        z = vx.random_vortex_state(3, grid, 5, np.random.default_rng(96))
+        return vx.vortex_rhs(3, vx.rmhd_energy(3))(z).from_values()
+
+    def test_a_sweep_retains_at_most_max_grids_and_one_dt(self):
+        # a level-3 RHS on 8 distinct 128^2 grids, then a KdV step at 8 values of dt on one
+        # grid; the allowance is for small interpreter objects, far below one dt's factors
+        grids = [Grid2D(128, 128, lx=3.0 + i) for i in range(8)]
+        w = ik.kdv_soliton(1.0, 10.0, Grid1D(4096, 41.0))
+        dts = [1e-3 * (1 + i) for i in range(8)]
+        allowance = 64 * 1024
+        self.level3_rhs(Grid2D(128, 128, lx=2.0))  # whatever a first run at 128^2 builds once
+        workspace.cache_clear()  # so no workspace traced before the test is evicted
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+
+            def traced():
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+
+            base = traced()
+            self.level3_rhs(grids[0])
+            one_grid = traced() - base  # the grid's workspace: its symbols, scratch and zero field
+            for grid in grids[1:]:
+                self.level3_rhs(grid)
+            after_grids = traced() - base
+            ik.kdv_if_rk4_step(w, dts[0])
+            after_one_dt = traced() - base
+            for dt in dts[1:]:
+                ik.kdv_if_rk4_step(w, dt)
+            after_dts = traced() - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        one_dt = sum(a.nbytes for a in workspace(w.grid).kept(ik._if_factors, dts[-1]))
+        assert one_grid > 2**20 and one_dt > 2**18
+        assert after_grids <= MAX_GRIDS * one_grid + allowance
+        assert after_dts - after_one_dt <= allowance  # a new dt replaces the last one's factors
+        assert after_dts <= MAX_GRIDS * one_grid + one_dt + allowance
+
+    def test_a_rebuilt_workspace_gives_the_same_bits(self):
+        grid, kdv_grid = Grid2D(48, 32, lx=10, ly=8), Grid1D(256, 40.0)
+        z = vx.random_vortex_state(3, grid, 5, np.random.default_rng(97))
+        rhs = vx.vortex_rhs(3, vx.rmhd_energy(3))
+        g = vx.rmhd_energy(3).gradient(z)
+        rows = [[(z.parts[s], g.parts[r]) for s, r in pairs] for pairs in vx.PAIRS[3]]
+        w = ik.kdv_soliton(1.0, 10.0, kdv_grid)
+
+        def run():
+            out = [f.values for f in bracket_sums(rows)]
+            out += [f.values for f in step(Integrator("rk4", 1e-3), rhs, z).parts]
+            return [a.view(np.uint64) for a in (*out, ik.kdv_if_rk4_step(w, 1e-3).values)]
+
+        before, kept = run(), (workspace(grid), workspace(kdv_grid))
+        for i in range(MAX_GRIDS):
+            workspace(Grid2D(16, 16, lx=1.0 + i))
+        assert workspace(grid) is not kept[0] and workspace(kdv_grid) is not kept[1]
+        after = run()
+        assert len(after) == 7 and all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 class TestStateFinite:

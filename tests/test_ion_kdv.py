@@ -17,7 +17,7 @@ L = GRID.l
 
 
 def grid_k2(grid):
-    return ik.workspace1d(grid).k ** 2
+    return ik.workspace(grid).k ** 2
 
 
 class TestSolvePhi:
@@ -383,7 +383,7 @@ class TestStartCertificate:
         rows = certified = 0
         for length in (1e-9, 1e-5, 0.1, 1.0, L, 20.0):
             grid = Grid1D(n, length)
-            k2 = ik.workspace1d(grid).k2
+            k2 = ik.workspace(grid).k2
             rho = []
             for target in (1e-8, 1e-6, 1e-5, 5e-5, 1e-4, 1e-2, 0.5):
                 for kmax in (1, 6, n // 3):
@@ -446,7 +446,7 @@ class TestStartCertificate:
         rho[0, 5] = 1e8
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, bound = ik._start(ik.workspace1d(GRID).k2, rho)
+            _, bound = ik._start(ik.workspace(GRID).k2, rho)
         assert bound.tolist() == [math.inf]
 
     def test_nan_bound_does_not_certify(self, monkeypatch):
@@ -462,7 +462,7 @@ class TestStartCertificate:
         rho = np.array([ik.acoustic_mode_state(GRID, 1, 1e-4).parts[0].values,
                         ik.random_ion_state(GRID, 6, np.random.default_rng(19), 0.3).parts[0].values,
                         ik.acoustic_mode_state(GRID, 2, 1e-4).parts[0].values])
-        _, bound = ik._start(ik.workspace1d(GRID).k2, rho)
+        _, bound = ik._start(ik.workspace(GRID).k2, rho)
         assert list(bound <= ik.PHI_TOL / 8) == [True, False, True]
         phi = ik._closure(GRID, rho)
         assert np.array_equal(phi, ik._newton(GRID, rho, ik.PHI_TOL, ik.PHI_MAX_ITER)[0])
@@ -572,7 +572,7 @@ class TestGardner:
 
 def old_if_rk4_step(w, dt):
     """The IF-RK4 KdV step as written before its constants were built once: the oracle."""
-    ws = ik.workspace1d(w.grid)
+    ws = ik.workspace(w.grid)
     half = np.exp(1j * ws.k**3 * (dt / 2.0))
     full = half * half
 
@@ -670,6 +670,13 @@ class TestStepScratch:
             w = ik.kdv_if_rk4_step(w, 1e-3)
         assert np.array_equal(u.values, alone[0]) and np.array_equal(w.values, alone[1])
 
+    def test_alternating_dts_step_as_each_dt_alone(self):
+        # the grid's workspace keeps one dt's factors: each change of dt rebuilds them
+        w = ik.kdv_soliton(1.0, 10.0, Grid1D(256, 40.0))
+        for dt in (1e-3, 2e-3, 1e-3):
+            got, alone = ik.kdv_if_rk4_step(w, dt), old_if_rk4_step(w, dt)
+            assert np.array_equal(got.values.view(np.uint64), alone.values.view(np.uint64))
+
     def test_a_stepped_field_keeps_its_values_after_later_steps(self):
         grid = Grid1D(256, 40.0)
         first = w = ik.kdv_if_rk4_step(ik.kdv_soliton(1.0, 10.0, grid), 1e-3)
@@ -677,7 +684,7 @@ class TestStepScratch:
         for _ in range(5):
             w = ik.kdv_if_rk4_step(w, 1e-3)
         assert np.array_equal(first.values, kept) and not np.array_equal(w.values, kept)
-        scratch = ik._if_factors(grid, 1e-3)[5:]
+        scratch = ik.workspace(grid).kept(ik._if_factors, 1e-3)[4:]
         assert not any(np.shares_memory(first.values, s) for s in scratch)
 
     def test_one_step_makes_five_rfft_and_five_irfft_calls(self, monkeypatch):
@@ -790,7 +797,7 @@ class TestBatchDiagnostics:
         # the closure's certified start of a whole stack is bitwise the guess
         # ln m + phi1 - L^-1(m phi1^2 / 2) formed here on every row at once
         rho = np.array([ik.acoustic_mode_state(GRID, k, 1e-4).parts[0].values for k in (1, 2, 5)])
-        k2 = ik.workspace1d(GRID).k2
+        k2 = ik.workspace(GRID).k2
         mean = np.add.reduce(rho, axis=-1, keepdims=True) / GRID.n
         lin = k2 + mean
         phi1 = np.fft.irfft(np.fft.rfft(rho - mean) / lin, n=GRID.n)
@@ -802,8 +809,8 @@ class TestBatchDiagnostics:
 class TestFoldedMask:
     def test_nonlinear_symbol_folds_the_mask(self):
         grid = Grid1D(512, 40.0)
-        ws = ik.workspace1d(grid)
-        symbol = ik._if_factors(grid, 1e-3)[3]
+        ws = ik.workspace(grid)
+        symbol = ws.kept(ik._if_factors, 1e-3)[3]
         assert np.array_equal(symbol, -3j * ws.k * ws.mask)
         assert not symbol[grid.n // 3 + 1:].any()
         assert ws.mask.dtype == complex and not ws.mask.flags.writeable

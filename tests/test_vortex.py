@@ -358,7 +358,7 @@ class TestHamiltonians:
         # the workspace's +1/k^2 is -(-1/k^2) bit for bit, its k = 0 entry -0.0 included
         omega = random_band_limited_2d(GRID, 6, np.random.default_rng(8))
         kept = vx.stream_function(omega)._spectrum()
-        hat = -vx.workspace2d(GRID).inv_neg_k2 * omega._spectrum()
+        hat = -vx.workspace(GRID).inv_neg_k2 * omega._spectrum()
         for part in ("real", "imag"):
             a, b = getattr(kept, part), getattr(hat, part)
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
