@@ -39,7 +39,7 @@ from .poisson import (
     jacobi_residual,
     norm,
 )
-from .dynamics import DiagnosticSeries, Integrator, run_and_record, step
+from .dynamics import DiagnosticSeries, run_and_record, step
 
 __all__ = [
     "Field1D",
@@ -71,7 +71,6 @@ __all__ = [
     "jacobi_residual",
     "norm",
     "DiagnosticSeries",
-    "Integrator",
     "run_and_record",
     "step",
 ]

@@ -416,17 +416,16 @@ def _stepped(cfg: RunConfig, rhs, z0, pairs, divergence=None):
     """Step z0 to cfg.t_end by cfg.dt, sampling the functionals of the (functional,
     Drift | None) pairs every cfg.output_every.
 
-    RK4 steps the rhs; no rhs means KdV's integrating-factor step, the one
-    scheme that takes none.  Returns (series, final state, max divergence).
+    The rhs goes to `dyn.step` as given: RK4 steps it, and None means KdV's
+    integrating-factor step.  Returns (series, final state, max divergence).
     With no divergence functional the run is drained by `dyn.run_and_record`
     and the maximum is None; a divergence functional heads the series and is
     also taken after every step, and the maximum is over the steps.
     """
     watch = [f for f, _ in pairs]
-    integ = dyn.Integrator("rk4" if rhs is not None else "if_rk4", cfg.dt)
     if divergence is None:
-        return (*dyn.run_and_record(integ, rhs, z0, cfg.t_end, watch, cfg.output_every), None)
-    run = dyn.Trajectory(integ, rhs, z0, cfg.t_end, [divergence, *watch], cfg.output_every)
+        return (*dyn.run_and_record(cfg.dt, rhs, z0, cfg.t_end, watch, cfg.output_every), None)
+    run = dyn.Trajectory(cfg.dt, rhs, z0, cfg.t_end, [divergence, *watch], cfg.output_every)
     max_divergence = max(map(divergence.value, run))  # drains the run: run.state is final after
     return run.series, run.state, max_divergence
 
@@ -741,9 +740,10 @@ def _run_ionacoustic1d(cfg: RunConfig) -> RunResult:
               Drift("mass_rel_drift", "rel", "<=", 1e-7),
               Drift("momentum_drift", "rel", "<=", 1e-7))
     watch = {k: list(zip(ik.mode_watchers(k), drifts)) for k in modes}
-    # one watcher gives every member's values in that order, from one closure solve
+    # one watcher gives every member's values in that order, from one closure solve;
+    # it gates the density as the flow does, since a sampled step meets it first
     batch = vx.Functional(tuple(f"{f.label}_k{k}" for k in modes for f, _ in watch[k]),
-                          lambda zv: ik.ion_diagnostics(grid, zv[0], zv[1], modes))
+                          lambda zv: ik.ion_diagnostics(grid, ik.above_floor(zv[0]), zv[1], modes))
     try:
         series, _, _ = _stepped(cfg, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z0,
                                 [(batch, None)])

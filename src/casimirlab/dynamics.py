@@ -1,7 +1,8 @@
 """Time integration and invariant-drift bookkeeping shared by all systems.
 
-Explicit classical RK4 is the one general scheme; 'if_rk4' dispatches to the
-integrating-factor KdV stepper.  The spatial discretization is what preserves
+The time loop takes the step dt and an rhs: explicit classical RK4 steps
+the rhs, and an rhs of None steps a KdV state by the integrating-factor KdV
+stepper.  The spatial discretization is what preserves
 Casimirs; the temporal drift of conserved functionals is controlled by the
 O(dt^4) convergence tests, not by exact conservation.
 
@@ -46,35 +47,22 @@ class IntegrationError(RuntimeError):
         self.last_state = last_state
 
 
-@dataclass(frozen=True)
-class Integrator:
-    scheme: str = "rk4"
-    dt: float = 1e-2
-
-    def __post_init__(self):
-        if self.scheme not in ("rk4", "if_rk4"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-
-
-def step(integ: Integrator, rhs: Callable | None, z: State | np.ndarray) -> State | np.ndarray:
-    """One explicit step; raises a NumericalFailure on non-finite output.
+def step(dt: float, rhs: Callable | None, z: State | np.ndarray) -> State | np.ndarray:
+    """One step of size dt; raises a NumericalFailure on non-finite output.
 
     Stage sums of synthesized fields stay in spectral space (field_core.Field);
     the output is checked once: a State by `State.from_values`, which reads its
     parts' values (and checks them finite) once per step, so a step is a
     function of its input's values alone; a bare array by one isfinite test.
-    rk4 steps the given rhs and if_rk4 takes none (it steps KdV's own flow);
-    a scheme given the other raises ValueError.
+    RK4 steps the given rhs; no rhs means KdV's integrating-factor RK4, which
+    takes a KdV state only (ValueError otherwise).  A dt that is not positive
+    raises ValueError.
     """
-    dt = integ.dt
-    if (rhs is None) != (integ.scheme == "if_rk4"):
-        needs = "no rhs" if rhs is not None else "an rhs"
-        raise ValueError(f"scheme {integ.scheme!r} takes {needs}")
-    if integ.scheme == "if_rk4":
-        if z.kind != "kdv":
-            raise ValueError("if_rk4 integrates the KdV system only")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if rhs is None:
+        if not (isinstance(z, State) and z.kind == "kdv"):
+            raise ValueError("an rhs of None steps the KdV system only")
         return State("kdv", (ion_kdv.kdv_if_rk4_step(z.parts[0], dt),))
     k1 = rhs(z)
     k2 = rhs(z + (0.5 * dt) * k1)
@@ -143,7 +131,10 @@ def write_csv(path, header: Sequence[str], rows):
 
 
 def step_count(t_end: float, dt: float) -> int:
-    """Number of steps of size dt that reach t_end; ValueError unless it is whole."""
+    """Number of steps of size dt that reach t_end; ValueError unless it is whole
+    and dt is positive."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     n_steps = int(round(t_end / dt))
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"{t_end:g} is not a whole number of dt = {dt:g} steps")
@@ -194,37 +185,37 @@ class Trajectory:
     allocation, whose message names it MemoryError.
     """
 
-    def __init__(self, integ: Integrator, rhs, z0, t_end: float,
+    def __init__(self, dt: float, rhs, z0, t_end: float,
                  watch: Sequence[Functional] = (), output_every: float | None = None):
-        self.integ, self.rhs, self.watch = integ, rhs, tuple(watch)
-        self.n_steps = step_count(t_end, integ.dt)
-        self.stride = sample_stride(output_every, integ.dt)
+        self.dt, self.rhs, self.watch = dt, rhs, tuple(watch)
+        self.n_steps = step_count(t_end, dt)
+        self.stride = sample_stride(output_every, dt)
         self.series = DiagnosticSeries(_labels(self.watch))
         self.state = z0
 
     def __iter__(self):
-        integ, rhs, z = self.integ, self.rhs, self.state
+        dt, rhs, z = self.dt, self.rhs, self.state
         n = 0
         try:
             self.series.record(0.0, _sample(self.watch, z))
             for n in range(1, self.n_steps + 1):
                 if isinstance(z, tuple):
-                    z = tuple(step(integ, rhs, member) for member in z)
+                    z = tuple(step(dt, rhs, member) for member in z)
                 else:
-                    z = step(integ, rhs, z)
+                    z = step(dt, rhs, z)
                 self.state = z
                 if n % self.stride == 0 or n == self.n_steps:
-                    self.series.record(n * integ.dt, _sample(self.watch, z))
+                    self.series.record(n * dt, _sample(self.watch, z))
                 yield z
         except (NumericalFailure, MemoryError) as exc:
             raise IntegrationError(
-                f"{failure_name(exc)} at step {n} (t = {n * integ.dt:g}): {exc}",
+                f"{failure_name(exc)} at step {n} (t = {n * dt:g}): {exc}",
                 self.series, n, self.state,
             ) from exc
 
 
 def run_and_record(
-    integ: Integrator,
+    dt: float,
     rhs: Callable[[State], State] | None,
     z0: State,
     t_end: float,
@@ -236,7 +227,7 @@ def run_and_record(
     On a numerical failure raises IntegrationError carrying the partial
     series and the index of the failing step.
     """
-    run = Trajectory(integ, rhs, z0, t_end, watch, output_every)
+    run = Trajectory(dt, rhs, z0, t_end, watch, output_every)
     for _ in run:
         pass
     return run.series, run.state

@@ -67,19 +67,23 @@ Conventions
   it reads any field's that was born from values.  There is one per grid,
   kept in its Workspace and shared by every caller, so a phantom gradient
   row or a bracket output with no live pair allocates nothing.
-* Two helpers, _forward and _inverse, are the only code that picks the 1-D
-  or 2-D transforms.  On a Grid2D both pass s = grid.shape, so rfft2 runs
-  its two 1-D passes without first deriving s from the array's shape
-  through an ndarray: the same transforms, less overhead.  _forward also
-  hands numpy a fresh output array of the spectrum's shape, so rfft2 runs
-  its second (axis-0) pass in place there and allocates one array, not two;
-  every spectrum it returns is still its own array.  _inverse takes a stack
-  of spectra too, (m, ny, nx//2+1) on a Grid2D, and each plane of its
-  output is bitwise that plane's own call.  On a Grid2D it makes irfft2's
-  own two calls, ifft along y and irfft along x, into kept buffers when
-  bracket_sums hands them over: the bits of irfft2, which on numpy 2.4.6
-  ignores an out argument.  One _inverse call still counts as one 2-D
-  transform per plane.
+* Two helpers, _forward and _inverse, make every 2-D transform and the 1-D
+  ones of fields and of the ion flow.  ion_kdv calls np.fft.rfft/irfft
+  itself on 9 lines: in _pcg, _start, _newton (its residual runs in long
+  double, which _forward's complex128 output would truncate) and
+  kdv_if_rk4_step (into its kept scratch).  On a Grid2D both pass
+  s = grid.shape, so rfft2 runs its two 1-D passes without first deriving s
+  from the array's shape through an ndarray: the same transforms, less
+  overhead.
+  _forward also hands numpy a fresh output array of the spectrum's shape, so
+  rfft2 runs its second (axis-0) pass in place there and allocates one
+  array, not two; every spectrum it returns is still its own array.
+  _inverse takes a stack of spectra too, (m, ny, nx//2+1) on a Grid2D, and
+  each plane of its output is bitwise that plane's own call.  On a Grid2D it
+  makes irfft2's own two calls, ifft along y and irfft along x, into kept
+  buffers when bracket_sums hands them over: the bits of irfft2, which on
+  numpy 2.4.6 ignores an out argument.  One _inverse call still counts as
+  one 2-D transform per plane.
 * Each grid has one Workspace (`workspace(grid)`), kept for the MAX_GRIDS
   grids used last, which holds all the state kept per grid.  A 2-D one holds
   its symbols in the form they are applied: the gradient symbol as one

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import Integrator, Trajectory
+from .dynamics import Trajectory
 from .field_core import NonFiniteError
 from .poisson import Functional, PoissonOperator, State
 
@@ -219,7 +219,7 @@ def simulate_plane_orbits(
 
     # sampled at t = 0 and t_end only; it heads a failed run's partial series
     least = Functional("min_signed_x", lambda zv: float(np.min(s0 * zv[0])))
-    run = Trajectory(Integrator("rk4", dt), rhs, z, t_end, [least], output_every=t_end)
+    run = Trajectory(dt, rhs, z, t_end, [least], output_every=t_end)
     for zv in run:
         xs = s0 * zv[0]
         xs_min = np.minimum(xs_min, xs)

@@ -104,6 +104,15 @@ class DensityFloorError(NumericalFailure):
     """Density dropped below the positivity floor during evolution."""
 
 
+def above_floor(rho: np.ndarray) -> np.ndarray:
+    """rho, once no entry lies below RHO_FLOOR (DensityFloorError otherwise; a NaN
+    passes, for the closure to reject).  The time loop's two readers of the ion
+    density gate it here: the flow and the ionacoustic1d preset's watcher."""
+    if (low := float(np.min(rho))) < RHO_FLOOR:
+        raise DensityFloorError(f"min(rho) = {low:.3e} below floor {RHO_FLOOR:g}")
+    return rho
+
+
 def ion_state(rho: Field1D, v: Field1D) -> State:
     if np.min(rho.values) <= 0.0:
         raise ValueError("ion density must be positive everywhere")
@@ -457,9 +466,7 @@ def ion_flow(grid: Grid1D, rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     solved before any other arithmetic on rho, so a density holding a NaN or
     an infinity raises its NewtonError and no numpy warning.
     """
-    low = float(np.min(rho))
-    if low < RHO_FLOOR:
-        raise DensityFloorError(f"min(rho) = {low:.3e} below floor {RHO_FLOOR:g}")
+    above_floor(rho)
     shape = rho.shape
     rho, v = rho.reshape(-1, grid.n), v.reshape(-1, grid.n)
     phi = _closure(grid, rho)

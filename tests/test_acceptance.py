@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from casimirlab import Field1D, Field2D, Grid1D, Grid2D, bracket2d, casimir_residual
-from casimirlab.dynamics import Integrator, estimate_frequency, run_and_record, step
+from casimirlab.dynamics import estimate_frequency, run_and_record, step
 from casimirlab.field_core import random_band_limited_1d, random_band_limited_2d
 from casimirlab.poisson import State, jacobi_residual
 from casimirlab import finitedim as fd
@@ -72,7 +72,7 @@ def test_a2_kdv_soliton_transport():
     grid = Grid1D(512, 40.0)
     z0 = ik.kdv_state(ik.kdv_soliton(1.0, 10.0, grid))
     series, zf = run_and_record(
-        Integrator("if_rk4", 1e-3), None, z0, 10.0,
+        1e-3, None, z0, 10.0,
         watch=[ik.kdv_mass(), ik.kdv_momentum()], output_every=0.5,
     )
     exact = ik.kdv_soliton(1.0, 20.0, grid)
@@ -99,7 +99,7 @@ def test_a3_ion_acoustic_dispersion():
     for k in (1, 2):
         z0 = ik.acoustic_mode_state(grid, k, 1e-4)
         series, _ = run_and_record(
-            Integrator("rk4", 1e-2), ik.ion_rhs, z0, 50.0,
+            1e-2, ik.ion_rhs, z0, 50.0,
             watch=[ik.mode_amplitude(k), H, ik.total_mass(), ik.momentum()],
             output_every=0.05,
         )
@@ -127,7 +127,7 @@ def test_a4_enstrophy_loses_invariance_on_level2():
         vx.make_casimir(vx.CasimirSpec("flux", vx.PROFILES["square"])),
     ]
     series, _ = run_and_record(
-        Integrator("rk4", 1e-3), vx.vortex_rhs(2, vx.rmhd_energy(2)), z0, 1.0,
+        1e-3, vx.vortex_rhs(2, vx.rmhd_energy(2)), z0, 1.0,
         watch=watch, output_every=0.05,
     )
     growth = series.final("enstrophy[square]")
@@ -149,13 +149,13 @@ def test_a5_phantom_invariance_bitwise():
     psi_a = random_band_limited_2d(grid, 4, np.random.default_rng(101))
     psi_b = random_band_limited_2d(grid, 4, np.random.default_rng(202))
     rhs = vx.vortex_rhs(2, vx.euler_energy(2))
-    integ = Integrator("rk4", 1e-2)
+    dt = 1e-2
     za, zb = vx.state_ii(omega, psi_a), vx.state_ii(omega, psi_b)
     max_div = 0.0
     identical = True
     for _ in range(1000):
-        za = step(integ, rhs, za)
-        zb = step(integ, rhs, zb)
+        za = step(dt, rhs, za)
+        zb = step(dt, rhs, zb)
         max_div = max(max_div, float(np.max(np.abs(za.parts[0].values - zb.parts[0].values))))
         identical = identical and np.array_equal(za.parts[0].values, zb.parts[0].values)
     ok = report("A5", max_div == 0.0 and identical,
@@ -173,12 +173,12 @@ def test_a6_level3_pair_evolution():
     z = vx.state_iii(omega, psi, Field2D(grid, psi.values.copy()))
     pair = vx.make_casimir(vx.CasimirSpec("flux_pair", vx.PROFILES["identity"]))
     rhs = vx.vortex_rhs(3, vx.rmhd_energy(3))
-    integ = Integrator("rk4", 1e-2)
+    dt = 1e-2
     c0 = pair.value(z)
     equal = True
     drift = 0.0
     for _ in range(500):
-        z = step(integ, rhs, z)
+        z = step(dt, rhs, z)
         equal = equal and np.array_equal(z.parts[1].values, z.parts[2].values)
         drift = max(drift, abs(pair.value(z) - c0))
     rel = drift / abs(c0)
@@ -344,7 +344,7 @@ def test_a10_temporal_convergence_window():
     drifts = {}
     for dt in (1e-2, 5e-3):
         series, _ = run_and_record(
-            Integrator("rk4", dt), vx.vortex_rhs(1, H), z0, 10.0,
+            dt, vx.vortex_rhs(1, H), z0, 10.0,
             watch=[H, ens], output_every=1.0,
         )
         drifts[dt] = (series.drift("euler_energy")[1], series.drift("enstrophy[square]")[1])

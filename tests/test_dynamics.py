@@ -1,4 +1,4 @@
-"""Integrator and diagnostics tests: order behavior, blow-up handling,
+"""Time-loop and diagnostics tests: order behavior, blow-up handling,
 determinism, frequency estimation, CSV serialization."""
 
 import math
@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from casimirlab import Field1D, Grid1D, Grid2D
+from casimirlab import Grid2D
 from casimirlab.dynamics import (
     BlowupError,
     DiagnosticSeries,
     IntegrationError,
-    Integrator,
     estimate_frequency,
     run_and_record,
     step,
+    step_count,
 )
 from casimirlab import finitedim as fd
 from casimirlab.poisson import Functional, State, hamiltonian_rhs
@@ -32,29 +32,27 @@ class TestStep:
     def test_zero_rhs_keeps_state_bitwise(self):
         rng = np.random.default_rng(0)
         z = vx.random_vortex_state(1, GRID, 4, rng)
-        out = step(Integrator("rk4", 1e-2), lambda s: s.zeros_like(), z)
+        out = step(1e-2, lambda s: s.zeros_like(), z)
         assert np.array_equal(out.parts[0].values, z.parts[0].values)
 
     def test_invalid_scheme_rejected(self):
-        for scheme in ("leapfrog", "midpoint"):
-            with pytest.raises(ValueError):
-                Integrator(scheme, 1e-2)
-        with pytest.raises(ValueError):
-            Integrator("rk4", -1e-2)
+        # the time step is the one knob of the time loop: it must be positive
+        z = fd.finite_state(1.0, 0.0)
+        for dt in (-1e-2, 0.0, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                step(dt, harmonic_rhs(), z)
+            with pytest.raises(ValueError, match="dt must be positive"):
+                run_and_record(dt, harmonic_rhs(), z, 1.0)
+            with pytest.raises(ValueError, match="dt must be positive"):
+                step_count(1.0, dt)
 
     def test_if_rk4_requires_kdv_state(self):
         rng = np.random.default_rng(1)
         z = vx.random_vortex_state(1, GRID, 4, rng)
         with pytest.raises(ValueError):
-            step(Integrator("if_rk4", 1e-2), None, z)
-
-    def test_scheme_and_rhs_must_agree(self):
-        # if_rk4 steps KdV's own flow and takes no rhs; rk4 needs one
-        z = State("kdv", (Field1D.zeros(Grid1D(16)),))
-        with pytest.raises(ValueError, match="takes no rhs"):
-            step(Integrator("if_rk4", 1e-2), lambda s: s.zeros_like(), z)
-        with pytest.raises(ValueError, match="takes an rhs"):
-            step(Integrator("rk4", 1e-2), None, z)
+            step(1e-2, None, z)
+        with pytest.raises(ValueError, match="KdV system only"):
+            step(1e-2, None, np.array([1.0, 0.0]))
 
     def test_nan_detected(self):
         z = State("finite", (np.array([1.0, 0.0]),))
@@ -63,7 +61,7 @@ class TestStep:
             return State("finite", (np.array([np.inf, 0.0]),))
 
         with pytest.raises(BlowupError):
-            step(Integrator("rk4", 1e-2), bad, z)
+            step(1e-2, bad, z)
 
     def test_harmonic_trajectory_error_fourth_order(self):
         # global trajectory error of rk4 drops ~16x when dt halves
@@ -71,7 +69,7 @@ class TestStep:
         for dt in (0.1, 0.05):
             z = fd.finite_state(1.0, 0.0)
             for _ in range(int(round(10.0 / dt))):
-                z = step(Integrator("rk4", dt), harmonic_rhs(), z)
+                z = step(dt, harmonic_rhs(), z)
             x, y = z.parts[0]
             errs[dt] = math.hypot(x - math.cos(-10.0), y - math.sin(-10.0))
         ratio = errs[0.1] / errs[0.05]
@@ -85,7 +83,7 @@ class TestStep:
         for dt in (0.1, 0.05):
             z = fd.finite_state(1.0, 0.0)
             for _ in range(int(round(10.0 / dt))):
-                z = step(Integrator("rk4", dt), harmonic_rhs(), z)
+                z = step(dt, harmonic_rhs(), z)
             x, y = z.parts[0]
             drifts[dt] = abs(0.5 * (x * x + y * y) - 0.5)
         ratio = drifts[0.1] / drifts[0.05]
@@ -102,7 +100,7 @@ class TestStep:
         def integrate_to(dt, t_end=1.0):
             z = fd.finite_state(1.0, 0.0)
             for _ in range(int(round(t_end / dt))):
-                z = step(Integrator("rk4", dt), rhs, z)
+                z = step(dt, rhs, z)
             return z.parts[0]
 
         coarse = integrate_to(1e-3)
@@ -113,7 +111,7 @@ class TestStep:
 class TestRunAndRecord:
     def test_empty_watch_records_times_only(self):
         series, zf = run_and_record(
-            Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0), 1.0
+            0.1, harmonic_rhs(), fd.finite_state(1.0, 0.0), 1.0
         )
         assert series.labels == ()
         assert len(series.times) == 11
@@ -121,7 +119,7 @@ class TestRunAndRecord:
 
     def test_output_stride(self):
         series, _ = run_and_record(
-            Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0), 1.0,
+            0.1, harmonic_rhs(), fd.finite_state(1.0, 0.0), 1.0,
             output_every=0.5,
         )
         assert series.times == [0.0, 0.5, 1.0]
@@ -129,13 +127,13 @@ class TestRunAndRecord:
     def test_nonintegral_output_every_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
             run_and_record(
-                Integrator("rk4", 0.01), harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.1,
+                0.01, harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.1,
                 output_every=0.015,
             )
 
     def test_output_every_below_dt_samples_every_step(self):
         series, _ = run_and_record(
-            Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.5,
+            0.1, harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.5,
             output_every=0.04,
         )
         assert len(series.times) == 6
@@ -143,7 +141,7 @@ class TestRunAndRecord:
     def test_nonintegral_t_end_rejected(self):
         with pytest.raises(ValueError):
             run_and_record(
-                Integrator("rk4", 0.3), harmonic_rhs(), fd.finite_state(1.0, 0.0), 1.0
+                0.3, harmonic_rhs(), fd.finite_state(1.0, 0.0), 1.0
             )
 
     def test_blowup_preserves_partial_series(self):
@@ -158,7 +156,7 @@ class TestRunAndRecord:
         E = Functional("energy", lambda s: 0.5 * float(s.parts[0] @ s.parts[0]))
         with pytest.raises(IntegrationError) as info:
             run_and_record(
-                Integrator("rk4", 0.1), exploding, fd.finite_state(1.0, 0.0), 10.0, watch=[E]
+                0.1, exploding, fd.finite_state(1.0, 0.0), 10.0, watch=[E]
             )
         err = info.value
         assert err.step_index >= 1
@@ -168,7 +166,7 @@ class TestRunAndRecord:
         pair = Functional(("x", "y"), lambda s: tuple(float(c) for c in s.parts[0]))
         E = Functional("energy", lambda s: 0.5 * float(s.parts[0] @ s.parts[0]))
         series, zf = run_and_record(
-            Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.4,
+            0.1, harmonic_rhs(), fd.finite_state(1.0, 0.0), 0.4,
             watch=[pair, E], output_every=0.2,
         )
         assert series.labels == ("x", "y", "energy")
@@ -184,7 +182,7 @@ class TestRunAndRecord:
             z0 = vx.random_vortex_state(1, GRID, 4, rng, 0.8)
             H = vx.euler_energy(1)
             return run_and_record(
-                Integrator("rk4", 1e-2), vx.vortex_rhs(1, H), z0, 0.5,
+                1e-2, vx.vortex_rhs(1, H), z0, 0.5,
                 watch=[H], output_every=0.1,
             )
 
@@ -211,14 +209,14 @@ class TestFailedAllocation:
             return harmonic_rhs()(s)
 
         with pytest.raises(IntegrationError) as info:
-            run_and_record(Integrator("rk4", 0.1), hungry, fd.finite_state(1.0, 0.0), 10.0,
+            run_and_record(0.1, hungry, fd.finite_state(1.0, 0.0), 10.0,
                            watch=[self.energy()])
         err = info.value
         assert err.step_index == 6
         assert str(err).startswith("MemoryError at step 6 (t = 0.6): Unable to allocate")
         assert isinstance(err.__cause__, MemoryError)
         assert err.series.times == pytest.approx([0.1 * n for n in range(6)])
-        _, z5 = run_and_record(Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0),
+        _, z5 = run_and_record(0.1, harmonic_rhs(), fd.finite_state(1.0, 0.0),
                                0.5)
         assert np.array_equal(err.last_state.parts[0], z5.parts[0])
 
@@ -229,7 +227,7 @@ class TestFailedAllocation:
             return 0.0
 
         with pytest.raises(IntegrationError) as info:
-            run_and_record(Integrator("rk4", 0.1), harmonic_rhs(), fd.finite_state(1.0, 0.0),
+            run_and_record(0.1, harmonic_rhs(), fd.finite_state(1.0, 0.0),
                            1.0, watch=[Functional("hungry", value)])
         assert info.value.step_index == 1
         assert str(info.value) == "MemoryError at step 1 (t = 0.1): no room"

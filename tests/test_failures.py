@@ -118,6 +118,21 @@ def test_failure_at_step_0_keeps_the_initial_state(tmp_path, capsys):
     assert np.array_equal(omega.values, expected.values)
 
 
+def test_density_below_the_floor_at_a_sample_is_a_failure_record(tmp_path, capsys):
+    # step 29's density dips below zero, and step 29 is sampled: the batch watcher
+    # meets it before the next flow evaluation, and gates it as the flow does
+    code, out = run_cli(tmp_path, "ionacoustic1d", "grid.n=16", "initial.modes=[1]",
+                        "initial.amplitude=0.883694073347699", "dt=0.1", "output_every=0.1",
+                        "t_end=10.0")
+    assert code == 1
+    failure = json.loads((out / "summary.json").read_text())["failure"]
+    assert failure["step"] == 29
+    assert failure["message"].startswith("DensityFloorError at step 29")
+    rows = (out / "diagnostics.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + 29  # the header, then t = 0 to 2.8
+    assert load_snapshot(out / "state_last_finite.snap").kind == "ion"
+
+
 @pytest.mark.parametrize(
     "preset, sets, field",
     [

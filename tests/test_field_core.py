@@ -36,7 +36,7 @@ from casimirlab import (
 )
 from casimirlab import field_core
 from casimirlab import ion_kdv as ik
-from casimirlab.dynamics import Integrator, step
+from casimirlab.dynamics import step
 from casimirlab.field_core import (
     MAX_GRIDS,
     NonFiniteError,
@@ -725,7 +725,7 @@ class TestWorkspace:
 
         def run():
             out = [f.values for f in bracket_sums(rows)]
-            out += [f.values for f in step(Integrator("rk4", 1e-3), rhs, z).parts]
+            out += [f.values for f in step(1e-3, rhs, z).parts]
             return [a.view(np.uint64) for a in (*out, ik.kdv_if_rk4_step(w, 1e-3).values)]
 
         before, kept = run(), (workspace(grid), workspace(kdv_grid))

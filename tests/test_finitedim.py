@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from casimirlab import finitedim as fd
-from casimirlab.dynamics import Integrator, step
+from casimirlab.dynamics import step
 from casimirlab.field_core import NonFiniteError
 from casimirlab.poisson import State, gradient_check
 
@@ -36,9 +36,9 @@ class TestFlowOnAmbientSpace:
         # speed x, approaching (0, -1) without ever crossing x = 0
         z = fd.finite_state(1.0, 0.0)
         rhs = lambda s: fd.fd_rhs(s, harmonic())
-        integ = Integrator("rk4", 1e-3)
+        dt = 1e-3
         for _ in range(5000):
-            z = step(integ, rhs, z)
+            z = step(dt, rhs, z)
         x, y = z.parts[0]
         assert abs(x * x + y * y - 1.0) <= 1e-10
         assert x > 0.0 and y < 0.0
@@ -171,10 +171,9 @@ class TestBitwiseFlow:
             z = np.vstack([rng.uniform(0.2, 1.0, m) * rng.choice([-1, 1], m),
                            rng.uniform(-1, 1, m)])
             grad = old_cubic_gradient(coeffs)
-            integ = Integrator("rk4", dt)
             expect = z
             for _ in range(3):
-                expect = step(integ, lambda zv: zv[0] * (grad(zv)[::-1] * flip), expect)
+                expect = step(dt, lambda zv: zv[0] * (grad(zv)[::-1] * flip), expect)
             got = fd.simulate_plane_orbits(coeffs, z, 3 * dt, dt)["final"]
             assert np.array_equal(got, expect)
 
@@ -338,12 +337,12 @@ class TestExteriorCasimir:
         # moves by less than the erf tail at x_min / eps
         z = fd.finite_state(1.0, 0.0)
         rhs = lambda s: fd.fd_rhs(s, harmonic())
-        integ = Integrator("rk4", 1e-3)
+        dt = 1e-3
         eps = 0.05
         y0 = fd.exterior_casimir_fd(z, eps)
         drift = 0.0
         for _ in range(3000):
-            z = step(integ, rhs, z)
+            z = step(dt, rhs, z)
             drift = max(drift, abs(fd.exterior_casimir_fd(z, eps) - y0))
         x_min = z.parts[0][0]  # monotonically decreasing along this orbit
         assert x_min > 0.0
@@ -359,9 +358,9 @@ class TestBatchSimulation:
         H = fd.cubic_functional(c)
         z = fd.finite_state(0.6, -0.2)
         rhs = lambda s: fd.fd_rhs(s, H)
-        integ = Integrator("rk4", 1e-3)
+        dt = 1e-3
         for _ in range(2000):
-            z = step(integ, rhs, z)
+            z = step(dt, rhs, z)
         res = fd.simulate_plane_orbits(
             c.reshape(10, 1), np.array([[0.6], [-0.2]]), 2.0, 1e-3
         )

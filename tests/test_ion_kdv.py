@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from casimirlab import Field1D, Grid1D, State, ddx1, ddx2, dealias, integrate
-from casimirlab.dynamics import Integrator, estimate_frequency, run_and_record, step
+from casimirlab.dynamics import estimate_frequency, run_and_record, step
 from casimirlab.field_core import NonFiniteError, random_band_limited_1d
 from casimirlab import ion_kdv as ik
 
@@ -522,7 +522,7 @@ class TestIonSystem:
         rng = np.random.default_rng(1)
         z0 = ik.random_ion_state(GRID, 3, rng, 0.08)
         series, _ = run_and_record(
-            Integrator("rk4", 1e-2), ik.ion_rhs, z0, 5.0,
+            1e-2, ik.ion_rhs, z0, 5.0,
             watch=[ik.total_mass(), ik.momentum(), ik.ion_energy()], output_every=0.1,
         )
         assert series.drift("mass")[0] <= 1e-10
@@ -535,7 +535,7 @@ class TestIonSystem:
     def test_dispersion_modes(self, k, t_end):
         z0 = ik.acoustic_mode_state(GRID, k, 1e-4)
         series, _ = run_and_record(
-            Integrator("rk4", 1e-2), ik.ion_rhs, z0, t_end,
+            1e-2, ik.ion_rhs, z0, t_end,
             watch=[ik.mode_amplitude(k)], output_every=0.05,
         )
         measured = estimate_frequency(series.times, series.values[f"mode_cos_{k}"])
@@ -615,9 +615,9 @@ class TestSoliton:
         grid = Grid1D(256, 40.0)
         w0 = ik.kdv_soliton(1.0, 10.0, grid)
         z = ik.kdv_state(w0)
-        integ = Integrator("if_rk4", 2e-3)
+        dt = 2e-3
         for _ in range(500):
-            z = step(integ, None, z)
+            z = step(dt, None, z)
         exact = ik.kdv_soliton(1.0, 11.0, grid)
         assert np.max(np.abs(z.parts[0].values - exact.values)) <= 2e-4
 
@@ -625,7 +625,7 @@ class TestSoliton:
         grid = Grid1D(512, 40.0)
         z0 = ik.kdv_state(ik.kdv_soliton(1.0, 10.0, grid))
         series, _ = run_and_record(
-            Integrator("if_rk4", 1e-3), None, z0, 2.0,
+            1e-3, None, z0, 2.0,
             watch=[ik.kdv_mass(), ik.kdv_momentum(), ik.kdv_energy()], output_every=0.1,
         )
         assert series.drift("kdv_mass")[0] <= 1e-12
@@ -636,10 +636,10 @@ class TestSoliton:
         grid = Grid1D(256, 40.0)
         c = 1.0
         z = ik.kdv_state(ik.kdv_soliton(c, 10.0, grid))
-        integ = Integrator("if_rk4", 2e-3)
+        dt = 2e-3
         t_end = 4.0
         for _ in range(int(round(t_end / 2e-3))):
-            z = step(integ, None, z)
+            z = step(dt, None, z)
         # quadratic interpolation of the peak position
         v = z.parts[0].values
         i = int(np.argmax(v))
@@ -714,9 +714,8 @@ def stepped_batch(members, steps, dt=0.05):
     """The (2, m, n) batch of members' (rho, V) after RK4 steps of the ion flow."""
     grid = members[0].parts[0].grid
     z = np.array([[s.parts[i].values for s in members] for i in (0, 1)])
-    integ = Integrator("rk4", dt)
     for _ in range(steps):
-        z = step(integ, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z)
+        z = step(dt, lambda zv: ik.ion_flow(grid, zv[0], zv[1]), z)
     return z
 
 

@@ -15,7 +15,7 @@ from casimirlab import finitedim as fd
 from casimirlab import ion_kdv as ik
 from casimirlab import Field2D, Grid2D, bracket2d, integrate, l2norm
 from casimirlab import casimir_residual
-from casimirlab.dynamics import Integrator, run_and_record, step
+from casimirlab.dynamics import run_and_record, step
 from casimirlab.field_core import bracket_sums, random_band_limited_2d
 from casimirlab.poisson import State, StateError, inner
 from casimirlab import vortex as vx
@@ -193,13 +193,13 @@ class TestBracketKernel:
         rhs = vx.vortex_rhs(level, hamiltonian(level))
         made = []
         calls = self.record_transforms(monkeypatch, made)
-        step(Integrator("rk4", 0.01), rhs, z)
+        step(0.01, rhs, z)
         assert len(calls) == transforms and len(made) == self.CALLS[transforms]
 
     @pytest.mark.parametrize("level", sorted(vx.PAIRS))
     def test_step_output_carries_no_synthesized_spectrum(self, level):
         z = vx.random_vortex_state(level, GRID, 5, np.random.default_rng(24))
-        out = step(Integrator("rk4", 0.01), vx.vortex_rhs(level, vx.euler_energy(level)), z)
+        out = step(0.01, vx.vortex_rhs(level, vx.euler_energy(level)), z)
         for p in out.parts:
             assert not p._synthesized and "_hat" not in vars(p)
             assert not p.values.flags.writeable
@@ -389,17 +389,17 @@ class TestRhs:
         from casimirlab.cli import load_snapshot, save_snapshot
 
         rhs = vx.vortex_rhs(2, vx.rmhd_energy(2))
-        integ = Integrator("rk4", 0.01)
+        dt = 0.01
         z = vx.random_vortex_state(2, GRID, 5, np.random.default_rng(40))
         straight = z
         for _ in range(6):
-            straight = step(integ, rhs, straight)
+            straight = step(dt, rhs, straight)
         for _ in range(3):
-            z = step(integ, rhs, z)
+            z = step(dt, rhs, z)
         save_snapshot(tmp_path / "mid.snap", z)
         z = load_snapshot(tmp_path / "mid.snap")
         for _ in range(3):
-            z = step(integ, rhs, z)
+            z = step(dt, rhs, z)
         for a, b in zip(straight.parts, z.parts):
             assert np.array_equal(a.values, b.values)
 
@@ -541,9 +541,9 @@ class TestSingularLeaf:
         omega = random_band_limited_2d(GRID, 4, rng, 0.8)
         z = vx.state_ii(omega, Field2D.zeros(GRID))
         rhs = vx.vortex_rhs(2, vx.rmhd_energy(2))
-        integ = Integrator("rk4", 1e-2)
+        dt = 1e-2
         for _ in range(50):
-            z = step(integ, rhs, z)
+            z = step(dt, rhs, z)
             assert vx.singular_leaf_indicator(z.parts[1])[1]
 
     def test_interior_residual_on_leaf(self):
@@ -579,11 +579,11 @@ class TestPhantomInvariance:
         psi_a = random_band_limited_2d(GRID, 4, np.random.default_rng(100))
         psi_b = random_band_limited_2d(GRID, 4, np.random.default_rng(200))
         rhs = vx.vortex_rhs(2, vx.euler_energy(2))
-        integ = Integrator("rk4", 1e-2)
+        dt = 1e-2
         za, zb = vx.state_ii(omega, psi_a), vx.state_ii(omega, psi_b)
         for _ in range(50):
-            za = step(integ, rhs, za)
-            zb = step(integ, rhs, zb)
+            za = step(dt, rhs, za)
+            zb = step(dt, rhs, zb)
             assert np.array_equal(za.parts[0].values, zb.parts[0].values)
         assert float(np.max(np.abs(za.parts[0].values - zb.parts[0].values))) == 0.0
 
@@ -592,7 +592,7 @@ class TestPhantomInvariance:
         z0 = vx.state_ii(Field2D.zeros(GRID), mode(lambda X, Y: np.cos(X) + np.cos(2 * Y)))
         C0 = vx.make_casimir(vx.CasimirSpec("enstrophy", vx.PROFILES["square"], level=2))
         series, _ = run_and_record(
-            Integrator("rk4", 1e-3), vx.vortex_rhs(2, vx.rmhd_energy(2)), z0, 0.25,
+            1e-3, vx.vortex_rhs(2, vx.rmhd_energy(2)), z0, 0.25,
             watch=[C0], output_every=0.05,
         )
         assert series.final("enstrophy[square]") > 1e-4
@@ -603,9 +603,9 @@ class TestPhantomInvariance:
         psi = random_band_limited_2d(GRID, 4, rng)
         z = vx.state_iii(omega, psi, Field2D(GRID, psi.values.copy()))
         rhs = vx.vortex_rhs(3, vx.rmhd_energy(3))
-        integ = Integrator("rk4", 1e-2)
+        dt = 1e-2
         for _ in range(50):
-            z = step(integ, rhs, z)
+            z = step(dt, rhs, z)
         assert np.array_equal(z.parts[1].values, z.parts[2].values)
 
     @pytest.mark.parametrize("level, hamiltonian", [
@@ -622,9 +622,9 @@ class TestPhantomInvariance:
         H = getattr(vx, hamiltonian)
         rhs_below = vx.vortex_rhs(level - 1, H(level - 1))
         rhs_above = vx.vortex_rhs(level, H(level))
-        integ = Integrator("rk4", 1e-2)
+        dt = 1e-2
         for _ in range(50):
-            below, above = step(integ, rhs_below, below), step(integ, rhs_above, above)
+            below, above = step(dt, rhs_below, below), step(dt, rhs_above, above)
         for p, q in zip(below.parts, above.parts):
             assert np.array_equal(p.values, q.values)
         assert np.all(above.parts[-1].values == 0.0)
@@ -638,10 +638,10 @@ class TestPhantomInvariance:
         grid = Grid2D(32, 32)
         omega = random_band_limited_2d(grid, 4, np.random.default_rng(12), 0.8)
         psi0 = random_band_limited_2d(grid, 4, np.random.default_rng(101), 1.0)
-        integ = Integrator("rk4", 0.02)
+        dt = 0.02
 
         def omegas(level, z0, H):
-            return [z.parts[0].values for z in dyn.Trajectory(integ, vx.vortex_rhs(level, H),
+            return [z.parts[0].values for z in dyn.Trajectory(dt, vx.vortex_rhs(level, H),
                                                                 z0, 2.0)]
 
         original = omegas(1, vx.state_i(omega), vx.euler_energy(1))
@@ -663,7 +663,7 @@ class TestEnergyConservation:
         z0 = vx.state_i(random_band_limited_2d(GRID, 4, rng, 0.8))
         H = vx.euler_energy(1)
         series, _ = run_and_record(
-            Integrator("rk4", 1e-2), vx.vortex_rhs(1, H), z0, 10.0,
+            1e-2, vx.vortex_rhs(1, H), z0, 10.0,
             watch=[H], output_every=0.5,
         )
         assert series.drift("euler_energy")[1] <= 1e-8
